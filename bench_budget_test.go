@@ -101,11 +101,12 @@ func TestFleetAllocBudgets(t *testing.T) {
 		t.Skip("runs full benchmarks; skipped with -short")
 	}
 	checkAllocBudgets(t, "BENCH_fleet.json", map[string]func(*testing.B){
-		"WheelSchedule":   benchWheelSchedule,
-		"Run2k":           benchFleetRun2k,
-		"Run2kSharded":    benchFleetRun2kSharded,
-		"SnapshotSave":    benchSnapshotSave,
-		"SnapshotRestore": benchSnapshotRestore,
+		"WheelSchedule":       benchWheelSchedule,
+		"WheelScheduleSparse": benchWheelScheduleSparse,
+		"Run2k":               benchFleetRun2k,
+		"Run2kSharded":        benchFleetRun2kSharded,
+		"SnapshotSave":        benchSnapshotSave,
+		"SnapshotRestore":     benchSnapshotRestore,
 	})
 }
 

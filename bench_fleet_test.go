@@ -11,6 +11,7 @@ package sslab_test
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"runtime"
 	"testing"
@@ -125,6 +126,7 @@ func TestFleetScaling(t *testing.T) {
 
 func BenchmarkFleet(b *testing.B) {
 	b.Run("WheelSchedule", benchWheelSchedule)
+	b.Run("WheelScheduleSparse", benchWheelScheduleSparse)
 	b.Run("Run2k", benchFleetRun2k)
 	b.Run("Run2kSharded", benchFleetRun2kSharded)
 	b.Run("SnapshotSave", benchSnapshotSave)
@@ -152,6 +154,81 @@ func benchWheelSchedule(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	round(b.N)
+}
+
+// sparseMeanGap is a fleet user's mean wake-up gap at the default
+// diurnal peak of 2 flows per hour.
+const sparseMeanGap = 30 * time.Minute
+
+// sparseWheel is benchWheelScheduleSparse's state: one wheel carrying
+// 750 self-rescheduling timers — one regional fleet unit's users — and
+// the number of schedules left in the current round.
+type sparseWheel struct {
+	sim    *netsim.Sim
+	w      *netsim.Wheel
+	left   int
+	timers []sparseTimer
+}
+
+// sparseTimer is one user's Poisson wake-up chain, drawing its gaps
+// from an inline SplitMix64 stream.
+type sparseTimer struct {
+	s   *sparseWheel
+	rng uint64
+}
+
+func (t *sparseTimer) gap() time.Duration {
+	t.rng += 0x9e3779b97f4a7c15
+	z := t.rng
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	u := float64((z^(z>>31))>>11) / (1 << 53)
+	return time.Duration(-math.Log1p(-u) * float64(sparseMeanGap))
+}
+
+func fireSparseTimer(x any) {
+	t := x.(*sparseTimer)
+	s := t.s
+	if s.left == 0 {
+		return
+	}
+	s.left--
+	s.w.Schedule(s.sim.Now().Add(t.gap()), fireSparseTimer, t)
+}
+
+// round schedules and fires exactly n timers: the chains start
+// staggered over one mean gap and reschedule themselves until n
+// schedules are spent, then the simulator drains.
+func (s *sparseWheel) round(n int) {
+	s.left = n
+	base := s.sim.Now()
+	for i := range s.timers {
+		if s.left == 0 {
+			break
+		}
+		s.left--
+		at := base.Add(time.Duration(i) * sparseMeanGap / time.Duration(len(s.timers)))
+		s.w.Schedule(at, fireSparseTimer, &s.timers[i])
+	}
+	s.sim.Run()
+}
+
+// benchWheelScheduleSparse drives the wheel at the density of one unit
+// of a regional fleet run (6000 users over 4 regions × 2 shards): 750
+// timers with 30-minute mean gaps, so most anchors release a single
+// entry — the shape where a wheel pays the most per timer. One op = one
+// timer scheduled and fired; a warm-up round grows the slot and heap
+// arrays, so the timed region must allocate nothing.
+func benchWheelScheduleSparse(b *testing.B) {
+	sim := netsim.NewSim()
+	s := &sparseWheel{sim: sim, w: netsim.NewWheel(sim), timers: make([]sparseTimer, 750)}
+	for i := range s.timers {
+		s.timers[i] = sparseTimer{s: s, rng: uint64(i)}
+	}
+	s.round(200000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.round(b.N)
 }
 
 // benchFleetRun2k runs a complete 2000-user, 3-virtual-hour fleet

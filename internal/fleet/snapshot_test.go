@@ -4,12 +4,25 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"sslab/internal/gfw"
 	"sslab/internal/netsim"
 	"sslab/internal/region"
 )
+
+// updateSnapFixture rewrites the committed snapshot fixture. Run
+//
+//	go test ./internal/fleet -run TestSnapshotGoldenFixture -update-snapshot
+//
+// only together with a deliberate snapshot format change (and a
+// snapVersion bump): the file exists to prove that engine and scheduler
+// refactors still restore snapshots written by earlier builds.
+var updateSnapFixture = flag.Bool("update-snapshot", false, "rewrite testdata/resume.snap")
 
 // runEngineReport drives an engine to its end and marshals the report.
 func runEngineReport(t *testing.T, e *Engine) []byte {
@@ -133,6 +146,73 @@ func TestSnapshotResumeRegional(t *testing.T) {
 	golden := reportJSON(t, mustRun(t, cfg))
 	if got := resumedReport(t, cfg); !bytes.Equal(got, golden) {
 		t.Fatal("regional resumed run diverged from uninterrupted run")
+	}
+}
+
+// fixtureCfg is the configuration behind testdata/resume.snap: two
+// regions over two shards (four units), an all-sspython mix with
+// aggressive recording so censor tasks are in flight, and schedules
+// whose events straddle the snapshot point at T = 3 h of the 6 h run.
+func fixtureCfg() Config {
+	cfg := smallCfg(41)
+	cfg.Users = 100
+	cfg.Shards = 2
+	cfg.PeakFlowsPerHour = 6
+	cfg.Mix = []ImplShare{{Impl: "sspython", Weight: 1}}
+	cfg.GFW.Sensitivity = 1
+	cfg.GFW.ReplayBase = 0.3
+	cfg.Regions = &region.Topology{Regions: []region.Region{
+		{Name: "coastal", Weight: 1, Schedule: region.Schedule{
+			{AtHours: 2, Kind: region.KindSensitivity, Value: 0.2},
+			{AtHours: 4, Kind: region.KindSensitivity, Value: 1},
+		}},
+		{Name: "inland", Weight: 1, GFW: &gfw.Config{Sensitivity: 0.6, ReplayBase: 0.3}, Schedule: region.Schedule{
+			{AtHours: 2.5, Kind: region.KindPause},
+			{AtHours: 3.5, Kind: region.KindResume},
+		}},
+	}}
+	return cfg
+}
+
+// TestSnapshotGoldenFixture restores a snapshot file written by an
+// earlier build, finishes the run, and requires the report bytes of an
+// uninterrupted run. It pins both the SSLABSNAP format (a layout change
+// without a version bump fails to decode or diverges) and how restored
+// heap events and wheel entries re-arm in the current scheduler.
+func TestSnapshotGoldenFixture(t *testing.T) {
+	cfg := fixtureCfg()
+	path := filepath.Join("testdata", "resume.snap")
+	mid := netsim.Epoch.Add(3 * time.Hour)
+	if *updateSnapFixture {
+		e, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.RunTo(mid); err != nil {
+			t.Fatal(err)
+		}
+		data, err := e.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading fixture (run with -update-snapshot to create): %v", err)
+	}
+	r, err := Restore(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Now().Equal(mid) {
+		t.Fatalf("fixture restored at %v, want %v", r.Now(), mid)
+	}
+	golden := reportJSON(t, mustRun(t, cfg))
+	if got := runEngineReport(t, r); !bytes.Equal(got, golden) {
+		t.Fatalf("run resumed from the fixture diverged from an uninterrupted run:\n%s\nvs\n%s", got, golden)
 	}
 }
 

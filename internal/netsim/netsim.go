@@ -20,6 +20,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"sslab/internal/metrics"
@@ -30,10 +31,32 @@ import (
 // Shadowsocks experiment.
 var Epoch = time.Date(2019, 9, 29, 0, 0, 0, 0, time.UTC)
 
+// The scheduler's clock is an int64 count of nanoseconds since Epoch:
+// heap keys, wheel ticks and every comparison on the event path are
+// integer operations, and time.Time appears only at the exported
+// boundary (At, AtCall, RunUntil, Now and the snapshot views).
+var epochSec, epochNsec = Epoch.Unix(), int64(Epoch.Nanosecond())
+
+// nanos converts t to the int64 clock. Times more than ~292 years from
+// Epoch saturate, as time.Time.Sub does.
+func nanos(t time.Time) int64 {
+	sec := t.Unix() - epochSec
+	switch {
+	case sec >= math.MaxInt64/int64(time.Second):
+		return math.MaxInt64
+	case sec <= math.MinInt64/int64(time.Second):
+		return math.MinInt64
+	}
+	return sec*1e9 + int64(t.Nanosecond()) - epochNsec
+}
+
+// timeOf converts an int64 clock reading back to a time.Time.
+func timeOf(n int64) time.Time { return Epoch.Add(time.Duration(n)) }
+
 // event is one scheduled callback. Exactly one of fn and call is set:
 // fn is the closure form, call+arg the closure-free form (AtCall).
 type event struct {
-	at   time.Time
+	at   int64 // nanoseconds since Epoch
 	seq  uint64
 	fn   func()
 	call func(any)
@@ -42,17 +65,18 @@ type event struct {
 
 // before is the total event order: time, then insertion sequence.
 func (e *event) before(o *event) bool {
-	if !e.at.Equal(o.at) {
-		return e.at.Before(o.at)
+	if e.at != o.at {
+		return e.at < o.at
 	}
 	return e.seq < o.seq
 }
 
 // Sim is the discrete-event scheduler with a virtual clock.
 type Sim struct {
-	now time.Time
-	pq  []event // binary min-heap by (at, seq), events by value
-	seq uint64
+	now  int64     // nanoseconds since Epoch
+	nowT time.Time // now as a time.Time, refreshed only when the clock moves
+	pq   []event   // binary min-heap by (at, seq), events by value
+	seq  uint64
 
 	// seed is the root of the simulator's own randomness (link
 	// impairment streams); component models (GFW, traffic generators)
@@ -92,7 +116,7 @@ func WithMetrics(m *metrics.Registry) Option {
 // NewSim returns a simulator starting at Epoch. With no options it is
 // identical to the historical zero-argument constructor.
 func NewSim(opts ...Option) *Sim {
-	s := &Sim{now: Epoch}
+	s := &Sim{nowT: Epoch}
 	for _, o := range opts {
 		o(s)
 	}
@@ -109,34 +133,43 @@ func NewSim(opts ...Option) *Sim {
 func (s *Sim) Seed() int64 { return s.seed }
 
 // Now returns the current virtual time.
-func (s *Sim) Now() time.Time { return s.now }
+func (s *Sim) Now() time.Time { return s.nowT }
+
+// later returns the clock reading d from now, saturating at the end of
+// the int64 clock's range.
+func (s *Sim) later(d time.Duration) int64 {
+	if d > 0 && s.now > math.MaxInt64-int64(d) {
+		return math.MaxInt64
+	}
+	return s.now + int64(d)
+}
 
 // At schedules fn at absolute time t (clamped to now if in the past).
 func (s *Sim) At(t time.Time, fn func()) {
-	s.push(event{at: t, fn: fn})
+	s.push(event{at: nanos(t), fn: fn})
 }
 
 // After schedules fn d from now.
-func (s *Sim) After(d time.Duration, fn func()) { s.At(s.now.Add(d), fn) }
+func (s *Sim) After(d time.Duration, fn func()) { s.push(event{at: s.later(d), fn: fn}) }
 
 // AtCall schedules call(arg) at absolute time t (clamped to now if in
 // the past). It is the closure-free form of At: a scheduler that reuses
 // one long-lived call function and threads per-event state through arg
 // (a pointer, to stay boxing-free) schedules without allocating.
 func (s *Sim) AtCall(t time.Time, call func(any), arg any) {
-	s.push(event{at: t, call: call, arg: arg})
+	s.push(event{at: nanos(t), call: call, arg: arg})
 }
 
 // AfterCall schedules call(arg) d from now without allocating a closure.
 func (s *Sim) AfterCall(d time.Duration, call func(any), arg any) {
-	s.AtCall(s.now.Add(d), call, arg)
+	s.push(event{at: s.later(d), call: call, arg: arg})
 }
 
 // push inserts e into the heap with the next sequence number.
 //
 //sslab:hotpath
 func (s *Sim) push(e event) {
-	if e.at.Before(s.now) {
+	if e.at < s.now {
 		e.at = s.now
 	}
 	s.seq++
@@ -195,7 +228,10 @@ func (s *Sim) siftDown(i int) {
 //
 //sslab:hotpath
 func (s *Sim) dispatch(e *event) {
-	s.now = e.at
+	if e.at != s.now {
+		s.now = e.at
+		s.nowT = timeOf(e.at)
+	}
 	s.dispatched.Inc()
 	if e.call != nil {
 		e.call(e.arg)
@@ -214,12 +250,13 @@ func (s *Sim) Run() {
 
 // RunUntil processes events with at <= t, then advances the clock to t.
 func (s *Sim) RunUntil(t time.Time) {
-	for len(s.pq) > 0 && !s.pq[0].at.After(t) {
+	n := nanos(t)
+	for len(s.pq) > 0 && s.pq[0].at <= n {
 		e := s.pop()
 		s.dispatch(&e)
 	}
-	if s.now.Before(t) {
-		s.now = t
+	if s.now < n {
+		s.now, s.nowT = n, t
 	}
 }
 

@@ -34,7 +34,7 @@ func (s *Sim) PendingEvents() []PendingEvent {
 	out := make([]PendingEvent, 0, len(s.pq))
 	for i := range s.pq {
 		e := &s.pq[i]
-		out = append(out, PendingEvent{At: e.at, Seq: e.seq, Fn: e.fn, Call: e.call, Arg: e.arg})
+		out = append(out, PendingEvent{At: timeOf(e.at), Seq: e.seq, Fn: e.fn, Call: e.call, Arg: e.arg})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
@@ -68,7 +68,7 @@ func (w *Wheel) PendingEntries() []WheelEntry {
 		for slot := 0; slot < wheelSlots; slot++ {
 			for i := range w.slots[l][slot] {
 				e := &w.slots[l][slot][i]
-				out = append(out, WheelEntry{At: e.at, Seq: e.seq, Call: e.call, Arg: e.arg})
+				out = append(out, WheelEntry{At: timeOf(e.at), Seq: e.seq, Call: e.call, Arg: e.arg})
 			}
 		}
 	}

@@ -23,8 +23,10 @@ const (
 // wentry is one deferred callback parked in the wheel. It carries the
 // exact target time, so parking in a coarse slot never quantizes
 // delivery: entries are handed to the Sim heap with their original at.
+// The absolute tick is derived once, at Schedule.
 type wentry struct {
-	at   time.Time
+	at   int64 // nanoseconds since Epoch
+	tick int64 // at / Wheel.tick
 	seq  uint64
 	call func(any)
 	arg  any
@@ -57,12 +59,18 @@ type anchorArg struct {
 //   - Steady state is allocation-free: slot slices and anchor args are
 //     pooled, and arg is a caller-owned pointer (no boxing).
 //
-// The wheel wakes itself with "anchor" events on the Sim heap, one per
-// occupied-slot boundary. The Sim cannot cancel events, so superseded
-// anchors simply fire as no-ops (advance finds nothing due).
+// The wheel wakes itself with "anchor" events on the Sim heap, always
+// armed at the earliest tick at which some slot falls due. So when an
+// anchor fires at tick k, nothing is overdue, and the only slots that
+// can be due are the ones under each level's cursor (slot k>>(8·l) mod
+// 256 at level l, due only when k is a multiple of 256^l): advance
+// pours those and finds the next due tick with a circular search of
+// each level's occupancy bitmap — constant work per anchor however
+// many slots are occupied. The Sim cannot cancel events, so superseded
+// anchors simply fire as no-ops (the cursor slots are empty).
 type Wheel struct {
 	sim  *Sim
-	tick time.Duration
+	tick int64 // level-0 slot width in nanoseconds
 
 	slots [wheelLevels][wheelSlots][]wentry
 	occ   [wheelLevels][wheelWords]uint64
@@ -71,7 +79,8 @@ type Wheel struct {
 	seq   uint64
 
 	// armed is the earliest outstanding anchor tick (math.MaxInt64 when
-	// none). Later anchors may also be outstanding; they fire as no-ops.
+	// none); no occupied slot falls due before it. Later anchors may
+	// also be outstanding; they fire as no-ops.
 	armed      int64
 	anchorFree []*anchorArg
 
@@ -107,7 +116,7 @@ func NewWheel(sim *Sim, opts ...WheelOption) *Wheel {
 	if cfg.tick <= 0 {
 		cfg.tick = time.Second
 	}
-	w := &Wheel{sim: sim, tick: cfg.tick, armed: math.MaxInt64}
+	w := &Wheel{sim: sim, tick: int64(cfg.tick), armed: math.MaxInt64}
 	w.mScheduled = sim.Metrics.Counter("wheel.scheduled")
 	w.mDirect = sim.Metrics.Counter("wheel.direct")
 	w.mCascaded = sim.Metrics.Counter("wheel.cascaded")
@@ -116,14 +125,11 @@ func NewWheel(sim *Sim, opts ...WheelOption) *Wheel {
 }
 
 // Tick returns the level-0 slot width.
-func (w *Wheel) Tick() time.Duration { return w.tick }
+func (w *Wheel) Tick() time.Duration { return time.Duration(w.tick) }
 
 // Len returns the number of entries parked in the wheel (excluding
 // those already released to the Sim heap).
 func (w *Wheel) Len() int { return w.count }
-
-func (w *Wheel) absTick(t time.Time) int64  { return int64(t.Sub(Epoch) / w.tick) }
-func (w *Wheel) tickTime(k int64) time.Time { return Epoch.Add(time.Duration(k) * w.tick) }
 
 // Schedule parks call(arg) for dispatch at absolute time at (clamped to
 // now if in the past). It is the wheel counterpart of Sim.AtCall and
@@ -131,14 +137,21 @@ func (w *Wheel) tickTime(k int64) time.Time { return Epoch.Add(time.Duration(k) 
 //
 //sslab:hotpath
 func (w *Wheel) Schedule(at time.Time, call func(any), arg any) {
-	w.mScheduled.Inc()
-	w.seq++
-	w.place(wentry{at: at, seq: w.seq, call: call, arg: arg})
+	w.schedule(nanos(at), call, arg)
 }
 
 // After parks call(arg) d from now.
 func (w *Wheel) After(d time.Duration, call func(any), arg any) {
-	w.Schedule(w.sim.Now().Add(d), call, arg)
+	w.schedule(w.sim.later(d), call, arg)
+}
+
+// schedule is Schedule on the int64 clock.
+//
+//sslab:hotpath
+func (w *Wheel) schedule(at int64, call func(any), arg any) {
+	w.mScheduled.Inc()
+	w.seq++
+	w.place(wentry{at: at, tick: at / w.tick, seq: w.seq, call: call, arg: arg})
 }
 
 // place files e into the level whose span covers its remaining delay.
@@ -147,32 +160,36 @@ func (w *Wheel) After(d time.Duration, call func(any), arg any) {
 //
 //sslab:hotpath
 func (w *Wheel) place(e wentry) {
-	T := w.absTick(e.at)
-	cur := w.absTick(w.sim.Now())
-	delta := T - cur
+	cur := w.sim.now / w.tick
+	delta := e.tick - cur
 	if delta < 1 || delta >= wheelSlots<<(wheelBits*(wheelLevels-1)) {
+		if delta < 1 && w.armed == cur {
+			// The anchor for this tick is still queued behind the
+			// event now running, and the entries it would release are
+			// due now too: release them first, as the anchor would,
+			// so they keep their Schedule order ahead of e.
+			w.armed = math.MaxInt64
+			w.advance(cur)
+		}
 		w.mDirect.Inc()
-		w.sim.AtCall(e.at, e.call, e.arg)
+		w.sim.push(event{at: e.at, call: e.call, arg: e.arg})
 		return
 	}
 	level := 0
 	for delta >= wheelSlots<<(wheelBits*level) {
 		level++
 	}
-	slot := int(T>>(wheelBits*level)) & (wheelSlots - 1)
+	slot := int(e.tick>>(wheelBits*level)) & (wheelSlots - 1)
 	w.slots[level][slot] = append(w.slots[level][slot], e) //sslab:allow-hotpath slot backing arrays are retained by pour (list[:0]) and stop growing at steady state
 	w.occ[level][slot>>6] |= 1 << (slot & 63)
 	w.count++
-	w.arm(w.dueOf(level, T))
+	w.arm(dueOf(level, e.tick))
 }
 
 // dueOf is the tick at which a level's slot holding an entry at tick T
 // must be processed: the entry's own tick at level 0, the slot's start
 // boundary above (where its contents cascade down).
-func (w *Wheel) dueOf(level int, T int64) int64 {
-	if level == 0 {
-		return T
-	}
+func dueOf(level int, T int64) int64 {
 	shift := wheelBits * level
 	return (T >> shift) << shift
 }
@@ -195,7 +212,7 @@ func (w *Wheel) arm(d int64) {
 		a = &anchorArg{w: w, tick: d}
 	}
 	w.mAnchors.Inc()
-	w.sim.AtCall(w.tickTime(d), runWheelAnchor, a)
+	w.sim.push(event{at: d * w.tick, call: runWheelAnchor, arg: a})
 }
 
 // runWheelAnchor is the netsim.AtCall trampoline for anchor wake-ups.
@@ -209,45 +226,67 @@ func runWheelAnchor(x any) {
 	if k == w.armed {
 		w.armed = math.MaxInt64
 	}
-	w.advance()
+	w.advance(k)
 }
 
-// advance processes every slot whose due tick has been reached —
-// releasing level-0 entries to the Sim heap and cascading higher-level
-// slots downward — then re-arms for the next occupied boundary.
-// Scanning occupancy bitmaps keeps the pass proportional to occupied
-// slots, not slot count.
+// advance processes the slots due at tick cur — releasing level-0
+// entries to the Sim heap and cascading higher-level slots downward —
+// then re-arms for the next due tick. Only cursor slots can be due (see
+// Wheel), and a level-l cursor slot only when cur sits on a level-l
+// boundary; otherwise it holds entries one full turn ahead.
 //
 //sslab:hotpath
-func (w *Wheel) advance() {
-	cur := w.absTick(w.sim.Now())
+func (w *Wheel) advance(cur int64) {
 	// Highest level first, so cascaded entries land in lower levels
-	// before those are scanned in the same pass.
+	// before those are poured; they never land under a cursor.
 	for l := wheelLevels - 1; l >= 0; l-- {
-		for wd := range w.occ[l] {
-			for b := w.occ[l][wd]; b != 0; b &= b - 1 {
-				slot := wd<<6 + bits.TrailingZeros64(b)
-				if w.dueOf(l, w.absTick(w.slots[l][slot][0].at)) <= cur {
-					w.pour(l, slot)
-				}
-			}
+		shift := wheelBits * l
+		if cur&(1<<shift-1) != 0 {
+			continue
+		}
+		slot := int(cur>>shift) & (wheelSlots - 1)
+		if w.occ[l][slot>>6]&(1<<(slot&63)) != 0 {
+			w.pour(l, slot)
 		}
 	}
-	// Re-arm for the earliest remaining boundary.
+	// Re-arm for the earliest remaining boundary: per level, the first
+	// occupied slot after the cursor, circularly (the cursor slot itself
+	// last, a full turn ahead).
 	due := int64(math.MaxInt64)
 	for l := 0; l < wheelLevels; l++ {
-		for wd := range w.occ[l] {
-			for b := w.occ[l][wd]; b != 0; b &= b - 1 {
-				slot := wd<<6 + bits.TrailingZeros64(b)
-				if d := w.dueOf(l, w.absTick(w.slots[l][slot][0].at)); d < due {
-					due = d
-				}
+		shift := wheelBits * l
+		base := cur >> shift
+		if n := w.nextOccupied(l, int(base)&(wheelSlots-1)); n > 0 {
+			if d := (base + int64(n)) << shift; d < due {
+				due = d
 			}
 		}
 	}
 	if due != math.MaxInt64 {
 		w.arm(due)
 	}
+}
+
+// nextOccupied returns the circular distance (1..256) from slot c to
+// the next occupied slot of a level, or 0 when the level is empty.
+func (w *Wheel) nextOccupied(level, c int) int {
+	occ := &w.occ[level]
+	start := (c + 1) & (wheelSlots - 1)
+	wd, b := start>>6, uint(start&63)
+	for i := 0; i <= wheelWords; i++ {
+		m := occ[(wd+i)&(wheelWords-1)]
+		switch i {
+		case 0:
+			m &^= 1<<b - 1 // the start word from slot start on
+		case wheelWords:
+			m &= 1<<b - 1 // wrapped back to it: the slots before start
+		}
+		if m != 0 {
+			slot := ((wd+i)&(wheelWords-1))<<6 + bits.TrailingZeros64(m)
+			return (slot-c-1)&(wheelSlots-1) + 1
+		}
+	}
+	return 0
 }
 
 // pour empties one slot: level 0 releases entries to the Sim heap in
@@ -263,7 +302,7 @@ func (w *Wheel) pour(level, slot int) {
 		sortEntries(list)
 		for i := range list {
 			w.count--
-			w.sim.AtCall(list[i].at, list[i].call, list[i].arg)
+			w.sim.push(event{at: list[i].at, call: list[i].call, arg: list[i].arg})
 		}
 	} else {
 		w.mCascaded.Add(int64(len(list)))
@@ -288,7 +327,7 @@ func sortEntries(list []wentry) {
 	for i := 1; i < len(list); i++ {
 		e := list[i]
 		j := i - 1
-		for j >= 0 && (list[j].at.After(e.at) || (list[j].at.Equal(e.at) && list[j].seq > e.seq)) {
+		for j >= 0 && (list[j].at > e.at || (list[j].at == e.at && list[j].seq > e.seq)) {
 			list[j+1] = list[j]
 			j--
 		}

@@ -72,42 +72,50 @@ func TestWheelMatchesHeap(t *testing.T) {
 	}
 
 	heap := runTimeline(false)
-	viaWheel := runTimeline(true)
-	if len(heap) != n || len(viaWheel) != n {
-		t.Fatalf("dispatched %d (heap) / %d (wheel) events, want %d", len(heap), len(viaWheel), n)
+	if len(heap) != n {
+		t.Fatalf("heap dispatched %d events, want %d", len(heap), n)
 	}
-	for i := range heap {
-		if heap[i] != viaWheel[i] {
-			t.Fatalf("dispatch %d: heap fired (%v, id %d), wheel fired (%v, id %d)",
-				i, heap[i].at, heap[i].id, viaWheel[i].at, viaWheel[i].id)
-		}
-	}
+	requireSameDispatch(t, "timeline", heap, runTimeline(true))
 }
 
 // TestWheelExactTimes verifies parking in coarse slots never quantizes
-// delivery: each callback runs at precisely its Schedule time.
+// delivery: each callback runs at precisely its Schedule time, in time
+// order. The later cases start at 100 s, off every level-1 boundary, so
+// the 65,600 s entry parks in level 1's cursor slot one full turn ahead:
+// re-arming must find it — alone in its level, and after a nearer
+// level-1 entry — not skip it or let it shadow nearer slots.
 func TestWheelExactTimes(t *testing.T) {
-	sim := NewSim()
-	w := NewWheel(sim)
-	log := &fireLog{sim: sim}
-	offsets := []time.Duration{
-		1500 * time.Millisecond,
-		90*time.Second + 123*time.Millisecond,
-		3*time.Hour + 7*time.Nanosecond,
-		20*24*time.Hour + time.Microsecond,
-	}
-	args := make([]fireArg, len(offsets))
-	for i, off := range offsets {
-		args[i] = fireArg{log: log, id: i}
-		w.Schedule(Epoch.Add(off), runFire, &args[i])
-	}
-	sim.Run()
-	if len(log.got) != len(offsets) {
-		t.Fatalf("fired %d, want %d", len(log.got), len(offsets))
-	}
-	for i, off := range offsets {
-		if !log.got[i].at.Equal(Epoch.Add(off)) {
-			t.Errorf("event %d fired at %v, want %v", i, log.got[i].at, Epoch.Add(off))
+	for _, tc := range []struct {
+		start   time.Duration
+		offsets []time.Duration
+	}{
+		{0, []time.Duration{
+			1500 * time.Millisecond,
+			90*time.Second + 123*time.Millisecond,
+			3*time.Hour + 7*time.Nanosecond,
+			20*24*time.Hour + time.Microsecond,
+		}},
+		{100 * time.Second, []time.Duration{150 * time.Second, 65600 * time.Second}},
+		{100 * time.Second, []time.Duration{150 * time.Second, 1000 * time.Second, 65600 * time.Second}},
+	} {
+		sim := NewSim()
+		w := NewWheel(sim)
+		log := &fireLog{sim: sim}
+		sim.RunUntil(Epoch.Add(tc.start))
+		args := make([]fireArg, len(tc.offsets))
+		for i, off := range tc.offsets {
+			args[i] = fireArg{log: log, id: i}
+			w.Schedule(Epoch.Add(off), runFire, &args[i])
+		}
+		sim.Run()
+		if len(log.got) != len(tc.offsets) {
+			t.Fatalf("start %v: fired %v, want each of %v", tc.start, log.got, tc.offsets)
+		}
+		for i, off := range tc.offsets {
+			if log.got[i].id != i || !log.got[i].at.Equal(Epoch.Add(off)) {
+				t.Errorf("start %v: dispatch %d was (%v, id %d), want (%v, id %d)",
+					tc.start, i, log.got[i].at, log.got[i].id, Epoch.Add(off), i)
+			}
 		}
 	}
 }
@@ -141,6 +149,45 @@ func TestWheelEqualTimeOrder(t *testing.T) {
 			t.Fatalf("dispatch order %v, want Schedule order 0,1,2,3", log.got)
 		}
 	}
+
+	// Tick boundaries, one case per level: entry 0 is parked for
+	// exactly the whole-second tick T, and an event dispatching at T
+	// ahead of the wheel's anchor schedules entry 1 for the same
+	// instant. Entry 1 goes straight to the heap, so the wheel must
+	// release entry 0 first to keep Schedule order — as the heap does.
+	for _, d := range []time.Duration{100 * time.Second, 256 * time.Second, 65536 * time.Second} {
+		run := func(useWheel bool) []fireRec {
+			sim := NewSim()
+			w := NewWheel(sim)
+			log := &fireLog{sim: sim}
+			sched := sim.AtCall
+			if useWheel {
+				sched = w.Schedule
+			}
+			args := []fireArg{{log, 0}, {log, 1}}
+			at := Epoch.Add(d)
+			sim.At(at, func() { sched(at, runFire, &args[1]) })
+			sched(at, runFire, &args[0])
+			sim.Run()
+			return log.got
+		}
+		requireSameDispatch(t, d.String(), run(false), run(true))
+	}
+}
+
+// requireSameDispatch fails unless the heap and the wheel fired the
+// same (time, id) sequence.
+func requireSameDispatch(t *testing.T, name string, heap, viaWheel []fireRec) {
+	t.Helper()
+	if len(heap) != len(viaWheel) {
+		t.Fatalf("%s: heap fired %d, wheel fired %d", name, len(heap), len(viaWheel))
+	}
+	for i := range heap {
+		if heap[i] != viaWheel[i] {
+			t.Fatalf("%s: dispatch %d diverged: heap (%v, %d), wheel (%v, %d)",
+				name, i, heap[i].at, heap[i].id, viaWheel[i].at, viaWheel[i].id)
+		}
+	}
 }
 
 // chainState is a self-rescheduling timer chain: each firing draws its
@@ -150,6 +197,8 @@ type chainState struct {
 	log   *fireLog
 	sched func(at time.Time, call func(any), arg any)
 	rng   *rand.Rand
+	gap   func(c *chainState) time.Duration
+	end   time.Time // no rescheduling at or past end (zero: no horizon)
 	id    int
 	left  int
 }
@@ -161,44 +210,98 @@ func runChain(x any) {
 		return
 	}
 	c.left--
-	gap := time.Duration(c.rng.Int63n(int64(40*time.Minute))) + time.Duration(c.id+1)*time.Nanosecond
-	c.sched(c.log.sim.Now().Add(gap), runChain, c)
+	next := c.log.sim.Now().Add(c.gap(c))
+	if c.end.IsZero() || next.Before(c.end) {
+		c.sched(next, runChain, c)
+	}
 }
 
 // TestWheelSelfRescheduling compares wheel and heap under the workload
 // the wheel exists for: many concurrent chains rescheduling themselves
-// from inside their own callbacks.
+// from inside their own callbacks. The cases cover the shapes the
+// constant-time advance must get right: a dense wheel, a sparse one the
+// size of a regional fleet unit, entries that all land on tick
+// boundaries (so ties are decided by Schedule order alone), gaps past
+// the top level's ~194-day span, and a run split by RunUntil at a
+// horizon between anchors.
 func TestWheelSelfRescheduling(t *testing.T) {
-	const chains, hops = 60, 50
-	run := func(useWheel bool) []fireRec {
-		sim := NewSim()
-		log := &fireLog{sim: sim}
-		w := NewWheel(sim)
-		sched := sim.AtCall
-		if useWheel {
-			sched = w.Schedule
-		}
-		states := make([]chainState, chains)
-		for i := range states {
-			states[i] = chainState{
-				log: log, sched: sched, id: i, left: hops,
-				rng: rand.New(rand.NewSource(seedfork.Fork(1000, "wheel.chain", int64(i)))),
+	const unbounded = 1 << 30
+	cases := []struct {
+		name         string
+		chains, hops int
+		start        func(i int) time.Duration
+		gap          func(c *chainState) time.Duration
+		end, split   time.Duration // zero: no horizon / one Run
+	}{
+		{
+			name: "dense", chains: 60, hops: 50,
+			start: func(i int) time.Duration { return time.Duration(i) * time.Second },
+			gap: func(c *chainState) time.Duration {
+				return time.Duration(c.rng.Int63n(int64(40*time.Minute))) + time.Duration(c.id+1)*time.Nanosecond
+			},
+		},
+		{
+			name: "sparse regional unit", chains: 750, hops: unbounded,
+			start: func(i int) time.Duration { return time.Duration(i) * 30 * time.Minute / 750 },
+			gap: func(c *chainState) time.Duration {
+				return time.Duration(c.rng.ExpFloat64() * float64(30*time.Minute))
+			},
+			end: 24 * time.Hour,
+		},
+		{
+			name: "whole-second gaps", chains: 1000, hops: 20,
+			start: func(i int) time.Duration { return time.Duration(i%300) * time.Second },
+			gap: func(c *chainState) time.Duration {
+				return time.Duration(c.rng.Intn(1200)) * time.Second
+			},
+		},
+		{
+			name: "beyond the top level", chains: 40, hops: 10,
+			start: func(i int) time.Duration { return time.Duration(i) * time.Hour },
+			gap: func(c *chainState) time.Duration {
+				return time.Duration(1+c.rng.Intn(400*24)) * time.Hour
+			},
+		},
+		{
+			name: "RunUntil between anchors", chains: 300, hops: 40,
+			start: func(i int) time.Duration { return time.Duration(i) * 7 * time.Second },
+			gap: func(c *chainState) time.Duration {
+				return time.Duration(c.rng.ExpFloat64() * float64(20*time.Minute))
+			},
+			split: 5*time.Hour + 300*time.Millisecond,
+		},
+	}
+	for _, tc := range cases {
+		run := func(useWheel bool) []fireRec {
+			sim := NewSim()
+			log := &fireLog{sim: sim}
+			w := NewWheel(sim)
+			sched := sim.AtCall
+			if useWheel {
+				sched = w.Schedule
 			}
-			sched(Epoch.Add(time.Duration(i)*time.Second), runChain, &states[i])
+			var end time.Time
+			if tc.end > 0 {
+				end = Epoch.Add(tc.end)
+			}
+			states := make([]chainState, tc.chains)
+			for i := range states {
+				states[i] = chainState{
+					log: log, sched: sched, gap: tc.gap, end: end, id: i, left: tc.hops,
+					rng: rand.New(rand.NewSource(seedfork.Fork(1000, "wheel.chain", int64(i)))),
+				}
+				sched(Epoch.Add(tc.start(i)), runChain, &states[i])
+			}
+			if tc.split > 0 {
+				sim.RunUntil(Epoch.Add(tc.split))
+				// The horizon is a dispatch-log marker, so the
+				// comparison also pins what fired before it.
+				log.got = append(log.got, fireRec{at: sim.Now(), id: -1})
+			}
+			sim.Run()
+			return log.got
 		}
-		sim.Run()
-		return log.got
-	}
-	heap := run(false)
-	viaWheel := run(true)
-	if len(heap) != len(viaWheel) {
-		t.Fatalf("heap fired %d, wheel fired %d", len(heap), len(viaWheel))
-	}
-	for i := range heap {
-		if heap[i] != viaWheel[i] {
-			t.Fatalf("dispatch %d diverged: heap (%v, %d), wheel (%v, %d)",
-				i, heap[i].at, heap[i].id, viaWheel[i].at, viaWheel[i].id)
-		}
+		requireSameDispatch(t, tc.name, run(false), run(true))
 	}
 }
 
