@@ -111,8 +111,8 @@ func TestFleetAllocBudgets(t *testing.T) {
 }
 
 // TestImpairAllocBudgets enforces BENCH_impair.json: the fault-injecting
-// Connect path must stay on the ideal path's allocation profile (one
-// Flow per connection, nothing from the impairment machinery).
+// Connect path must stay on the ideal path's allocation profile (no
+// per-connection allocation, nothing from the impairment machinery).
 func TestImpairAllocBudgets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full benchmarks; skipped with -short")

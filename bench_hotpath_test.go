@@ -52,7 +52,7 @@ func benchGFWOnFlow(b *testing.B) {
 
 // benchGFWOnFlow3Stage is the same pipeline with the three-stage passive
 // chain (shadowsocks + openvpn + fullyencrypted). The acceptance bound:
-// within 2× of the single-stage GFWOnFlow ns/op at the same 1 alloc/op.
+// within 2× of the single-stage GFWOnFlow ns/op at the same 0 allocs/op.
 func benchGFWOnFlow3Stage(b *testing.B) {
 	benchGFWOnFlowChain(b, []string{"shadowsocks", "openvpn", "fullyencrypted"})
 }
@@ -99,11 +99,10 @@ func benchGFWOnFlowChain(b *testing.B, detectors []string) {
 	b.ReportMetric(float64(censor.ProbesSent)/float64(b.N), "probes/flow")
 }
 
-// benchGFWFlowBatch drives the same full passive pipeline through the
-// batched ingestion path: 512-spec ConnectBatch calls feeding the
-// censor's OnFlowBatch, probes drained between batches. Eliminating the
-// per-flow netsim.Flow allocation is the point — budget 0 allocs/op
-// (recordings and probes amortize to a rounding-error fraction).
+// benchGFWFlowBatch drives the same full passive pipeline through
+// 512-spec ConnectBatch calls, probes drained between batches. Budget
+// 0 allocs/op (recordings and probes amortize to a rounding-error
+// fraction).
 func benchGFWFlowBatch(b *testing.B) {
 	benchGFWBatchChain(b, 0)
 }
@@ -149,8 +148,8 @@ func benchGFWBatchChain(b *testing.B, cacheEntries int) {
 			idx++
 		}
 	}
-	// Warm the flow arena (and, when enabled, the verdict cache) so the
-	// timer sees steady state.
+	// Warm the outcome buffer (and, when enabled, the verdict cache) so
+	// the timer sees steady state.
 	for w := 0; w < 2; w++ {
 		fill()
 		outs = network.ConnectBatch(specs, outs[:0])

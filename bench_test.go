@@ -546,8 +546,8 @@ func benchFilterAblation(b *testing.B, timed bool) float64 {
 func runBlockingCampaign(seed int64) int {
 	sim := sslab.NewSim()
 	network := sslab.NewNetwork(sim)
-	censor := sslab.NewGFW(sim, network, gfw.Config{Seed: seed, Sensitivity: 1, BlockThreshold: 6, PoolSize: 2000})
-	network.AddMiddlebox(censor)
+	censor := sslab.NewCensor(sslab.CensorEnv{Sim: sim, Net: network},
+		sslab.WithCensorConfig(gfw.Config{Seed: seed, Sensitivity: 1, BlockThreshold: 6, PoolSize: 2000}))
 
 	server := netsim.Endpoint{IP: "178.62.99.1", Port: 8388}
 	client := netsim.Endpoint{IP: "150.109.99.1", Port: 40000}

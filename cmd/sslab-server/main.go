@@ -20,6 +20,7 @@ import (
 	"strings"
 	"time"
 
+	"sslab/internal/netsim"
 	"sslab/internal/reaction"
 	"sslab/internal/sscrypto"
 	"sslab/internal/ssserver"
@@ -44,7 +45,7 @@ func main() {
 		method   = flag.String("method", "chacha20-ietf-poly1305", "cipher method ("+strings.Join(sscrypto.Methods(), ", ")+")")
 		password = flag.String("password", "", "shared password (required)")
 		profile  = flag.String("profile", "hardened", "behaviour profile: "+profileNames())
-		timeout  = flag.Duration("timeout", 60*time.Second, "idle/protocol timeout")
+		timeout  = flag.Duration("timeout", 60*time.Second, "handshake timeout: how long to wait for a connection's first protocol data")
 		verbose  = flag.Bool("verbose", false, "log connection events")
 		udp      = flag.Bool("udp", false, "also relay UDP on the same port")
 	)
@@ -60,7 +61,8 @@ func main() {
 	}
 
 	cfg := ssserver.Config{
-		Method: *method, Password: *password, Profile: p, Timeout: *timeout,
+		Method: *method, Password: *password, Profile: p,
+		Timeouts: netsim.Timeouts{Handshake: *timeout},
 	}
 	if *verbose {
 		cfg.Logf = log.Printf

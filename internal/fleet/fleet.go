@@ -334,12 +334,6 @@ type Fleet struct {
 
 	tg      *trafficgen.Generator
 	scratch []byte
-	// specBuf/outBuf feed wake()'s batched flow submission: the spec
-	// references f.scratch, and the outcome slice is reused per wake, so
-	// the flow path allocates nothing in steady state (the scalar
-	// Connect path allocated one netsim.Flow per wake-up).
-	specBuf [1]netsim.FlowSpec
-	outBuf  []netsim.Outcome
 	end     time.Time
 
 	meanGap      time.Duration
@@ -408,10 +402,9 @@ func runUserWake(x any) {
 }
 
 // wake is the per-user hot path: chain the next wake-up, thin by the
-// diurnal curve, then (if active) emit one flow through the batched
-// ingestion path and account its outcome. Steady state allocates
-// nothing: the flow lives in the network's batch arena instead of one
-// netsim.Flow heap allocation per wake-up.
+// diurnal curve, then (if active) emit one flow and account its
+// outcome. Steady state allocates nothing: the payload is built in
+// f.scratch and the flow lives in the network's arena.
 //
 //sslab:hotpath
 func (f *Fleet) wake(a *userArg) {
@@ -431,9 +424,7 @@ func (f *Fleet) wake(a *userArg) {
 
 	srv := &f.servers[u.server]
 	f.scratch = f.tg.AppendProtocolFirstPacket(f.scratch[:0], srv.spec, trafficgen.Workload(u.wl))
-	f.specBuf[0] = netsim.FlowSpec{Client: f.clients[a.idx], Server: srv.ep, FirstPayload: f.scratch}
-	f.outBuf = f.net.ConnectBatch(f.specBuf[:], f.outBuf[:0])
-	out := f.outBuf[0]
+	out := f.net.Connect(f.clients[a.idx], srv.ep, f.scratch, false, time.Time{})
 	f.flows++
 	f.mFlows.Inc()
 	f.flowsTS.Add(now.Sub(netsim.Epoch), 1)

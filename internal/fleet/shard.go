@@ -192,7 +192,6 @@ func buildUnit(cfg Config, plan runPlan, u unitSpec, restoring bool) *Fleet {
 		nextServerIP: u.lo, // initial endpoints keep their global addresses
 		wheel:        netsim.NewWheel(sim),
 		tg:           trafficgen.New(seedfork.Fork(u.seed, "fleet.trafficgen")),
-		outBuf:       make([]netsim.Outcome, 0, 1),
 		end:          netsim.Epoch.Add(time.Duration(cfg.Hours) * time.Hour),
 		meanGap:      time.Duration(float64(time.Hour) / cfg.PeakFlowsPerHour),
 		replaceAfter: time.Duration(cfg.ReplaceAfterMin) * time.Minute,

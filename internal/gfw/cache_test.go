@@ -327,43 +327,9 @@ func TestVerdictCacheMetricsExported(t *testing.T) {
 	}
 }
 
-// TestOnFlowBatchMatchesOnFlow: the censor's batched ingestion must be
-// the exact scalar path, flow by flow, including recordings and probe
-// scheduling.
-func TestOnFlowBatchMatchesOnFlow(t *testing.T) {
-	run := func(batch bool) *GFW {
-		sim := netsim.NewSim()
-		net := netsim.NewNetwork(sim)
-		g := New(Env{Sim: sim, Net: net}, WithConfig(Config{Seed: 13}))
-		net.AddMiddlebox(g)
-		server := netsim.Endpoint{IP: "178.62.0.13", Port: 8388}
-		client := netsim.Endpoint{IP: "101.32.0.13", Port: 55013}
-		net.AddHost(server, respondingHost)
-		gen := entropy.NewGenerator(131)
-		flows := make([]netsim.Flow, 256)
-		for i := range flows {
-			flows[i] = netsim.Flow{ID: uint64(i + 1), Client: client, Server: server,
-				FirstPayload: gen.Random(1 + gen.Intn(1000)), Start: sim.Now()}
-		}
-		if batch {
-			g.OnFlowBatch(flows)
-		} else {
-			for i := range flows {
-				g.OnFlow(&flows[i])
-			}
-		}
-		sim.Run() // drain scheduled probes
-		return g
-	}
-	sameProbeLogs(t, run(false), run(true))
-	if g := run(true); g.Triggers != 256 {
-		t.Errorf("Triggers = %d, want 256", g.Triggers)
-	}
-}
-
 // TestVerdictCacheUnderImpairment: the cache must also be invisible
 // under link impairment, where dropped flows and probe retries exercise
-// the scalar fallback paths.
+// the impaired delivery path.
 func TestVerdictCacheUnderImpairment(t *testing.T) {
 	run := func(cache int) *GFW {
 		sim := netsim.NewSim()

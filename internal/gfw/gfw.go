@@ -448,13 +448,6 @@ func New(env Env, opts ...Option) *GFW {
 	return g
 }
 
-// NewWithConfig creates a GFW from the pre-options positional signature.
-//
-// Deprecated: use New(Env{Sim: sim, Net: net}, WithConfig(cfg)).
-func NewWithConfig(sim *netsim.Sim, net *netsim.Network, cfg Config) *GFW {
-	return New(Env{Sim: sim, Net: net}, WithConfig(cfg))
-}
-
 // slabChunk is the recording slab's chunk size. Payloads are at most
 // ~1500 bytes, so one chunk amortizes hundreds of recordings.
 const slabChunk = 64 * 1024
@@ -476,7 +469,7 @@ func (g *GFW) slabCopy(p []byte) []byte {
 }
 
 // state returns (materializing on first use) the per-suspect probing
-// state. It is called only from the recording branch of onFlow and from
+// state. It is called only from the recording branch of OnFlow and from
 // the probe paths — never for a flow that merely crosses the border —
 // so a server enters the map only once the censor actually suspects it.
 // Materialization draws no RNG, so laziness is invisible to goldens.
@@ -552,29 +545,6 @@ func (g *GFW) StageRecordings() []StageCount {
 //
 //sslab:hotpath
 func (g *GFW) OnFlow(f *netsim.Flow) {
-	g.onFlow(f)
-}
-
-// OnFlowBatch implements netsim.BatchMiddlebox: the batched ingestion
-// path the fleet engine feeds. Each flow gets exactly the same passive
-// analysis, in slice order, as it would through OnFlow, so batch and
-// scalar delivery are observationally identical (pinned by the netsim
-// equivalence tests and TestGoldenCrossCheck). The flows live in the
-// network's reused batch arena and are valid only for the duration of
-// the call; the recording branch already slab-copies any payload it
-// keeps.
-//
-//sslab:hotpath
-func (g *GFW) OnFlowBatch(fs []netsim.Flow) {
-	for i := range fs {
-		g.onFlow(&fs[i])
-	}
-}
-
-// onFlow is the shared scalar/batch passive-analysis path.
-//
-//sslab:hotpath
-func (g *GFW) onFlow(f *netsim.Flow) {
 	if f.Probe {
 		return // the censor does not re-analyze its own probes
 	}
@@ -635,7 +605,7 @@ func (g *GFW) onFlow(f *netsim.Flow) {
 // returns the winning stage index and combined result, going through
 // the verdict cache when one is configured. It performs no RNG draws
 // and no recording — it is the deterministic "is this suspicious, and
-// how confident" half of onFlow, exported so benchmarks and
+// how confident" half of OnFlow, exported so benchmarks and
 // equivalence tests can drive the cache directly.
 //
 //sslab:hotpath

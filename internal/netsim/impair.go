@@ -297,13 +297,7 @@ func (n *Network) connectImpaired(f *Flow, fwd, rev *linkState) Outcome {
 	// Null routing (§6) still drops only the server→client direction:
 	// the SYN arrives, nothing returns.
 	if n.IsBlocked(f.Server) {
-		n.flowsBlocked.Inc()
-		if h, ok := n.hosts[f.Server]; ok {
-			silenced := *f
-			silenced.FirstPayload = nil
-			h.HandleFlow(&silenced)
-		}
-		return Outcome{Blocked: true}
+		return n.silence(f)
 	}
 
 	// SYN-ACK: server → client.

@@ -329,16 +329,6 @@ type Middlebox interface {
 	OnOutcome(f *Flow, o Outcome)
 }
 
-// BatchMiddlebox is a Middlebox that also accepts runs of flows in one
-// call — the censor-side half of ConnectBatch. OnFlowBatch(fs) must be
-// observationally identical to calling OnFlow(&fs[i]) for i in order;
-// the flows are backed by the network's reused batch arena and are
-// valid only for the duration of the call (copy anything retained).
-type BatchMiddlebox interface {
-	Middlebox
-	OnFlowBatch(fs []Flow)
-}
-
 // FlowSpec describes one flow to ConnectBatch — the same parameters as
 // a Connect call, as data.
 type FlowSpec struct {
@@ -355,19 +345,17 @@ type FlowSpec struct {
 type Network struct {
 	Sim *Sim
 
-	hosts map[Endpoint]Host
-	boxes []Middlebox
-	// batchBoxes is boxes with each element down-asserted to
-	// BatchMiddlebox (nil where the box is scalar-only), precomputed in
-	// AddMiddlebox so ConnectBatch does no per-flow type assertions.
-	batchBoxes []BatchMiddlebox
-	nextID     uint64
+	hosts  map[Endpoint]Host
+	boxes  []Middlebox
+	nextID uint64
 
-	// flowBuf is the arena backing ConnectBatch's flows: reused across
-	// calls, so batched ingestion allocates nothing in steady state.
-	// Flows handed to middleboxes and hosts during a batch are
-	// sub-slices of it and are valid only until the call returns.
-	flowBuf []Flow
+	// flowBuf is the Flow arena behind Connect, one slot per nesting
+	// depth (depth counts the Connect calls in progress), so a Host or
+	// Middlebox that calls Connect from its callback gets a Flow of its
+	// own. Slots are allocated once and reused, so the flow path
+	// allocates nothing in steady state.
+	flowBuf []*Flow
+	depth   int
 
 	// Null routing drops the server->client direction, per IP (all
 	// ports) or per endpoint (§6: "block by port, or by IP address?").
@@ -454,11 +442,7 @@ func NewNetwork(sim *Sim, opts ...NetworkOption) *Network {
 func (n *Network) AddHost(ep Endpoint, h Host) { n.hosts[ep] = h }
 
 // AddMiddlebox appends a middlebox to the border path.
-func (n *Network) AddMiddlebox(m Middlebox) {
-	n.boxes = append(n.boxes, m)
-	bm, _ := m.(BatchMiddlebox)
-	n.batchBoxes = append(n.batchBoxes, bm)
-}
+func (n *Network) AddMiddlebox(m Middlebox) { n.boxes = append(n.boxes, m) }
 
 // BlockIP null-routes the server->client direction for every port of ip
 // and returns the rule's generation for UnblockIPIf.
@@ -517,6 +501,15 @@ func (n *Network) IsBlocked(ep Endpoint) bool {
 //
 // generatedAt records when the payload content was originally created;
 // pass the zero time for "now" (fresh content).
+//
+// The *Flow handed to middleboxes and the host lives in a network-owned
+// arena and is valid only until Connect returns: anything retained must
+// be copied (the censor slab-copies recorded payloads; hosts keep only
+// hashes). A Host or Middlebox may call Connect from its callback; the
+// nested flow gets its own arena slot, and the caller's Flow is
+// unchanged when the nested call returns.
+//
+//sslab:hotpath
 func (n *Network) Connect(client, server Endpoint, firstPayload []byte, probe bool, generatedAt time.Time) Outcome {
 	n.Flows++
 	n.nextID++
@@ -524,203 +517,86 @@ func (n *Network) Connect(client, server Endpoint, firstPayload []byte, probe bo
 	if probe {
 		n.probeFlows.Inc()
 	}
+	now := n.Sim.Now()
 	if generatedAt.IsZero() {
-		generatedAt = n.Sim.Now()
+		generatedAt = now
 	}
-	f := &Flow{
+	if n.depth == len(n.flowBuf) {
+		n.flowBuf = append(n.flowBuf, new(Flow))
+	}
+	f := n.flowBuf[n.depth]
+	*f = Flow{
 		ID:           n.nextID,
 		Client:       client,
 		Server:       server,
 		FirstPayload: firstPayload,
-		Start:        n.Sim.Now(),
+		Start:        now,
 		Probe:        probe,
 		GeneratedAt:  generatedAt,
 	}
-	// Impaired links take the fault-injecting path (impair.go); with no
-	// profiles configured — or all profiles zero — the flow continues on
-	// the exact historical code path below, with no extra RNG draws.
-	if n.impaired() {
-		fwd, rev := n.linkFor(client, server), n.linkFor(server, client)
-		if fwd != nil || rev != nil {
-			return n.connectImpaired(f, fwd, rev)
-		}
-	}
-	// Null routing drops only the server->client direction (§6): the
-	// client's SYN still reaches the server, which may even accept and
-	// respond, but nothing comes back. From the client's (and a probing
-	// censor's) point of view the connection never completes, and because
-	// the handshake fails the client never sends its payload — so the
-	// middleboxes see nothing and the host sees a flow with no data.
-	if n.IsBlocked(server) {
-		n.flowsBlocked.Inc()
-		if h, ok := n.hosts[server]; ok {
-			silenced := *f
-			silenced.FirstPayload = nil
-			h.HandleFlow(&silenced)
-		}
-		return Outcome{Blocked: true}
-	}
-	for _, b := range n.boxes {
-		b.OnFlow(f)
-	}
-	h, ok := n.hosts[server]
-	if !ok {
-		// Connection refused by the network: no host. The censor can
-		// observe this too.
-		o := Outcome{Reaction: reaction.RST}
-		for _, b := range n.boxes {
-			b.OnOutcome(f, o)
-		}
-		return o
-	}
-	o := h.HandleFlow(f)
-	for _, b := range n.boxes {
-		b.OnOutcome(f, o)
-	}
+	n.depth++
+	o := n.connect(f)
+	n.depth--
 	return o
 }
 
-// needsScalar reports whether a flow must take the one-at-a-time path:
-// an impaired link (fault injection draws per-transmission RNG in flow
-// order) or a blocked server (diverted before middleboxes see it).
+// connect delivers one flow: impaired links first (impair.go), then the
+// null-route diversion, then middleboxes → host → outcomes. With no
+// link profiles configured — or all profiles zero — the flow takes the
+// ideal path with no extra RNG draws.
 //
 //sslab:hotpath
-func (n *Network) needsScalar(f *Flow, impaired bool) bool {
-	if impaired {
-		if n.linkFor(f.Client, f.Server) != nil || n.linkFor(f.Server, f.Client) != nil {
-			return true
-		}
-	}
-	return n.IsBlocked(f.Server)
-}
-
-// connectScalar completes one already-initialized flow exactly as
-// Connect does after constructing the Flow: impaired path first, then
-// the blocked diversion, then middleboxes → host → outcomes.
-func (n *Network) connectScalar(f *Flow, impaired bool) Outcome {
-	if impaired {
+func (n *Network) connect(f *Flow) Outcome {
+	if n.impaired() {
 		fwd, rev := n.linkFor(f.Client, f.Server), n.linkFor(f.Server, f.Client)
 		if fwd != nil || rev != nil {
 			return n.connectImpaired(f, fwd, rev)
 		}
 	}
 	if n.IsBlocked(f.Server) {
-		n.flowsBlocked.Inc()
-		if h, ok := n.hosts[f.Server]; ok {
-			silenced := *f
-			silenced.FirstPayload = nil
-			h.HandleFlow(&silenced)
-		}
-		return Outcome{Blocked: true}
+		return n.silence(f)
 	}
 	for _, b := range n.boxes {
 		b.OnFlow(f)
 	}
-	h, ok := n.hosts[f.Server]
-	if !ok {
-		o := Outcome{Reaction: reaction.RST}
-		for _, b := range n.boxes {
-			b.OnOutcome(f, o)
-		}
-		return o
+	// With no host the network refuses the connection, which the censor
+	// observes too.
+	o := Outcome{Reaction: reaction.RST}
+	if h, ok := n.hosts[f.Server]; ok {
+		o = h.HandleFlow(f)
 	}
-	o := h.HandleFlow(f)
 	for _, b := range n.boxes {
 		b.OnOutcome(f, o)
 	}
 	return o
 }
 
-// ConnectBatch performs the specs' flows in order and appends their
-// outcomes to outBuf (pass outBuf[:0] to reuse a caller-owned slice),
-// returning the extended slice. Outcome i corresponds to specs[i].
-//
-// Semantics are equivalent to calling Connect once per spec, in order
-// — same counters, same flow IDs, same outcomes, same per-flow RNG
-// draw order — with one scheduling difference: within a maximal run of
-// consecutive ideal-link, unblocked flows, every middlebox sees the
-// whole run (one OnFlowBatch call for BatchMiddlebox implementations,
-// per-flow OnFlow otherwise) before the hosts produce the run's
-// outcomes. That reorder is unobservable for this repo's components:
-// middlebox and host RNG streams are independent, censor probe work is
-// event-scheduled rather than synchronous, and no host schedules
-// events from HandleFlow. Middleboxes must not install blocking rules
-// synchronously from OnFlow/OnOutcome when using batch delivery (the
-// censor blocks from scheduled probe outcomes, never inline). Blocked
-// and impaired flows break runs and take the exact scalar path, in
-// order.
-//
-// The Flow values handed to middleboxes and hosts are backed by a
-// network-owned arena reused across calls: they are valid only until
-// ConnectBatch returns, and anything retained must be copied (the
-// censor slab-copies recorded payloads; hosts keep only hashes).
+// silence completes a flow to a null-routed server. Null routing drops
+// only the server->client direction (§6): the client's SYN still
+// reaches the server, which may even accept and respond, but nothing
+// comes back. From the client's (and a probing censor's) point of view
+// the connection never completes, and because the handshake fails the
+// client never sends its payload — so the middleboxes see nothing and
+// the host sees the flow with no data.
+func (n *Network) silence(f *Flow) Outcome {
+	n.flowsBlocked.Inc()
+	if h, ok := n.hosts[f.Server]; ok {
+		f.FirstPayload = nil
+		h.HandleFlow(f)
+	}
+	return Outcome{Blocked: true}
+}
+
+// ConnectBatch performs the specs' flows in order, one Connect call
+// each, and appends their outcomes to outBuf (pass outBuf[:0] to reuse
+// a caller-owned slice), returning the extended slice. Outcome i
+// corresponds to specs[i].
 //
 //sslab:hotpath
 func (n *Network) ConnectBatch(specs []FlowSpec, outBuf []Outcome) []Outcome {
-	if cap(n.flowBuf) < len(specs) {
-		n.flowBuf = make([]Flow, len(specs))
-	}
-	flowBuf := n.flowBuf[:len(specs)]
-	now := n.Sim.Now()
-	impaired := n.impaired()
 	for i := range specs {
 		sp := &specs[i]
-		n.Flows++
-		n.nextID++
-		n.flowsTotal.Inc()
-		if sp.Probe {
-			n.probeFlows.Inc()
-		}
-		genAt := sp.GeneratedAt
-		if genAt.IsZero() {
-			genAt = now
-		}
-		flowBuf[i] = Flow{
-			ID:           n.nextID,
-			Client:       sp.Client,
-			Server:       sp.Server,
-			FirstPayload: sp.FirstPayload,
-			Start:        now,
-			Probe:        sp.Probe,
-			GeneratedAt:  genAt,
-		}
-	}
-	for i := 0; i < len(flowBuf); {
-		if n.needsScalar(&flowBuf[i], impaired) {
-			outBuf = append(outBuf, n.connectScalar(&flowBuf[i], impaired))
-			i++
-			continue
-		}
-		// Maximal run of ideal-path unblocked flows: deliver the run to
-		// the border, then let the hosts answer it.
-		j := i + 1
-		for j < len(flowBuf) && !n.needsScalar(&flowBuf[j], impaired) {
-			j++
-		}
-		run := flowBuf[i:j]
-		for bi, b := range n.boxes {
-			if bb := n.batchBoxes[bi]; bb != nil {
-				bb.OnFlowBatch(run)
-			} else {
-				for k := range run {
-					b.OnFlow(&run[k])
-				}
-			}
-		}
-		for k := range run {
-			f := &run[k]
-			var o Outcome
-			if h, ok := n.hosts[f.Server]; ok {
-				o = h.HandleFlow(f)
-			} else {
-				o = Outcome{Reaction: reaction.RST}
-			}
-			for _, b := range n.boxes {
-				b.OnOutcome(f, o)
-			}
-			outBuf = append(outBuf, o)
-		}
-		i = j
+		outBuf = append(outBuf, n.Connect(sp.Client, sp.Server, sp.FirstPayload, sp.Probe, sp.GeneratedAt))
 	}
 	return outBuf
 }

@@ -75,14 +75,6 @@ func TestSimPastEventClamped(t *testing.T) {
 	}
 }
 
-type recordingBox struct {
-	flows    []*Flow
-	outcomes []Outcome
-}
-
-func (b *recordingBox) OnFlow(f *Flow)               { b.flows = append(b.flows, f) }
-func (b *recordingBox) OnOutcome(f *Flow, o Outcome) { b.outcomes = append(b.outcomes, o) }
-
 func TestNetworkDelivery(t *testing.T) {
 	s := NewSim()
 	n := NewNetwork(s)
@@ -94,7 +86,7 @@ func TestNetworkDelivery(t *testing.T) {
 		seen = f.FirstPayload
 		return Outcome{Reaction: reaction.Data, ResponseLen: 100}
 	}))
-	box := &recordingBox{}
+	box := &copyBox{}
 	n.AddMiddlebox(box)
 
 	o := n.Connect(client, server, []byte("hello"), false, time.Time{})
@@ -131,7 +123,7 @@ func TestBlocking(t *testing.T) {
 	h := HostFunc(func(f *Flow) Outcome { handled++; return Outcome{Reaction: reaction.Data} })
 	n.AddHost(srv1, h)
 	n.AddHost(srv2, h)
-	box := &recordingBox{}
+	box := &copyBox{}
 	n.AddMiddlebox(box)
 
 	// Block by port: only srv1 affected. The SYN still reaches the host

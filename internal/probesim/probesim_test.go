@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"sslab/internal/netsim"
 	"sslab/internal/reaction"
 	"sslab/internal/sscrypto"
 	"sslab/internal/ssserver"
@@ -101,7 +102,7 @@ func TestScanReplayTable5(t *testing.T) {
 func TestTCPProberAgainstLiveServer(t *testing.T) {
 	srv, err := ssserver.Listen("127.0.0.1:0", ssserver.Config{
 		Method: "chacha20-ietf-poly1305", Password: "pw",
-		Profile: reaction.Outline106, Timeout: 10 * time.Second,
+		Profile: reaction.Outline106, Timeouts: netsim.Timeouts{Handshake: 10 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)

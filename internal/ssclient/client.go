@@ -24,11 +24,6 @@ type Config struct {
 	// Method and Password must match the server's configuration.
 	Method   string
 	Password string
-	// Timeout bounds the TCP connect to the server.
-	//
-	// Deprecated: set Timeouts.Connect instead. When Timeouts.Connect is
-	// zero this value is used, so existing callers keep their behaviour.
-	Timeout time.Duration
 	// Timeouts bounds the connection stages: Connect for the TCP connect
 	// to the server (default 10 s) and Idle for the SOCKS relay loops
 	// (zero keeps the historical wait-forever relay). Handshake is
@@ -63,11 +58,7 @@ func New(cfg Config) (*Client, error) {
 	if cfg.Server == "" {
 		return nil, fmt.Errorf("ssclient: server address required")
 	}
-	if cfg.Timeouts.Connect <= 0 {
-		cfg.Timeouts.Connect = cfg.Timeout
-	}
 	cfg.Timeouts = cfg.Timeouts.WithDefaults()
-	cfg.Timeout = cfg.Timeouts.Connect
 	if cfg.Dial == nil {
 		cfg.Dial = func(network, address string) (net.Conn, error) {
 			return net.DialTimeout(network, address, cfg.Timeouts.Connect)

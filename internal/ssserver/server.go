@@ -35,13 +35,6 @@ type Config struct {
 	// Profile selects the implementation behaviour to emulate. The zero
 	// value defaults to the hardened reference profile.
 	Profile reaction.Profile
-	// Timeout is how long the server waits for protocol data before
-	// giving up on a connection.
-	//
-	// Deprecated: set Timeouts.Handshake instead. When Timeouts.Handshake
-	// is zero this value is used, so existing callers keep their
-	// behaviour.
-	Timeout time.Duration
 	// Timeouts bounds the connection stages: Connect for outbound dials
 	// (was a hard-coded 10 s), Handshake for the first protocol data
 	// (default 60 s, the common implementation default the paper
@@ -103,11 +96,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("ssserver: %s %s supports AEAD methods only",
 			cfg.Profile.Name, cfg.Profile.Versions)
 	}
-	if cfg.Timeouts.Handshake <= 0 {
-		cfg.Timeouts.Handshake = cfg.Timeout
-	}
 	cfg.Timeouts = cfg.Timeouts.WithDefaults()
-	cfg.Timeout = cfg.Timeouts.Handshake
 	if cfg.Dial == nil {
 		connect := cfg.Timeouts.Connect
 		cfg.Dial = func(network, address string) (net.Conn, error) {

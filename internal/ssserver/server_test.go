@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"sslab/internal/netsim"
 	"sslab/internal/reaction"
 	"sslab/internal/ssclient"
 )
@@ -50,7 +51,7 @@ func startServer(t *testing.T, method string, profile reaction.Profile, timeout 
 		Method:   method,
 		Password: "integration-pw",
 		Profile:  profile,
-		Timeout:  timeout,
+		Timeouts: netsim.Timeouts{Handshake: timeout},
 	})
 	if err != nil {
 		t.Fatal(err)

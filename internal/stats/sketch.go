@@ -1,13 +1,11 @@
 // Streaming sketches for population-scale runs: a fleet simulating 10⁵+
 // users cannot afford to materialize per-flow or per-event records just
-// to report distributions at the end. The three types here keep O(1) or
+// to report distributions at the end. The two types here keep O(1) or
 // O(log range) state per metric:
 //
 //   - Quantile: a mergeable log-bucketed quantile sketch (DDSketch-style
 //     relative-accuracy guarantee), for distributions reported across
 //     sweep shards.
-//   - P2: the Jain–Chlamtac P² estimator, five markers of state for one
-//     online quantile where mergeability is not needed.
 //   - TimeSeries: fixed-width mergeable event counters over virtual
 //     time, for curves (flows, probe load) that must add across shards.
 
@@ -166,116 +164,6 @@ func (s *Quantile) Summarize() Summary {
 		P75: s.Quantile(0.75),
 		P90: s.Quantile(0.90),
 		Max: s.Hi,
-	}
-}
-
-// P2 is the Jain–Chlamtac P² estimator: one quantile tracked online
-// with five markers and no sample storage. It is not mergeable (marker
-// positions are stream-order dependent) — use Quantile for anything
-// that crosses shard boundaries.
-type P2 struct {
-	p    float64
-	n    int64
-	q    [5]float64 // marker heights
-	pos  [5]float64 // marker positions (1-based)
-	want [5]float64 // desired positions
-	inc  [5]float64 // desired-position increments
-}
-
-// NewP2 returns an estimator for the p-quantile (0 < p < 1).
-func NewP2(p float64) *P2 {
-	e := &P2{p: p}
-	e.inc = [5]float64{0, p / 2, p, (1 + p) / 2, 1}
-	return e
-}
-
-// Count returns the number of observations.
-func (e *P2) Count() int64 { return e.n }
-
-// Observe adds one value.
-func (e *P2) Observe(x float64) {
-	if e.n < 5 {
-		e.q[e.n] = x
-		e.n++
-		if e.n == 5 {
-			sort.Float64s(e.q[:])
-			for i := range e.pos {
-				e.pos[i] = float64(i + 1)
-				e.want[i] = 1 + 4*e.inc[i]
-			}
-		}
-		return
-	}
-	e.n++
-	// Locate the cell and bump the extreme markers.
-	var k int
-	switch {
-	case x < e.q[0]:
-		e.q[0], k = x, 0
-	case x < e.q[1]:
-		k = 0
-	case x < e.q[2]:
-		k = 1
-	case x < e.q[3]:
-		k = 2
-	case x <= e.q[4]:
-		k = 3
-	default:
-		e.q[4], k = x, 3
-	}
-	for i := k + 1; i < 5; i++ {
-		e.pos[i]++
-	}
-	for i := range e.want {
-		e.want[i] += e.inc[i]
-	}
-	// Nudge interior markers toward their desired positions with the
-	// piecewise-parabolic (P²) update, falling back to linear when the
-	// parabola would leave the bracket.
-	for i := 1; i <= 3; i++ {
-		d := e.want[i] - e.pos[i]
-		if (d >= 1 && e.pos[i+1]-e.pos[i] > 1) || (d <= -1 && e.pos[i-1]-e.pos[i] < -1) {
-			sign := 1.0
-			if d < 0 {
-				sign = -1.0
-			}
-			qp := e.parabolic(i, sign)
-			if e.q[i-1] < qp && qp < e.q[i+1] {
-				e.q[i] = qp
-			} else {
-				e.q[i] = e.linear(i, sign)
-			}
-			e.pos[i] += sign
-		}
-	}
-}
-
-func (e *P2) parabolic(i int, d float64) float64 {
-	return e.q[i] + d/(e.pos[i+1]-e.pos[i-1])*
-		((e.pos[i]-e.pos[i-1]+d)*(e.q[i+1]-e.q[i])/(e.pos[i+1]-e.pos[i])+
-			(e.pos[i+1]-e.pos[i]-d)*(e.q[i]-e.q[i-1])/(e.pos[i]-e.pos[i-1]))
-}
-
-func (e *P2) linear(i int, d float64) float64 {
-	return e.q[i] + d*(e.q[int(float64(i)+d)]-e.q[i])/(e.pos[int(float64(i)+d)]-e.pos[i])
-}
-
-// Value returns the current estimate; exact while fewer than five
-// observations have arrived, NaN when empty.
-func (e *P2) Value() float64 {
-	switch {
-	case e.n == 0:
-		return math.NaN()
-	case e.n < 5:
-		buf := e.q
-		sort.Float64s(buf[:e.n])
-		rank := int(math.Ceil(e.p * float64(e.n)))
-		if rank < 1 {
-			rank = 1
-		}
-		return buf[rank-1]
-	default:
-		return e.q[2]
 	}
 }
 

@@ -194,53 +194,6 @@ func TestQuantileZerosAndEmpty(t *testing.T) {
 	}
 }
 
-// TestP2Accuracy checks the P² estimator against exact quantiles on the
-// same known distributions. P² has no hard error bound, so tolerances
-// are empirical but tight enough to catch an update-rule regression.
-func TestP2Accuracy(t *testing.T) {
-	const n = 20000
-	distributions := map[string]func(*rand.Rand) float64{
-		"uniform":     func(r *rand.Rand) float64 { return r.Float64() * 100 },
-		"exponential": func(r *rand.Rand) float64 { return r.ExpFloat64() * 10 },
-		"lognormal":   func(r *rand.Rand) float64 { return math.Exp(r.NormFloat64()) },
-	}
-	for name, draw := range distributions {
-		for _, p := range []float64{0.5, 0.9} {
-			rng := rand.New(rand.NewSource(31))
-			est := NewP2(p)
-			samples := make([]float64, n)
-			for i := range samples {
-				samples[i] = draw(rng)
-				est.Observe(samples[i])
-			}
-			sort.Float64s(samples)
-			exact := exactQuantile(samples, p)
-			got := est.Value()
-			relErr := math.Abs(got-exact) / exact
-			if relErr > 0.05 {
-				t.Errorf("%s p%v: P² %.4f vs exact %.4f (rel err %.4f)", name, p, got, exact, relErr)
-			}
-		}
-	}
-}
-
-// TestP2SmallStreams: under five observations the estimate is exact.
-func TestP2SmallStreams(t *testing.T) {
-	est := NewP2(0.5)
-	if !math.IsNaN(est.Value()) {
-		t.Error("empty estimator should report NaN")
-	}
-	for _, x := range []float64{9, 1, 5} {
-		est.Observe(x)
-	}
-	if got := est.Value(); got != 5 {
-		t.Errorf("median of {9,1,5} = %v, want 5", got)
-	}
-	if est.Count() != 3 {
-		t.Errorf("count = %d, want 3", est.Count())
-	}
-}
-
 // TestTimeSeriesMergeOrderIndependent mirrors the Histogram suite for
 // the mergeable counter series.
 func TestTimeSeriesMergeOrderIndependent(t *testing.T) {

@@ -285,13 +285,6 @@ func NewCensor(env CensorEnv, opts ...CensorOption) *GFW {
 	return g
 }
 
-// NewGFW attaches a censor model to a simulated network; the caller must
-// register it with net.AddMiddlebox.
-//
-// Deprecated: use NewCensor(CensorEnv{Sim: sim, Net: net},
-// WithCensorConfig(cfg)), which also registers the middlebox.
-func NewGFW(sim *Sim, net *Network, cfg GFWConfig) *GFW { return gfw.NewWithConfig(sim, net, cfg) }
-
 // RunShadowsocksExperiment reproduces §3.1 (Figures 2–7, Tables 2–3).
 func RunShadowsocksExperiment(cfg ShadowsocksConfig) (*experiment.ShadowsocksReport, error) {
 	return experiment.ShadowsocksExperiment(cfg)

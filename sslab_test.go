@@ -19,7 +19,7 @@ func TestPublicAPIProxyAndProbe(t *testing.T) {
 		Method:   "chacha20-ietf-poly1305",
 		Password: "facade-pw",
 		Profile:  sslab.Outline106,
-		Timeout:  5 * time.Second,
+		Timeouts: sslab.Timeouts{Handshake: 5 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
