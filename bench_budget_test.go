@@ -93,16 +93,16 @@ func TestHotPathAllocBudgets(t *testing.T) {
 }
 
 // TestFleetAllocBudgets enforces BENCH_fleet.json over the
-// population-scale engine: the timing wheel stays allocation-free in
-// steady state, and a complete fixed-seed fleet run stays at its
-// deterministic construction-plus-flows allocation count.
+// population-scale engine: timers on the event heap stay
+// allocation-free in steady state, and a complete fixed-seed fleet run
+// stays at its deterministic construction-plus-flows allocation count.
 func TestFleetAllocBudgets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full benchmarks; skipped with -short")
 	}
 	checkAllocBudgets(t, "BENCH_fleet.json", map[string]func(*testing.B){
-		"WheelSchedule":       benchWheelSchedule,
-		"WheelScheduleSparse": benchWheelScheduleSparse,
+		"TimerSchedule":       benchTimerSchedule,
+		"TimerScheduleSparse": benchTimerScheduleSparse,
 		"Run2k":               benchFleetRun2k,
 		"Run2kSharded":        benchFleetRun2kSharded,
 		"SnapshotSave":        benchSnapshotSave,

@@ -1,6 +1,6 @@
-// BenchmarkFleet measures the population-scale engine: the netsim
-// timing-wheel scheduler in steady state (must stay at 0 allocs/op) and
-// a complete small fleet run (whose per-run allocation count is pinned,
+// BenchmarkFleet measures the population-scale engine: timers on the
+// netsim event heap in steady state (must stay at 0 allocs/op) and a
+// complete small fleet run (whose per-run allocation count is pinned,
 // so a per-wakeup allocation sneaking into the user hot path fails the
 // budget by three orders of magnitude, not by noise).
 //
@@ -125,28 +125,27 @@ func TestFleetScaling(t *testing.T) {
 }
 
 func BenchmarkFleet(b *testing.B) {
-	b.Run("WheelSchedule", benchWheelSchedule)
-	b.Run("WheelScheduleSparse", benchWheelScheduleSparse)
+	b.Run("TimerSchedule", benchTimerSchedule)
+	b.Run("TimerScheduleSparse", benchTimerScheduleSparse)
 	b.Run("Run2k", benchFleetRun2k)
 	b.Run("Run2kSharded", benchFleetRun2kSharded)
 	b.Run("SnapshotSave", benchSnapshotSave)
 	b.Run("SnapshotRestore", benchSnapshotRestore)
 }
 
-func nopWheelFire(any) {}
+func nopTimerFire(any) {}
 
-// benchWheelSchedule drives the hierarchical timing wheel the way the
-// fleet does: a dense stream of timers with deltas spanning level 0 and
-// level 1, drained through the simulator. One op = one timer scheduled
-// and fired. A warm-up round pre-grows the slot and event-heap arrays so
-// the timed region measures steady state.
-func benchWheelSchedule(b *testing.B) {
+// benchTimerSchedule schedules timers with Sim.AtCall, as the fleet
+// does: a dense stream of timers with delays from 1 s to 10 min, drained
+// through the simulator. One op = one timer scheduled and fired. A
+// warm-up round pre-grows the event heap so the timed region measures
+// steady state.
+func benchTimerSchedule(b *testing.B) {
 	sim := netsim.NewSim()
-	w := netsim.NewWheel(sim)
 	round := func(n int) {
 		base := sim.Now()
 		for i := 0; i < n; i++ {
-			w.Schedule(base.Add(time.Duration(1+i%601)*time.Second), nopWheelFire, nil)
+			sim.AtCall(base.Add(time.Duration(1+i%601)*time.Second), nopTimerFire, nil)
 		}
 		sim.RunUntil(base.Add(602 * time.Second))
 	}
@@ -160,12 +159,11 @@ func benchWheelSchedule(b *testing.B) {
 // diurnal peak of 2 flows per hour.
 const sparseMeanGap = 30 * time.Minute
 
-// sparseWheel is benchWheelScheduleSparse's state: one wheel carrying
-// 750 self-rescheduling timers — one regional fleet unit's users — and
-// the number of schedules left in the current round.
-type sparseWheel struct {
+// sparseUnit is benchTimerScheduleSparse's state: one simulator
+// carrying 750 self-rescheduling timers — one regional fleet unit's
+// users — and the number of schedules left in the current round.
+type sparseUnit struct {
 	sim    *netsim.Sim
-	w      *netsim.Wheel
 	left   int
 	timers []sparseTimer
 }
@@ -173,7 +171,7 @@ type sparseWheel struct {
 // sparseTimer is one user's Poisson wake-up chain, drawing its gaps
 // from an inline SplitMix64 stream.
 type sparseTimer struct {
-	s   *sparseWheel
+	s   *sparseUnit
 	rng uint64
 }
 
@@ -193,13 +191,13 @@ func fireSparseTimer(x any) {
 		return
 	}
 	s.left--
-	s.w.Schedule(s.sim.Now().Add(t.gap()), fireSparseTimer, t)
+	s.sim.AtCall(s.sim.Now().Add(t.gap()), fireSparseTimer, t)
 }
 
 // round schedules and fires exactly n timers: the chains start
 // staggered over one mean gap and reschedule themselves until n
 // schedules are spent, then the simulator drains.
-func (s *sparseWheel) round(n int) {
+func (s *sparseUnit) round(n int) {
 	s.left = n
 	base := s.sim.Now()
 	for i := range s.timers {
@@ -208,20 +206,19 @@ func (s *sparseWheel) round(n int) {
 		}
 		s.left--
 		at := base.Add(time.Duration(i) * sparseMeanGap / time.Duration(len(s.timers)))
-		s.w.Schedule(at, fireSparseTimer, &s.timers[i])
+		s.sim.AtCall(at, fireSparseTimer, &s.timers[i])
 	}
 	s.sim.Run()
 }
 
-// benchWheelScheduleSparse drives the wheel at the density of one unit
+// benchTimerScheduleSparse schedules timers at the density of one unit
 // of a regional fleet run (6000 users over 4 regions × 2 shards): 750
-// timers with 30-minute mean gaps, so most anchors release a single
-// entry — the shape where a wheel pays the most per timer. One op = one
-// timer scheduled and fired; a warm-up round grows the slot and heap
-// arrays, so the timed region must allocate nothing.
-func benchWheelScheduleSparse(b *testing.B) {
-	sim := netsim.NewSim()
-	s := &sparseWheel{sim: sim, w: netsim.NewWheel(sim), timers: make([]sparseTimer, 750)}
+// timers with 30-minute mean gaps on one simulator, so the heap never
+// holds more than 750 events. One op = one timer scheduled and fired; a
+// warm-up round grows the heap, so the timed region must allocate
+// nothing.
+func benchTimerScheduleSparse(b *testing.B) {
+	s := &sparseUnit{sim: netsim.NewSim(), timers: make([]sparseTimer, 750)}
 	for i := range s.timers {
 		s.timers[i] = sparseTimer{s: s, rng: uint64(i)}
 	}
@@ -253,7 +250,7 @@ func benchFleetRun2k(b *testing.B) {
 }
 
 // snapBenchEngine builds the Run2k engine and advances it to the
-// middle of the horizon, where per-user wheel entries and in-flight
+// middle of the horizon, where per-user pending wake-ups and in-flight
 // censor state are at steady-state density — the worst case a snapshot
 // has to serialize.
 func snapBenchEngine(b *testing.B) *fleet.Engine {
@@ -297,8 +294,7 @@ func benchSnapshotSave(b *testing.B) {
 
 // benchSnapshotRestore rebuilds a live engine from the same mid-run
 // snapshot once per op: decode, reconstruct every unit's simulator,
-// censor and population state, and re-arm the pending event heap and
-// timing-wheel entries.
+// censor and population state, and re-arm the pending events.
 func benchSnapshotRestore(b *testing.B) {
 	e := snapBenchEngine(b)
 	data, err := e.Snapshot()
@@ -315,8 +311,8 @@ func benchSnapshotRestore(b *testing.B) {
 }
 
 // benchFleetRun2kSharded is the same population split over four space
-// shards: four independent censors, networks and timing wheels plus
-// the report merge. It runs the shards sequentially (WithWorkers(1))
+// shards: four independent simulators, censors and networks plus the
+// report merge. It runs the shards sequentially (WithWorkers(1))
 // so the allocation count stays as deterministic as Run2k's — on a
 // multi-worker pool the Go runtime's own scheduling allocations
 // (goroutine parking under CPU contention) leak into allocs/op and

@@ -1,6 +1,6 @@
 // Package hotpath enforces the allocation discipline on functions
-// annotated `//sslab:hotpath`. The per-flow and per-tick paths (gfw
-// OnFlow, the timing wheel, the fleet scheduler, the cipher framing)
+// annotated `//sslab:hotpath`. The per-flow and per-event paths (gfw
+// OnFlow, the event heap, the fleet wake-up, the cipher framing)
 // are benchmarked with hard allocs/op budgets; a stray closure, fmt
 // call, interface boxing or growing append silently reintroduces
 // per-event garbage that the budgets then catch only after the fact,

@@ -311,7 +311,8 @@ func exportName(s string) string {
 }
 
 // optionPrefix guesses the option type's prefix from the constructor
-// name: NewWheel -> Wheel (for the ...WheelOption hint in diagnostics).
+// name: NewNetwork -> Network (for the ...NetworkOption hint in
+// diagnostics).
 func optionPrefix(ctor string) string {
 	return strings.TrimPrefix(ctor, "New")
 }

@@ -16,14 +16,13 @@ import (
 
 // TestGoldenCrossCheck pins the fleet engine against a hand-rolled
 // single-client reference: the naive loop the existing `shadowsocks`
-// experiment runs — one client, direct heap scheduling (no Wheel),
-// allocating trafficgen forms (no append API), a plain closure per
-// event (no trampolines). A 1-user fleet must reproduce the reference's
-// censor statistics *exactly*: same triggers, same recorded payloads,
-// same probes, same flow count. Any divergence means the Wheel
-// delivered an event at the wrong virtual time, the append-form
-// trafficgen drew different random bytes, or the engine consumed PRNG
-// draws in a different order than documented.
+// experiment runs — one client, allocating trafficgen forms (no append
+// API), a plain closure per event (no trampolines). A 1-user fleet must
+// reproduce the reference's censor statistics *exactly*: same triggers,
+// same recorded payloads, same probes, same flow count. Any divergence
+// means the scheduler delivered an event at the wrong virtual time, the
+// append-form trafficgen drew different random bytes, or the engine
+// consumed PRNG draws in a different order than documented.
 func TestGoldenCrossCheck(t *testing.T) {
 	cfg := Config{
 		Seed:             42,

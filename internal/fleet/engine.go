@@ -10,11 +10,11 @@ import (
 )
 
 // Engine is a fleet run held open: every unit — a (region, shard) cell
-// with its own simulator, network, censor, timing wheel and RNG
-// streams — stays resident between RunTo calls, so a run can be
-// advanced in stages, snapshotted at a quiescent boundary, and resumed
-// later (Snapshot / Restore). Run wraps the whole lifecycle for
-// callers that just want a Report.
+// with its own simulator, network, censor and RNG streams — stays
+// resident between RunTo calls, so a run can be advanced in stages,
+// snapshotted at a quiescent boundary, and resumed later (Snapshot /
+// Restore). Run wraps the whole lifecycle for callers that just want a
+// Report.
 //
 // The execution contract is the same as Run's: the unit plan is fixed
 // by Config, workers only trade wall-clock time for cores, and every

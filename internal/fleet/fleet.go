@@ -8,20 +8,20 @@
 // The engine scales by keeping per-user cost at O(bytes of state), not
 // O(goroutine): a user is ~24 bytes (an inline SplitMix64 PRNG state, a
 // server index, a diurnal phase and two flags) in one flat slice, every
-// wake-up is scheduled closure-free through a netsim.Wheel (O(1)
-// amortized for millions of timers), first packets are synthesized into
-// one reused buffer, and every output is a streaming sketch or bucketed
-// counter (internal/stats) — no per-flow record is ever materialized.
+// wake-up is one closure-free event on its unit's netsim heap, first
+// packets are synthesized into one reused buffer, and every output is a
+// streaming sketch or bucketed counter (internal/stats) — no per-flow
+// record is ever materialized.
 //
 // Parallelism: the population is partitioned into Config.Shards
 // space-sharded sub-simulations — users pinned to disjoint server +
 // censor shards are causally independent, so each shard runs
 // single-threaded in virtual time on its own simulator, network,
-// censor, timing wheel and RNG streams, and finished shard Reports
-// merge through order-independent reductions (Report.Merge). The
-// worker pool executing the shards is sized by WithWorkers and is
-// pure execution policy: the shard plan is fixed by Config, so any
-// worker count reproduces the -workers 1 report byte-for-byte.
+// censor and RNG streams, and finished shard Reports merge through
+// order-independent reductions (Report.Merge). The worker pool
+// executing the shards is sized by WithWorkers and is pure execution
+// policy: the shard plan is fixed by Config, so any worker count
+// reproduces the -workers 1 report byte-for-byte.
 //
 // Determinism: all randomness forks off Config.Seed via seedfork.
 // With one shard (the default) the stream labels are the historical
@@ -83,7 +83,7 @@ type Config struct {
 	BucketMin int
 	// Shards partitions the population into that many space-sharded
 	// sub-simulations (default 1): each shard owns a contiguous slice of
-	// servers, their users, and its own censor, network, timing wheel and
+	// servers, their users, and its own censor, network, simulator and
 	// RNG streams forked under ("fleet.shard", s). Shards is science
 	// config — it changes which RNG streams drive the population, so it
 	// changes report bytes — whereas the worker count executing the
@@ -321,7 +321,6 @@ type Fleet struct {
 	// unit re-arms its pending events from the snapshot instead.
 	restoring bool
 
-	wheel   *netsim.Wheel
 	users   []user
 	uargs   []userArg
 	sargs   []srvArg
@@ -395,7 +394,7 @@ func (f *Fleet) expGap(u *user) time.Duration {
 	return time.Duration(-math.Log1p(-u.f64()) * float64(f.meanGap))
 }
 
-// runUserWake is the Wheel trampoline for user wake-ups.
+// runUserWake is the AtCall trampoline for user wake-ups.
 func runUserWake(x any) {
 	a := x.(*userArg)
 	a.f.wake(a)
@@ -416,7 +415,7 @@ func (f *Fleet) wake(a *userArg) {
 	gap := f.expGap(u)
 	f.gapQ.Observe(gap.Seconds())
 	if t := now.Add(gap); t.Before(f.end) {
-		f.wheel.Schedule(t, runUserWake, a)
+		f.sim.AtCall(t, runUserWake, a)
 	}
 	if u.f64() >= f.activity(now, u.phaseMin) {
 		return
@@ -534,15 +533,47 @@ func Run(cfg Config, opts ...Option) (*Report, error) {
 
 // validate rejects configurations the engine cannot execute; called on
 // the pre-defaults Config so user errors surface as errors, not
-// normalized silently.
+// normalized silently. Zero still selects a field's default. A negative
+// size or interval would otherwise panic while planning, or schedule
+// the next wake-up or sample in the past, where the clamp to now stops
+// virtual time for good.
 func validate(cfg Config) error {
 	if cfg.Shards < 0 {
 		return fmt.Errorf("fleet: negative shard count %d", cfg.Shards)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"Users", cfg.Users},
+		{"UsersPerServer", cfg.UsersPerServer},
+		{"Hours", cfg.Hours},
+		{"ReplaceAfterMin", cfg.ReplaceAfterMin},
+		{"BucketMin", cfg.BucketMin},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("fleet: negative %s %d", f.name, f.v)
+		}
+	}
+	if r := cfg.PeakFlowsPerHour; !(r >= 0) || math.IsInf(r, 1) {
+		return fmt.Errorf("fleet: PeakFlowsPerHour %v is negative, NaN or infinite", r)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"ActivityFloor", cfg.ActivityFloor},
+		{"BrowseShare", cfg.BrowseShare},
+	} {
+		if !(f.v >= 0 && f.v <= 1) {
+			return fmt.Errorf("fleet: %s %v outside [0, 1]", f.name, f.v)
+		}
 	}
 	mix := cfg.Mix
 	if len(mix) == 0 {
 		mix = DefaultMix
 	}
+	positive := false
 	for _, share := range mix {
 		if _, ok := implementations[share.Impl]; !ok {
 			return fmt.Errorf("fleet: unknown implementation %q in mix", share.Impl)
@@ -550,6 +581,10 @@ func validate(cfg Config) error {
 		if share.Weight < 0 {
 			return fmt.Errorf("fleet: negative weight for %q", share.Impl)
 		}
+		positive = positive || share.Weight > 0
+	}
+	if !positive {
+		return fmt.Errorf("fleet: mix has no positive weight")
 	}
 	if err := detector.ValidateNames(cfg.GFW.Detectors); err != nil {
 		return fmt.Errorf("fleet: %w", err)
@@ -657,7 +692,7 @@ func (f *Fleet) build(plan runPlan) {
 		// snapshot instead.
 		first := netsim.Epoch.Add(time.Duration(u.f64() * float64(f.meanGap)))
 		if !f.restoring {
-			f.wheel.Schedule(first, runUserWake, &f.uargs[i])
+			f.sim.AtCall(first, runUserWake, &f.uargs[i])
 		}
 	}
 }

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"encoding/json"
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -181,15 +183,43 @@ func TestFleetDefendedMixResists(t *testing.T) {
 	}
 }
 
+// TestFleetConfigValidation: NewEngine rejects every configuration the
+// engine cannot run, with an error naming the offending field, instead
+// of panicking while planning, stopping virtual time (a sample or
+// wake-up scheduled in the past is clamped to now, forever), or
+// silently running something else.
 func TestFleetConfigValidation(t *testing.T) {
-	cfg := smallCfg(1)
-	cfg.Mix = []ImplShare{{Impl: "no-such-impl", Weight: 1}}
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("unknown implementation accepted")
-	}
-	cfg = smallCfg(1)
-	cfg.Mix = []ImplShare{{Impl: "ssr", Weight: -1}}
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("negative mix weight accepted")
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+		want string
+	}{
+		{"unknown implementation", func(c *Config) { c.Mix = []ImplShare{{Impl: "no-such-impl", Weight: 1}} }, "no-such-impl"},
+		{"negative mix weight", func(c *Config) { c.Mix = []ImplShare{{Impl: "ssr", Weight: -1}} }, "weight"},
+		{"all-zero mix weights", func(c *Config) { c.Mix = []ImplShare{{Impl: "ssr"}, {Impl: "web"}} }, "positive weight"},
+		{"negative Users", func(c *Config) { c.Users = -100 }, "Users"},
+		{"negative UsersPerServer", func(c *Config) { c.UsersPerServer = -1 }, "UsersPerServer"},
+		{"negative Hours", func(c *Config) { c.Hours = -2 }, "Hours"},
+		{"negative PeakFlowsPerHour", func(c *Config) { c.PeakFlowsPerHour = -1 }, "PeakFlowsPerHour"},
+		{"NaN PeakFlowsPerHour", func(c *Config) { c.PeakFlowsPerHour = nan }, "PeakFlowsPerHour"},
+		{"infinite PeakFlowsPerHour", func(c *Config) { c.PeakFlowsPerHour = math.Inf(1) }, "PeakFlowsPerHour"},
+		{"negative ReplaceAfterMin", func(c *Config) { c.ReplaceAfterMin = -5 }, "ReplaceAfterMin"},
+		{"negative BucketMin", func(c *Config) { c.BucketMin = -15 }, "BucketMin"},
+		{"ActivityFloor above 1", func(c *Config) { c.ActivityFloor = 2 }, "ActivityFloor"},
+		{"negative ActivityFloor", func(c *Config) { c.ActivityFloor = -0.5 }, "ActivityFloor"},
+		{"NaN ActivityFloor", func(c *Config) { c.ActivityFloor = nan }, "ActivityFloor"},
+		{"negative BrowseShare", func(c *Config) { c.BrowseShare = -1 }, "BrowseShare"},
+		{"BrowseShare above 1", func(c *Config) { c.BrowseShare = 1.5 }, "BrowseShare"},
+		{"NaN BrowseShare", func(c *Config) { c.BrowseShare = nan }, "BrowseShare"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallCfg(1)
+			tc.set(&cfg)
+			_, err := NewEngine(cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("NewEngine error = %v, want one naming %q", err, tc.want)
+			}
+		})
 	}
 }

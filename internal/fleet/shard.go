@@ -145,9 +145,9 @@ func planRun(cfg Config) (runPlan, error) {
 }
 
 // buildUnit constructs one unit's sub-simulation: its own simulator,
-// network, censor, timing wheel and RNG streams. When restoring, the
-// unit is built structurally identical but schedules no initial events
-// — the snapshot's pending events are re-armed afterwards.
+// network, censor and RNG streams. When restoring, the unit is built
+// structurally identical but schedules no initial events — the
+// snapshot's pending events are re-armed afterwards.
 func buildUnit(cfg Config, plan runPlan, u unitSpec, restoring bool) *Fleet {
 	rp := plan.regions[u.region]
 
@@ -190,7 +190,6 @@ func buildUnit(cfg Config, plan runPlan, u unitSpec, restoring bool) *Fleet {
 		schedule:     rp.schedule,
 		restoring:    restoring,
 		nextServerIP: u.lo, // initial endpoints keep their global addresses
-		wheel:        netsim.NewWheel(sim),
 		tg:           trafficgen.New(seedfork.Fork(u.seed, "fleet.trafficgen")),
 		end:          netsim.Epoch.Add(time.Duration(cfg.Hours) * time.Hour),
 		meanGap:      time.Duration(float64(time.Hour) / cfg.PeakFlowsPerHour),

@@ -77,9 +77,14 @@ type unitSnap struct {
 	GFW gfw.State
 	Net netsim.NetworkState
 
-	// Pending events, in scheduling-sequence order (heap and wheel
-	// sequences are independent; see netsim's snapshot surface).
-	HeapEvents  []eventSnap
+	// Pending events, in scheduling-sequence order (see netsim's
+	// snapshot surface).
+	HeapEvents []eventSnap
+	// WheelEvents holds the user wake-ups that snapshots written before
+	// the heap became the only scheduler had parked in a timing wheel.
+	// Snapshot never writes it; restore still reads it, because gob
+	// skips fields the destination lacks and dropping it would silently
+	// lose those wake-ups (testdata/resume.snap is such a snapshot).
 	WheelEvents []eventSnap
 }
 
@@ -242,13 +247,10 @@ func (f *Fleet) capture() (unitSnap, error) {
 	})
 
 	for _, ev := range f.sim.PendingEvents() {
-		if netsim.IsWheelAnchor(ev.Arg) {
-			continue // the restored wheel re-arms its own anchors
-		}
 		es := eventSnap{At: ev.At}
 		switch a := ev.Arg.(type) {
 		case *userArg:
-			es.Kind, es.Idx = "wake", a.idx // a wake poured to the heap within the current tick
+			es.Kind, es.Idx = "wake", a.idx
 		case *srvArg:
 			es.Kind, es.Idx = "replace", a.idx
 		case *Fleet:
@@ -264,24 +266,16 @@ func (f *Fleet) capture() (unitSnap, error) {
 		}
 		s.HeapEvents = append(s.HeapEvents, es)
 	}
-	for _, we := range f.wheel.PendingEntries() {
-		a, ok := we.Arg.(*userArg)
-		if !ok {
-			return unitSnap{}, fmt.Errorf("cannot snapshot pending wheel entry with arg %T", we.Arg)
-		}
-		s.WheelEvents = append(s.WheelEvents, eventSnap{At: we.At, Kind: "wake", Idx: a.idx})
-	}
 	return s, nil
 }
 
 // restore overwrites a freshly built (restoring=true) unit with its
 // snapshot state and re-arms its pending events. The sequence matters:
-// the simulator's clock is advanced to the snapshot time first (so the
-// wheel parks entries against the right tick origin and nothing is
-// clamped into the past), state is overwritten second, and events are
-// re-armed last — heap events in original heap-sequence order, then
-// wheel entries in original wheel-sequence order, which reproduces the
-// captured run's dispatch order exactly.
+// the simulator's clock is advanced to the snapshot time first (so
+// nothing is clamped into the past), state is overwritten second, and
+// events are re-armed last — heap events in original sequence order,
+// which reproduces the captured run's dispatch order exactly, then any
+// wheel entries of an older snapshot in their original order.
 func (f *Fleet) restore(s *unitSnap, now time.Time) error {
 	if len(s.URng) != len(f.users) {
 		return fmt.Errorf("snapshot has %d users, plan builds %d", len(s.URng), len(f.users))
@@ -354,43 +348,42 @@ func (f *Fleet) restore(s *unitSnap, now time.Time) error {
 	f.net.RestoreState(s.Net)
 	f.mBlockedUsers.Set(f.blockedNow)
 
-	// 3. Re-arm pending events: heap first, then wheel, each in its
-	// original sequence order.
-	for _, ev := range s.HeapEvents {
-		switch ev.Kind {
-		case "wake":
-			if ev.Idx < 0 || int(ev.Idx) >= len(f.uargs) {
-				return fmt.Errorf("pending wake references user %d of %d", ev.Idx, len(f.uargs))
-			}
-			f.sim.AtCall(ev.At, runUserWake, &f.uargs[ev.Idx])
-		case "replace":
-			if ev.Idx < 0 || int(ev.Idx) >= len(f.sargs) {
-				return fmt.Errorf("pending replace references server %d of %d", ev.Idx, len(f.sargs))
-			}
-			f.sim.AtCall(ev.At, runReplace, &f.sargs[ev.Idx])
-		case "sample":
-			f.sim.AtCall(ev.At, runSample, f)
-		case "policy":
-			f.sim.AtCall(ev.At, runPolicy, &f.parg)
-		case "gfw":
-			if ev.Task == nil {
-				return fmt.Errorf("pending censor task without payload")
-			}
-			if err := f.gfw.ScheduleTask(ev.At, *ev.Task); err != nil {
+	// 3. Re-arm pending events onto the heap, each list in its original
+	// sequence order.
+	for _, evs := range [][]eventSnap{s.HeapEvents, s.WheelEvents} {
+		for _, ev := range evs {
+			if err := f.rearm(ev); err != nil {
 				return err
 			}
-		default:
-			return fmt.Errorf("unknown pending event kind %q", ev.Kind)
 		}
 	}
-	for _, we := range s.WheelEvents {
-		if we.Kind != "wake" {
-			return fmt.Errorf("unknown pending wheel entry kind %q", we.Kind)
+	return nil
+}
+
+// rearm schedules one captured pending event on the unit's simulator.
+func (f *Fleet) rearm(ev eventSnap) error {
+	switch ev.Kind {
+	case "wake":
+		if ev.Idx < 0 || int(ev.Idx) >= len(f.uargs) {
+			return fmt.Errorf("pending wake references user %d of %d", ev.Idx, len(f.uargs))
 		}
-		if we.Idx < 0 || int(we.Idx) >= len(f.uargs) {
-			return fmt.Errorf("pending wake references user %d of %d", we.Idx, len(f.uargs))
+		f.sim.AtCall(ev.At, runUserWake, &f.uargs[ev.Idx])
+	case "replace":
+		if ev.Idx < 0 || int(ev.Idx) >= len(f.sargs) {
+			return fmt.Errorf("pending replace references server %d of %d", ev.Idx, len(f.sargs))
 		}
-		f.wheel.Schedule(we.At, runUserWake, &f.uargs[we.Idx])
+		f.sim.AtCall(ev.At, runReplace, &f.sargs[ev.Idx])
+	case "sample":
+		f.sim.AtCall(ev.At, runSample, f)
+	case "policy":
+		f.sim.AtCall(ev.At, runPolicy, &f.parg)
+	case "gfw":
+		if ev.Task == nil {
+			return fmt.Errorf("pending censor task without payload")
+		}
+		return f.gfw.ScheduleTask(ev.At, *ev.Task)
+	default:
+		return fmt.Errorf("unknown pending event kind %q", ev.Kind)
 	}
 	return nil
 }

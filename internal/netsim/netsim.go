@@ -13,6 +13,8 @@
 // allocation-free in steady state: events live by value in a hand-rolled
 // binary heap (no per-event boxing), and the AtCall/AfterCall variants
 // let schedulers with a long-lived callback avoid per-event closures.
+// The heap is the only scheduler: every timer of every experiment,
+// population-scale fleet wake-ups included, is one heap event.
 // Each Sim owns a metrics.Registry (see internal/metrics) that counts
 // scheduled/dispatched events and attempted/blocked flows; all counts
 // are driven by virtual time only, so snapshots are deterministic.
@@ -32,9 +34,9 @@ import (
 var Epoch = time.Date(2019, 9, 29, 0, 0, 0, 0, time.UTC)
 
 // The scheduler's clock is an int64 count of nanoseconds since Epoch:
-// heap keys, wheel ticks and every comparison on the event path are
-// integer operations, and time.Time appears only at the exported
-// boundary (At, AtCall, RunUntil, Now and the snapshot views).
+// heap keys and every comparison on the event path are integer
+// operations, and time.Time appears only at the exported boundary (At,
+// AtCall, RunUntil, Now and the snapshot view).
 var epochSec, epochNsec = Epoch.Unix(), int64(Epoch.Nanosecond())
 
 // nanos converts t to the int64 clock. Times more than ~292 years from
@@ -53,15 +55,20 @@ func nanos(t time.Time) int64 {
 // timeOf converts an int64 clock reading back to a time.Time.
 func timeOf(n int64) time.Time { return Epoch.Add(time.Duration(n)) }
 
-// event is one scheduled callback. Exactly one of fn and call is set:
-// fn is the closure form, call+arg the closure-free form (AtCall).
+// event is one scheduled callback, call(arg). At and After store their
+// closure as arg behind the callFunc trampoline, so there is one event
+// form and one dispatch path.
 type event struct {
 	at   int64 // nanoseconds since Epoch
 	seq  uint64
-	fn   func()
 	call func(any)
 	arg  any
 }
+
+// callFunc is the trampoline for closures scheduled with At and After.
+// A func value is pointer-shaped, so storing it in arg does not
+// allocate.
+func callFunc(fn any) { fn.(func())() }
 
 // before is the total event order: time, then insertion sequence.
 func (e *event) before(o *event) bool {
@@ -146,11 +153,13 @@ func (s *Sim) later(d time.Duration) int64 {
 
 // At schedules fn at absolute time t (clamped to now if in the past).
 func (s *Sim) At(t time.Time, fn func()) {
-	s.push(event{at: nanos(t), fn: fn})
+	s.push(event{at: nanos(t), call: callFunc, arg: fn})
 }
 
 // After schedules fn d from now.
-func (s *Sim) After(d time.Duration, fn func()) { s.push(event{at: s.later(d), fn: fn}) }
+func (s *Sim) After(d time.Duration, fn func()) {
+	s.push(event{at: s.later(d), call: callFunc, arg: fn})
+}
 
 // AtCall schedules call(arg) at absolute time t (clamped to now if in
 // the past). It is the closure-free form of At: a scheduler that reuses
@@ -187,7 +196,7 @@ func (s *Sim) pop() event {
 	top := s.pq[0]
 	n := len(s.pq) - 1
 	s.pq[0] = s.pq[n]
-	s.pq[n] = event{} // drop fn/arg references so they can be collected
+	s.pq[n] = event{} // drop call/arg references so they can be collected
 	s.pq = s.pq[:n]
 	if n > 0 {
 		s.siftDown(0)
@@ -233,11 +242,7 @@ func (s *Sim) dispatch(e *event) {
 		s.nowT = timeOf(e.at)
 	}
 	s.dispatched.Inc()
-	if e.call != nil {
-		e.call(e.arg)
-		return
-	}
-	e.fn()
+	e.call(e.arg)
 }
 
 // Run processes events until the queue is empty.

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -72,6 +74,101 @@ func TestSimPastEventClamped(t *testing.T) {
 	}
 	if s.Now() != Epoch {
 		t.Errorf("clock moved backwards: %v", s.Now())
+	}
+}
+
+// TestSimDispatchOrder: the heap carries every timer of a run, so its
+// total order is checked on a randomized timeline of a few thousand
+// events through all four scheduling forms. Many events share a time;
+// callbacks schedule more for the current instant, for the past (which
+// is clamped to now) and for later; the run is split by a RunUntil,
+// after which more events arrive from outside, some in the past. The
+// dispatch log must equal the schedule log stably sorted by clamped
+// time, with every event firing at that time.
+func TestSimDispatchOrder(t *testing.T) {
+	const n = 4000
+	rng := rand.New(rand.NewSource(7))
+	s := NewSim()
+	var (
+		at    []time.Time // clamped time, by schedule order (= event id)
+		got   []int       // event ids in dispatch order
+		gotAt []time.Time
+		add   func(time.Time)
+	)
+	// pick favours a coarse grid of whole seconds, so many events tie.
+	pick := func() time.Time {
+		switch rng.Intn(5) {
+		case 0:
+			return s.Now()
+		case 1:
+			return s.Now().Add(-time.Duration(rng.Int63n(int64(100 * time.Second))))
+		case 2:
+			return s.Now().Add(time.Duration(rng.Int63n(int64(time.Second))))
+		default:
+			return Epoch.Add(time.Duration(rng.Intn(400)) * time.Second)
+		}
+	}
+	fire := func(id int) {
+		got = append(got, id)
+		gotAt = append(gotAt, s.Now())
+		for k := rng.Intn(3); k > 0 && len(at) < n; k-- {
+			add(pick())
+		}
+	}
+	fireCall := func(x any) { fire(*x.(*int)) }
+	add = func(when time.Time) {
+		id := len(at)
+		if when.Before(s.Now()) {
+			at = append(at, s.Now())
+		} else {
+			at = append(at, when)
+		}
+		switch id % 4 {
+		case 0:
+			s.At(when, func() { fire(id) })
+		case 1:
+			s.After(when.Sub(s.Now()), func() { fire(id) })
+		case 2:
+			s.AtCall(when, fireCall, &id)
+		default:
+			s.AfterCall(when.Sub(s.Now()), fireCall, &id)
+		}
+	}
+
+	for i := 0; i < n/4; i++ {
+		add(pick())
+	}
+	split := Epoch.Add(150 * time.Second) // a grid point, so events sit on it
+	s.RunUntil(split)
+	if !s.Now().Equal(split) {
+		t.Fatalf("clock after RunUntil = %v, want %v", s.Now(), split)
+	}
+	for _, e := range s.PendingEvents() {
+		if !e.At.After(split) {
+			t.Fatalf("event at %v still pending after RunUntil(%v)", e.At.Sub(Epoch), split.Sub(Epoch))
+		}
+	}
+	for i := 0; i < n/8; i++ {
+		add(pick())
+	}
+	s.Run()
+
+	if len(at) < n/2 {
+		t.Fatalf("only %d events scheduled; the timeline is too small to test", len(at))
+	}
+	want := make([]int, len(at))
+	for i := range want {
+		want[i] = i
+	}
+	sort.SliceStable(want, func(i, j int) bool { return at[want[i]].Before(at[want[j]]) })
+	if len(got) != len(want) {
+		t.Fatalf("dispatched %d events, scheduled %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] || !gotAt[i].Equal(at[want[i]]) {
+			t.Fatalf("dispatch %d: event %d at %v, want event %d at %v",
+				i, got[i], gotAt[i].Sub(Epoch), want[i], at[want[i]].Sub(Epoch))
+		}
 	}
 }
 

@@ -5,23 +5,22 @@ import (
 	"time"
 )
 
-// This file is the simulator's snapshot surface: read-only views of the
-// pending event heap and wheel, and the network's serializable rule
-// state. The engine snapshot layer (internal/fleet) uses these to
-// capture a run at a quiescent RunUntil(T) boundary — where every
-// pending event's time is strictly after T — and to rebuild an
-// equivalent schedule on restore. Relative dispatch order is all that
-// matters for byte-identity: re-pushing heap events in their original
-// sequence order (then re-parking wheel entries in theirs) reproduces
-// the (time, sequence) total order even though the absolute sequence
-// numbers differ.
+// This file is the simulator's snapshot surface: a read-only view of the
+// pending event heap and the network's serializable rule state. The
+// engine snapshot layer (internal/fleet) uses these to capture a run at
+// a quiescent RunUntil(T) boundary — where every pending event's time
+// is strictly after T — and to rebuild an equivalent schedule on
+// restore. Relative dispatch order is all that matters for
+// byte-identity: re-pushing heap events in their original sequence
+// order reproduces the (time, sequence) total order even though the
+// absolute sequence numbers differ.
 
-// PendingEvent is a read-only view of one queued Sim event. Exactly one
-// of Fn and Call is set, mirroring the internal event representation.
+// PendingEvent is a read-only view of one queued Sim event, call(arg).
+// A closure scheduled with At or After appears as an unexported
+// trampoline with the func() as Arg.
 type PendingEvent struct {
 	At   time.Time
 	Seq  uint64
-	Fn   func()
 	Call func(any)
 	Arg  any
 }
@@ -34,43 +33,7 @@ func (s *Sim) PendingEvents() []PendingEvent {
 	out := make([]PendingEvent, 0, len(s.pq))
 	for i := range s.pq {
 		e := &s.pq[i]
-		out = append(out, PendingEvent{At: timeOf(e.at), Seq: e.seq, Fn: e.fn, Call: e.call, Arg: e.arg})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
-}
-
-// IsWheelAnchor reports whether a pending event is a timing-wheel
-// anchor wake-up. Anchors are the wheel's internal alarm clock, not
-// user work: a snapshot drops them, and the restored wheel re-arms its
-// own as entries are re-parked.
-func IsWheelAnchor(arg any) bool {
-	_, ok := arg.(*anchorArg)
-	return ok
-}
-
-// WheelEntry is a read-only view of one callback parked in a Wheel.
-type WheelEntry struct {
-	At   time.Time
-	Seq  uint64
-	Call func(any)
-	Arg  any
-}
-
-// PendingEntries returns every parked entry across all levels and
-// slots, sorted by the wheel's own Schedule sequence. Re-Scheduling
-// them in this order on a fresh wheel reproduces the original pour
-// order (pour sorts by (time, sequence), and fresh sequences assigned
-// in old-sequence order preserve the comparison).
-func (w *Wheel) PendingEntries() []WheelEntry {
-	out := make([]WheelEntry, 0, w.count)
-	for l := 0; l < wheelLevels; l++ {
-		for slot := 0; slot < wheelSlots; slot++ {
-			for i := range w.slots[l][slot] {
-				e := &w.slots[l][slot][i]
-				out = append(out, WheelEntry{At: timeOf(e.at), Seq: e.seq, Call: e.call, Arg: e.arg})
-			}
-		}
+		out = append(out, PendingEvent{At: timeOf(e.at), Seq: e.seq, Call: e.call, Arg: e.arg})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out

@@ -351,7 +351,7 @@ func RunArmsRace(cfg ArmsRaceConfig, opts ...FleetOption) (*experiment.ArmsRaceR
 
 // RunFleet executes a population-scale fleet run: Config.Shards
 // space-sharded sub-simulations (each with its own censor, network,
-// timing wheel and RNG streams) on a bounded worker pool, merged into
+// simulator and RNG streams) on a bounded worker pool, merged into
 // one FleetReport. The report is a function of cfg alone — WithWorkers
 // only changes wall-clock time.
 func RunFleet(cfg FleetConfig, opts ...FleetOption) (*FleetReport, error) {
