@@ -77,18 +77,16 @@ func TestHotPathAllocBudgets(t *testing.T) {
 		t.Skip("runs full benchmarks; skipped with -short")
 	}
 	checkAllocBudgets(t, "BENCH_hotpath.json", map[string]func(*testing.B){
-		"GFWOnFlow":          benchGFWOnFlow,
-		"GFWOnFlow3Stage":    benchGFWOnFlow3Stage,
-		"GFWFlowBatch":       benchGFWFlowBatch,
-		"GFWFlowBatchCached": benchGFWFlowBatchCached,
-		"VerdictCacheHit":    benchVerdictCacheHit,
-		"DetectorChainSS":    benchDetectorChainSS,
-		"DetectorChain3":     benchDetectorChain3,
-		"EventDispatch":      benchEventDispatch,
-		"StreamConnWrite":    benchStreamConnWrite,
-		"AEADConnWrite":      benchAEADConnWrite,
-		"AEADSeal":           benchAEADSeal,
-		"AEADOpen":           benchAEADOpen,
+		"GFWOnFlow":       benchGFWOnFlow,
+		"GFWOnFlow3Stage": benchGFWOnFlow3Stage,
+		"GFWFlowBatch":    benchGFWFlowBatch,
+		"DetectorChainSS": benchDetectorChainSS,
+		"DetectorChain3":  benchDetectorChain3,
+		"EventDispatch":   benchEventDispatch,
+		"StreamConnWrite": benchStreamConnWrite,
+		"AEADConnWrite":   benchAEADConnWrite,
+		"AEADSeal":        benchAEADSeal,
+		"AEADOpen":        benchAEADOpen,
 	})
 }
 

@@ -28,8 +28,6 @@ func BenchmarkHotPath(b *testing.B) {
 	b.Run("GFWOnFlow", benchGFWOnFlow)
 	b.Run("GFWOnFlow3Stage", benchGFWOnFlow3Stage)
 	b.Run("GFWFlowBatch", benchGFWFlowBatch)
-	b.Run("GFWFlowBatchCached", benchGFWFlowBatchCached)
-	b.Run("VerdictCacheHit", benchVerdictCacheHit)
 	b.Run("DetectorChainSS", benchDetectorChainSS)
 	b.Run("DetectorChain3", benchDetectorChain3)
 	b.Run("ImpairedConnect", benchImpairedConnect)
@@ -104,21 +102,10 @@ func benchGFWOnFlowChain(b *testing.B, detectors []string) {
 // 0 allocs/op (recordings and probes amortize to a rounding-error
 // fraction).
 func benchGFWFlowBatch(b *testing.B) {
-	benchGFWBatchChain(b, 0)
-}
-
-// benchGFWFlowBatchCached is the batched pipeline with the verdict
-// cache in front of the chain — the two-tier fast path end to end. The
-// 1024-payload mix fits the cache, so steady state is all hits.
-func benchGFWFlowBatchCached(b *testing.B) {
-	benchGFWBatchChain(b, 8192)
-}
-
-func benchGFWBatchChain(b *testing.B, cacheEntries int) {
 	sim := netsim.NewSim()
 	network := netsim.NewNetwork(sim)
 	censor := gfw.New(gfw.Env{Sim: sim, Net: network},
-		gfw.WithConfig(gfw.Config{Seed: 7, PoolSize: 4000, VerdictCache: cacheEntries}))
+		gfw.WithConfig(gfw.Config{Seed: 7, PoolSize: 4000}))
 	network.AddMiddlebox(censor)
 
 	server := netsim.Endpoint{IP: "178.62.10.1", Port: 8388}
@@ -148,8 +135,7 @@ func benchGFWBatchChain(b *testing.B, cacheEntries int) {
 			idx++
 		}
 	}
-	// Warm the outcome buffer (and, when enabled, the verdict cache) so
-	// the timer sees steady state.
+	// Warm the outcome buffer so the timer sees steady state.
 	for w := 0; w < 2; w++ {
 		fill()
 		outs = network.ConnectBatch(specs, outs[:0])
@@ -164,43 +150,6 @@ func benchGFWBatchChain(b *testing.B, cacheEntries int) {
 	}
 	sim.Run()
 	b.ReportMetric(float64(censor.ProbesSent)/float64(b.N), "probes/flow")
-}
-
-// benchVerdictCacheHit isolates the cached-flow verdict path: every
-// payload in the mix is already memoized, so each call is fingerprint +
-// set probe, skipping the chain walk entirely. The acceptance bound:
-// ≥5× faster than DetectorChainSS (the uncached walk over the same
-// mix) at 0 allocs/op.
-func benchVerdictCacheHit(b *testing.B) {
-	sim := netsim.NewSim()
-	network := netsim.NewNetwork(sim)
-	censor := gfw.New(gfw.Env{Sim: sim, Net: network},
-		gfw.WithConfig(gfw.Config{Seed: 7, VerdictCache: 8192}))
-
-	server := netsim.Endpoint{IP: "178.62.10.1", Port: 8388}
-	payloads := benchPayloadMix()
-	f := &netsim.Flow{Server: server}
-	for _, p := range payloads { // warm: memoize the whole mix
-		f.FirstPayload = p
-		censor.PassiveVerdict(f)
-	}
-	suspects := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.FirstPayload = payloads[i%len(payloads)]
-		if _, res := censor.PassiveVerdict(f); res.Verdict == detector.Suspect {
-			suspects++
-		}
-	}
-	b.StopTimer()
-	hits, misses, _ := censor.CacheStats()
-	if b.N > 1024 && suspects == 0 {
-		b.Fatal("cached verdicts never flagged the Shadowsocks-shaped mix")
-	}
-	if misses > int64(len(payloads)) {
-		b.Fatalf("cache thrashing: %d misses for a %d-payload mix (%d hits)", misses, len(payloads), hits)
-	}
 }
 
 // benchPayloadMix builds the first-packet mix the GFW benches drive: 70%

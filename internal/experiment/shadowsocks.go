@@ -385,7 +385,12 @@ func (r *ShadowsocksReport) Render() string {
 	for id, n := range r.ASCounts {
 		asns = append(asns, asn{id, n})
 	}
-	sort.Slice(asns, func(i, j int) bool { return asns[i].n > asns[j].n })
+	sort.Slice(asns, func(i, j int) bool {
+		if asns[i].n != asns[j].n {
+			return asns[i].n > asns[j].n
+		}
+		return asns[i].id < asns[j].id
+	})
 	for _, a := range asns {
 		fmt.Fprintf(&b, "  AS%-6d %d\n", a.id, a.n)
 	}

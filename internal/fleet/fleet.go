@@ -589,6 +589,13 @@ func validate(cfg Config) error {
 	if err := detector.ValidateNames(cfg.GFW.Detectors); err != nil {
 		return fmt.Errorf("fleet: %w", err)
 	}
+	gcfg := cfg.GFW
+	if gcfg.Sensitivity < 0 {
+		gcfg.Sensitivity = 0 // the probe-but-never-block sentinel (see buildUnit)
+	}
+	if err := gcfg.Validate(); err != nil {
+		return fmt.Errorf("fleet: %w", err)
+	}
 	if cfg.Regions != nil {
 		if err := cfg.Regions.Validate(); err != nil {
 			return fmt.Errorf("fleet: %w", err)

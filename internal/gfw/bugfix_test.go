@@ -1,10 +1,12 @@
 package gfw
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
+	"sslab/internal/entropy"
 	"sslab/internal/netsim"
 )
 
@@ -130,4 +132,87 @@ func TestSharedIPStaleUnblock(t *testing.T) {
 		return
 	}
 	t.Fatal("no seed in [0,500) produced the port-then-IP overlap scenario")
+}
+
+// TestEmptyFirstFlightsDontDiluteNR1 pins the lenTotal bugfix: empty
+// first flights (blocked or impaired connections deliver flows with no
+// payload) must not count against the NR1 length profile. Before the
+// fix they inflated the denominator, and with the judgment latched at
+// NR1MinFlows a genuine Shadowsocks server was permanently
+// misclassified as not ss-like.
+func TestEmptyFirstFlightsDontDiluteNR1(t *testing.T) {
+	sim := netsim.NewSim()
+	net := netsim.NewNetwork(sim)
+	g := New(Env{Sim: sim, Net: net}, WithConfig(Config{Seed: 9}))
+
+	server := netsim.Endpoint{IP: "178.62.0.9", Port: 8388}
+	client := netsim.Endpoint{IP: "101.32.0.9", Port: 55009}
+	gen := entropy.NewGenerator(91)
+	// Interleave 300 genuine in-range first packets with 300 empty first
+	// flights — a client on a lossy path. All genuine packets land in
+	// 160–700, so the true in-range fraction is 100%; the diluted
+	// (buggy) fraction would be 50% < ssLikeFrac and latch false.
+	for i := 0; i < 300; i++ {
+		g.OnFlow(&netsim.Flow{Client: client, Server: server,
+			FirstPayload: gen.Random(160 + gen.Intn(541)), Start: sim.Now()})
+		g.OnFlow(&netsim.Flow{Client: client, Server: server, Start: sim.Now()})
+	}
+	p, ok := g.profiles[server]
+	if !ok {
+		t.Fatal("no length profile for a server with 300 payload-bearing flows")
+	}
+	if p.total != 300 {
+		t.Errorf("profile total = %d, want 300 (empty first flights leaked in)", p.total)
+	}
+	if !p.ssLike(g.cfg.NR1MinFlows) {
+		t.Error("all-in-range server judged not ss-like: empty first flights diluted the NR1 profile")
+	}
+}
+
+// TestLazyServerState pins the serverState bugfix: endpoints whose
+// flows are never recorded must not materialize probing state — their
+// Stage is 0 and the servers map stays empty, so fleet-scale
+// populations of innocuous servers cost the censor nothing. The first
+// recording creates the state with stage 1.
+func TestLazyServerState(t *testing.T) {
+	sim := netsim.NewSim()
+	net := netsim.NewNetwork(sim)
+	g := New(Env{Sim: sim, Net: net}, WithConfig(Config{Seed: 10}))
+
+	// Fleet-scale sweep of endpoints sending short (64-byte) payloads:
+	// outside the 160–999 support, the Shadowsocks stage passes every
+	// flow, so nothing is ever recorded.
+	gen := entropy.NewGenerator(101)
+	client := netsim.Endpoint{IP: "101.32.0.10", Port: 55010}
+	const population = 5000
+	for i := 0; i < population; i++ {
+		ep := netsim.Endpoint{IP: fmt.Sprintf("178.%d.%d.%d", i>>16&0xff, i>>8&0xff, i&0xff), Port: 80}
+		g.OnFlow(&netsim.Flow{Client: client, Server: ep, FirstPayload: gen.Random(64), Start: sim.Now()})
+		if got := g.Stage(ep); got != 0 {
+			t.Fatalf("unrecorded server %v reports Stage %d, want 0", ep, got)
+		}
+	}
+	if n := g.SuspectedServers(); n != 0 {
+		t.Fatalf("servers map holds %d entries after %d unrecorded endpoints, want 0", n, population)
+	}
+	if len(g.profiles) != population {
+		t.Errorf("length profiles = %d, want %d (every payload-bearing flow counts)", len(g.profiles), population)
+	}
+
+	// A server whose traffic the detector does record materializes state
+	// at the first recording, with stage 1.
+	suspect := netsim.Endpoint{IP: "178.62.0.99", Port: 8388}
+	for i := 0; i < 2000 && g.PayloadsRecorded == 0; i++ {
+		g.OnFlow(&netsim.Flow{Client: client, Server: suspect,
+			FirstPayload: gen.Random(160 + gen.Intn(541)), Start: sim.Now()})
+	}
+	if g.PayloadsRecorded == 0 {
+		t.Fatal("in-range high-entropy campaign never recorded; test is vacuous")
+	}
+	if got := g.Stage(suspect); got != 1 {
+		t.Errorf("recorded server Stage = %d, want 1", got)
+	}
+	if n := g.SuspectedServers(); n != 1 {
+		t.Errorf("servers map holds %d entries, want exactly the recorded suspect", n)
+	}
 }

@@ -103,14 +103,11 @@ type Config struct {
 	// jitter draw entirely).
 	BlockTTLHours       float64 `json:"BlockTTLHours,omitzero"`
 	BlockTTLJitterHours float64 `json:"BlockTTLJitterHours,omitzero"`
-	// VerdictCache, when positive, enables the verdict-cache tier with
-	// at least that many entries (rounded up to a power-of-two set
-	// count; see cache.go). The cache memoizes the detector chain's
-	// (winner, Result) keyed on (server endpoint, 64-bit payload
-	// fingerprint); the chain is a deterministic pure function of the
-	// flow, and the recording coin flip stays outside the cache, so
-	// results — and every pinned golden — are unchanged; only
-	// gfw.cache.* counters and speed differ. Zero disables the tier.
+	// VerdictCache must be zero; Validate rejects anything else. The
+	// verdict cache it sized is deleted (DESIGN.md, "One flow path");
+	// the field remains only because the benchmark module
+	// (bench/layers.go) still assigns it, and omitzero keeps it out of
+	// every report.
 	VerdictCache int `json:"VerdictCache,omitzero"`
 }
 
@@ -161,6 +158,9 @@ func (c Config) Validate() error {
 	if c.BlockTTLHours < 0 || math.IsNaN(c.BlockTTLHours) {
 		return fmt.Errorf("gfw: BlockTTLHours must be non-negative, got %v", c.BlockTTLHours)
 	}
+	if c.VerdictCache != 0 {
+		return fmt.Errorf("gfw: VerdictCache must be 0 (the verdict cache was removed), got %d", c.VerdictCache)
+	}
 	return nil
 }
 
@@ -180,7 +180,6 @@ type GFW struct {
 	net   *netsim.Network
 	rng   *rand.Rand
 	chain *detector.Chain
-	cache *verdictCache
 	Pool  *Pool
 
 	// src and poolSrc are the counted sources behind rng and the pool's
@@ -232,12 +231,9 @@ type GFW struct {
 	// chunk replaces a full one (the old backing array lives on).
 	slab []byte
 
-	// taskFree recycles probeTask argument structs for the closure-free
-	// AfterCall scheduling of probe batches; retryFree does the same for
-	// the probe-retry path.
-	taskFree  []*probeTask
-	retryFree []*retryTask
-	dupFree   []*dupTask
+	// taskFree recycles the argument structs of scheduled censor tasks
+	// (see task).
+	taskFree []*task
 
 	// Pre-resolved instruments on the sim's registry (hot path: no map
 	// lookups per flow).
@@ -338,38 +334,11 @@ func WithConfig(cfg Config) Option {
 	return func(c *Config) { *c = cfg }
 }
 
-// WithSeed sets the seed driving all of the censor's randomness.
-func WithSeed(seed int64) Option {
-	return func(c *Config) { c.Seed = seed }
-}
-
-// WithPoolSize sets the number of prober source addresses.
-func WithPoolSize(n int) Option {
-	return func(c *Config) { c.PoolSize = n }
-}
-
-// WithSensitivity sets the blocking module's "human factor" gate.
-func WithSensitivity(p float64) Option {
-	return func(c *Config) { c.Sensitivity = p }
-}
-
-// WithTimeouts sets the prober's patience (see Config.Timeouts).
-func WithTimeouts(t netsim.Timeouts) Option {
-	return func(c *Config) { c.Timeouts = t }
-}
-
 // WithDetectors sets the passive detector chain (see Config.Detectors).
 // New panics on unknown or duplicate names; validate user input with
 // detector.ValidateNames first.
 func WithDetectors(names []string) Option {
 	return func(c *Config) { c.Detectors = names }
-}
-
-// WithVerdictCache enables the verdict-cache tier with at least the
-// given number of entries (see Config.VerdictCache). Zero or negative
-// disables it.
-func WithVerdictCache(entries int) Option {
-	return func(c *Config) { c.VerdictCache = entries }
 }
 
 // chainNames resolves the configured detector list to the canonical
@@ -441,9 +410,6 @@ func New(env Env, opts ...Option) *GFW {
 	g.prng.g = g
 	for i, name := range chain.Names() {
 		g.mStageRec[i] = sim.Metrics.Counter("gfw.recorded." + name)
-	}
-	if cfg.VerdictCache > 0 {
-		g.cache = newVerdictCache(cfg.VerdictCache, sim.Metrics)
 	}
 	return g
 }
@@ -574,7 +540,7 @@ func (g *GFW) OnFlow(f *netsim.Flow) {
 	// verdicts are still computed) but records nothing and sends no
 	// probes; the gate sits before the recording coin flip so an
 	// unpaused run's RNG stream is untouched.
-	winner, res := g.PassiveVerdict(f)
+	winner, res := g.chain.Observe(f)
 	if g.paused || res.Verdict != detector.Suspect || g.rng.Float64() >= res.Confidence {
 		return
 	}
@@ -589,87 +555,81 @@ func (g *GFW) OnFlow(f *netsim.Flow) {
 	g.mRecorded.Inc()
 	g.stageRecs[winner]++
 	g.mStageRec[winner].Inc()
-	rec := &recording{
-		payload: g.slabCopy(f.FirstPayload),
-		at:      g.sim.Now(),
-	}
-	s.recordedPays = append(s.recordedPays, rec.payload) //sslab:allow-hotpath cold branch: a few recordings per thousand flows, and the ground-truth list must grow
+	payload := g.slabCopy(f.FirstPayload)
+	s.recordedPays = append(s.recordedPays, payload) //sslab:allow-hotpath cold branch: a few recordings per thousand flows, and the ground-truth list must grow
 
+	at := g.sim.Now()
 	n := sampleRepeatCount(g.rng)
 	for i := 0; i < n; i++ {
-		g.sim.AfterCall(sampleDelay(g.rng), runProbeTask, g.newProbeTask(f.Server, rec))
+		g.sim.AfterCall(sampleDelay(g.rng), runProbeTask,
+			g.newTask(TaskState{Kind: kindProbe, Server: f.Server, Payload: payload, RecAt: at}))
 	}
 }
 
-// PassiveVerdict runs the censor's passive pipeline on one flow and
-// returns the winning stage index and combined result, going through
-// the verdict cache when one is configured. It performs no RNG draws
-// and no recording — it is the deterministic "is this suspicious, and
-// how confident" half of OnFlow, exported so benchmarks and
-// equivalence tests can drive the cache directly.
-//
-//sslab:hotpath
-func (g *GFW) PassiveVerdict(f *netsim.Flow) (int, detector.Result) {
-	if g.cache == nil {
-		return g.chain.Observe(f)
-	}
-	fp := detector.Fingerprint(f.FirstPayload)
-	if winner, res, ok := g.cache.lookup(f.Server, fp); ok {
-		return winner, res
-	}
-	winner, res := g.chain.Observe(f)
-	g.cache.insert(f.Server, fp, winner, res)
-	return winner, res
+// Every scheduled censor action — a probe of a recorded payload, an
+// NR2 duplicate, a dropped probe's retry, a rule unblock — is one task:
+// its data is its snapshot form (TaskState), so EncodeTask and
+// ScheduleTask convert nothing. The Kind values are the snapshot's.
+const (
+	kindProbe   = "probe"   // Server, Payload (the recording), RecAt
+	kindDup     = "dup"     // Server, Payload
+	kindRetry   = "retry"   // Server, Payload, Typ, ReplayOf, Attempt
+	kindUnblock = "unblock" // Server, ByIP, RuleGen, BlockGen
+)
+
+// task carries one scheduled censor action through the closure-free
+// netsim.AfterCall/AtCall path; tasks recycle via GFW.taskFree.
+type task struct {
+	g *GFW
+	TaskState
 }
 
-// CacheStats reports the verdict cache's hit/miss/eviction totals (all
-// zero when the cache is disabled). The same numbers are exported as
-// the gfw.cache.* metrics counters.
-func (g *GFW) CacheStats() (hits, misses, evictions int64) {
-	if g.cache == nil {
-		return 0, 0, 0
-	}
-	return g.cache.hits, g.cache.misses, g.cache.evictions
-}
-
-// probeTask carries the arguments of one scheduled probe through the
-// closure-free netsim.AfterCall path; tasks are recycled via GFW.taskFree.
-type probeTask struct {
-	g      *GFW
-	server netsim.Endpoint
-	rec    *recording
-}
-
-// runProbeTask is the netsim.AfterCall trampoline: a single package-level
-// function value, so scheduling a probe allocates no closure.
-func runProbeTask(x any) {
-	t := x.(*probeTask)
-	g, server, rec := t.g, t.server, t.rec
-	t.g, t.rec = nil, nil
-	g.taskFree = append(g.taskFree, t)
-	g.sendProbe(server, rec)
-}
-
-func (g *GFW) newProbeTask(server netsim.Endpoint, rec *recording) *probeTask {
+func (g *GFW) newTask(st TaskState) *task {
 	if n := len(g.taskFree); n > 0 {
 		t := g.taskFree[n-1]
 		g.taskFree = g.taskFree[:n-1]
-		t.g, t.server, t.rec = g, server, rec
+		t.g, t.TaskState = g, st
 		return t
 	}
-	return &probeTask{g: g, server: server, rec: rec}
+	return &task{g: g, TaskState: st}
+}
+
+// runProbeTask is the trampoline of every task kind: a single
+// package-level function value, so scheduling allocates no closure.
+// Duplicates and retries re-resolve the server state at fire time; an
+// unblock clears the network rule only if it is still the one its block
+// installed, and the server's blocked flag only for its own block
+// generation. The name predates the other kinds sharing it, and is kept
+// because the benchmark's CPU-profile focus for the prober layer
+// (bench/trace.go) matches it.
+func runProbeTask(x any) {
+	t := x.(*task)
+	g, st := t.g, t.TaskState
+	t.g, t.TaskState = nil, TaskState{}
+	g.taskFree = append(g.taskFree, t)
+	switch st.Kind {
+	case kindProbe:
+		g.sendProbe(st.Server, st.Payload, st.RecAt)
+	case kindDup:
+		g.emit(st.Server, g.state(st.Server), probe.NR2, st.Payload, time.Time{}, 1)
+	case kindRetry:
+		g.emit(st.Server, g.state(st.Server), probe.Type(st.Typ), st.Payload, st.ReplayOf, st.Attempt)
+	case kindUnblock:
+		if st.ByIP {
+			g.net.UnblockIPIf(st.Server.IP, st.RuleGen)
+		} else {
+			g.net.UnblockPortIf(st.Server, st.RuleGen)
+		}
+		if s := g.state(st.Server); s.blockGen == st.BlockGen {
+			s.blocked = false
+		}
+	}
 }
 
 // OnOutcome implements netsim.Middlebox. Outcomes of the GFW's own probes
 // drive the staged state machine and the blocking score; outcomes of
 // legitimate flows are not used (the passive stage already saw the flow).
 func (g *GFW) OnOutcome(f *netsim.Flow, o netsim.Outcome) {}
-
-// recording is one captured first payload.
-type recording struct {
-	payload []byte
-	at      time.Time
-}
 
 // chooseType picks a probe type for the server's current stage. The
 // weights reproduce the observed type mix: in stage 1 only identical
@@ -741,95 +701,30 @@ func (g *GFW) chooseType(stage int, ssLike bool) probe.Type {
 	}
 }
 
-// sendProbe emits one probe derived from rec toward server.
+// sendProbe emits one probe derived from rec, the payload recorded at
+// recAt, toward server.
 //
 //sslab:hotpath
-func (g *GFW) sendProbe(server netsim.Endpoint, rec *recording) {
+func (g *GFW) sendProbe(server netsim.Endpoint, rec []byte, recAt time.Time) {
 	if g.paused {
 		return // scheduled before a probing pause took effect
 	}
 	s := g.state(server)
 	typ := g.chooseType(s.stage, g.profile(server).ssLike(g.cfg.NR1MinFlows))
 	var replayOf time.Time
-	payload := probe.Build(typ, rec.payload, &g.prng)
+	payload := probe.Build(typ, rec, &g.prng)
 	if typ.Replay() {
-		replayOf = rec.at
+		replayOf = recAt
 	}
-	g.emit(server, s, typ, payload, replayOf)
+	g.emit(server, s, typ, payload, replayOf, 1)
 
 	// §5.3: around 10% of NR2 probes are sent to the same server more
 	// than once — a replay-filter detection trick.
 	if typ == probe.NR2 && g.rng.Float64() < 0.10 {
 		dup := append([]byte(nil), payload...) //sslab:allow-hotpath rare branch (~10% of NR2 probes); the copy must outlive the scheduled duplicate
-		g.sim.AfterCall(sampleDelay(g.rng), runDupTask, g.newDupTask(server, dup))
+		g.sim.AfterCall(sampleDelay(g.rng), runProbeTask,
+			g.newTask(TaskState{Kind: kindDup, Server: server, Payload: dup}))
 	}
-}
-
-// dupTask carries one delayed NR2 duplicate through the closure-free
-// netsim.AfterCall path; tasks recycle via GFW.dupFree.
-type dupTask struct {
-	g       *GFW
-	server  netsim.Endpoint
-	payload []byte
-}
-
-// runDupTask is the netsim.AfterCall trampoline for NR2 duplicates. It
-// re-resolves the server state at fire time, exactly as the closure it
-// replaced did.
-func runDupTask(x any) {
-	t := x.(*dupTask)
-	g, server, payload := t.g, t.server, t.payload
-	t.g, t.payload = nil, nil
-	g.dupFree = append(g.dupFree, t)
-	g.emit(server, g.state(server), probe.NR2, payload, time.Time{})
-}
-
-func (g *GFW) newDupTask(server netsim.Endpoint, payload []byte) *dupTask {
-	if n := len(g.dupFree); n > 0 {
-		t := g.dupFree[n-1]
-		g.dupFree = g.dupFree[:n-1]
-		t.g, t.server, t.payload = g, server, payload
-		return t
-	}
-	return &dupTask{g: g, server: server, payload: payload}
-}
-
-// retryTask carries one scheduled probe retransmission through the
-// closure-free netsim.AfterCall path; tasks recycle via GFW.retryFree.
-// Retries exist for connections the network dropped (impaired links
-// only): the prober re-sends the identical payload from a fresh pool
-// source, up to Config.ProbeAttempts transmissions in total.
-type retryTask struct {
-	g        *GFW
-	server   netsim.Endpoint
-	typ      probe.Type
-	payload  []byte
-	replayOf time.Time
-	attempt  int
-}
-
-// runRetryTask is the netsim.AfterCall trampoline for probe retries.
-func runRetryTask(x any) {
-	t := x.(*retryTask)
-	g, server, typ, payload, replayOf, attempt := t.g, t.server, t.typ, t.payload, t.replayOf, t.attempt
-	t.g, t.payload = nil, nil
-	g.retryFree = append(g.retryFree, t)
-	g.emitAttempt(server, g.state(server), typ, payload, replayOf, attempt)
-}
-
-func (g *GFW) newRetryTask(server netsim.Endpoint, typ probe.Type, payload []byte, replayOf time.Time, attempt int) *retryTask {
-	if n := len(g.retryFree); n > 0 {
-		t := g.retryFree[n-1]
-		g.retryFree = g.retryFree[:n-1]
-		t.g, t.server, t.typ, t.payload, t.replayOf, t.attempt = g, server, typ, payload, replayOf, attempt
-		return t
-	}
-	return &retryTask{g: g, server: server, typ: typ, payload: payload, replayOf: replayOf, attempt: attempt}
-}
-
-// emit performs the network send and bookkeeping for one probe.
-func (g *GFW) emit(server netsim.Endpoint, s *serverState, typ probe.Type, payload []byte, replayOf time.Time) {
-	g.emitAttempt(server, s, typ, payload, replayOf, 1)
 }
 
 // probeRNG adapts the censor's counted stream to probe.RNG: integer
@@ -842,8 +737,9 @@ type probeRNG struct{ g *GFW }
 func (r *probeRNG) Intn(n int) int             { return r.g.rng.Intn(n) }
 func (r *probeRNG) Read(p []byte) (int, error) { return r.g.rd.Read(r.g.src, p) }
 
-// emitAttempt sends transmission number attempt of one probe.
-func (g *GFW) emitAttempt(server netsim.Endpoint, s *serverState, typ probe.Type, payload []byte, replayOf time.Time, attempt int) {
+// emit sends transmission number attempt of one probe and books its
+// outcome.
+func (g *GFW) emit(server netsim.Endpoint, s *serverState, typ probe.Type, payload []byte, replayOf time.Time, attempt int) {
 	if g.paused {
 		return // a retry or NR2 duplicate scheduled before a pause
 	}
@@ -886,8 +782,9 @@ func (g *GFW) emitAttempt(server netsim.Endpoint, s *serverState, typ probe.Type
 		if attempt < g.cfg.ProbeAttempts {
 			g.ProbeRetries++
 			g.mProbeRetries.Inc()
-			g.sim.AfterCall(g.cfg.Timeouts.Handshake, runRetryTask,
-				g.newRetryTask(server, typ, payload, replayOf, attempt+1))
+			g.sim.AfterCall(g.cfg.Timeouts.Handshake, runProbeTask, g.newTask(TaskState{
+				Kind: kindRetry, Server: server, Payload: payload, Typ: int(typ), ReplayOf: replayOf, Attempt: attempt + 1,
+			}))
 		}
 		return
 	}
@@ -962,37 +859,7 @@ func (g *GFW) maybeBlock(server netsim.Endpoint, s *serverState) {
 	until := g.sim.Now().Add(ttl)
 	g.BlockEvents = append(g.BlockEvents, BlockEvent{Time: g.sim.Now(), Server: server, ByIP: byIP, Until: until})
 	g.mBlocks.Inc()
-	g.sim.AtCall(until, runUnblockTask, &unblockTask{
-		g: g, server: server, byIP: byIP, ruleGen: ruleGen, blockGen: myGen,
-	})
-}
-
-// unblockTask carries one scheduled unblock through the closure-free
-// netsim.AtCall path, replacing the closure that used to capture the
-// rule parameters — unblocks must be plain data so an engine snapshot
-// can serialize a pending one and re-arm it on restore.
-type unblockTask struct {
-	g        *GFW
-	server   netsim.Endpoint
-	byIP     bool
-	ruleGen  uint64
-	blockGen uint64
-}
-
-// runUnblockTask is the netsim.AtCall trampoline for scheduled
-// unblocks. It re-resolves the server state at fire time (the captured
-// pointer of the old closure and the map entry are the same state for
-// any server that was ever blocked; after a restore only the map entry
-// exists).
-func runUnblockTask(x any) {
-	t := x.(*unblockTask)
-	g := t.g
-	if t.byIP {
-		g.net.UnblockIPIf(t.server.IP, t.ruleGen)
-	} else {
-		g.net.UnblockPortIf(t.server, t.ruleGen)
-	}
-	if s := g.state(t.server); s.blockGen == t.blockGen {
-		s.blocked = false
-	}
+	g.sim.AtCall(until, runProbeTask, g.newTask(TaskState{
+		Kind: kindUnblock, Server: server, ByIP: byIP, RuleGen: ruleGen, BlockGen: myGen,
+	}))
 }

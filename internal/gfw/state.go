@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"sslab/internal/netsim"
-	"sslab/internal/probe"
 	"sslab/internal/seedfork"
 )
 
@@ -17,10 +16,10 @@ import (
 // the runtime policy knobs and the report counters. Everything else —
 // the detector chain, the prober pool's address tables, the metrics
 // bindings — is a deterministic function of the Config and is rebuilt
-// by New before RestoreState is applied. Pending probe/retry/unblock
-// tasks live in the simulator's event queue, not here; the engine
-// snapshot layer captures those through EncodeTask and re-arms them
-// through ScheduleTask.
+// by New before RestoreState is applied. Pending censor tasks live in
+// the simulator's event queue, not here; each one's data is already its
+// TaskState, which the engine snapshot layer captures through
+// EncodeTask and re-arms through ScheduleTask.
 
 // ServerSnap is one suspect's serialized probing state.
 type ServerSnap struct {
@@ -79,10 +78,7 @@ func lessEndpoint(a, b netsim.Endpoint) bool {
 	return a.Port < b.Port
 }
 
-// CaptureState returns the censor's serializable state. The verdict
-// cache (when enabled) is deliberately not captured: it memoizes a
-// pure function of the flow, so a restored censor simply re-warms it
-// with identical results, and only the gfw.cache.* counters differ.
+// CaptureState returns the censor's serializable state.
 func (g *GFW) CaptureState() State {
 	st := State{
 		RNGDraws:         g.src.Draws(),
@@ -175,10 +171,11 @@ func (g *GFW) RestoreState(st State) error {
 	return nil
 }
 
-// TaskState is one pending censor task in serializable form: a
-// scheduled probe batch member, an NR2 duplicate, a dropped-probe
-// retry, or a rule unblock. Kind discriminates; the other fields are
-// used by the kinds that need them.
+// TaskState is one pending censor task — a scheduled probe batch
+// member, an NR2 duplicate, a dropped-probe retry, or a rule unblock —
+// in the form the scheduled task itself carries and a snapshot
+// serializes. Kind discriminates; the other fields are used by the
+// kinds that need them (see the kind constants in gfw.go).
 type TaskState struct {
 	Kind     string // "probe", "dup", "retry" or "unblock"
 	Server   netsim.Endpoint
@@ -196,17 +193,11 @@ type TaskState struct {
 // package. The second result is false for arguments of other layers
 // (the engine snapshot walker tries each layer's encoder in turn).
 func EncodeTask(arg any) (TaskState, bool) {
-	switch t := arg.(type) {
-	case *probeTask:
-		return TaskState{Kind: "probe", Server: t.server, Payload: t.rec.payload, RecAt: t.rec.at}, true
-	case *dupTask:
-		return TaskState{Kind: "dup", Server: t.server, Payload: t.payload}, true
-	case *retryTask:
-		return TaskState{Kind: "retry", Server: t.server, Payload: t.payload, Typ: int(t.typ), ReplayOf: t.replayOf, Attempt: t.attempt}, true
-	case *unblockTask:
-		return TaskState{Kind: "unblock", Server: t.server, ByIP: t.byIP, RuleGen: t.ruleGen, BlockGen: t.blockGen}, true
+	t, ok := arg.(*task)
+	if !ok {
+		return TaskState{}, false
 	}
-	return TaskState{}, false
+	return t.TaskState, true
 }
 
 // ScheduleTask re-arms a captured task at the given virtual time.
@@ -214,18 +205,11 @@ func EncodeTask(arg any) (TaskState, bool) {
 // dispatch order (see netsim.PendingEvents).
 func (g *GFW) ScheduleTask(at time.Time, st TaskState) error {
 	switch st.Kind {
-	case "probe":
-		g.sim.AtCall(at, runProbeTask, g.newProbeTask(st.Server, &recording{payload: st.Payload, at: st.RecAt}))
-	case "dup":
-		g.sim.AtCall(at, runDupTask, g.newDupTask(st.Server, st.Payload))
-	case "retry":
-		g.sim.AtCall(at, runRetryTask, g.newRetryTask(st.Server, probe.Type(st.Typ), st.Payload, st.ReplayOf, st.Attempt))
-	case "unblock":
-		g.sim.AtCall(at, runUnblockTask, &unblockTask{g: g, server: st.Server, byIP: st.ByIP, ruleGen: st.RuleGen, blockGen: st.BlockGen})
-	default:
-		return fmt.Errorf("gfw: unknown task kind %q", st.Kind)
+	case kindProbe, kindDup, kindRetry, kindUnblock:
+		g.sim.AtCall(at, runProbeTask, g.newTask(st))
+		return nil
 	}
-	return nil
+	return fmt.Errorf("gfw: unknown task kind %q", st.Kind)
 }
 
 // SetSensitivity adjusts the blocking module's "human factor" gate at

@@ -61,31 +61,6 @@ func TestPublicAPIProxyAndProbe(t *testing.T) {
 	}
 }
 
-// TestFacadeVerdictCache: the WithVerdictCache censor option wires the
-// fast path through the facade — the cache counts lookups, and a
-// repeated payload hits without changing the verdict pipeline's
-// behaviour (the in-depth equivalence suites live in internal/gfw).
-func TestFacadeVerdictCache(t *testing.T) {
-	sim := sslab.NewSim(sslab.WithSeed(5))
-	net := sslab.NewNetwork(sim)
-	g := sslab.NewCensor(sslab.CensorEnv{Sim: sim, Net: net}, sslab.WithVerdictCache(1024))
-
-	client := sslab.Endpoint{IP: "101.32.0.2", Port: 55000}
-	server := sslab.Endpoint{IP: "178.62.0.1", Port: 8388}
-	payload := bytes.Repeat([]byte{0x5a, 0x13, 0xc7}, 120)
-	for i := 0; i < 5; i++ {
-		net.Connect(client, server, payload, false, time.Time{})
-	}
-	sim.Run()
-	hits, misses, _ := g.CacheStats()
-	if misses == 0 {
-		t.Fatal("verdict cache never consulted through the facade")
-	}
-	if hits != 4 {
-		t.Errorf("repeated payload hit %d times, want 4", hits)
-	}
-}
-
 // TestFacadeExperimentRunners: every Run* wrapper produces a renderable
 // report.
 func TestFacadeExperimentRunners(t *testing.T) {
