@@ -1,12 +1,18 @@
 package probesim
 
 import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"sslab/internal/netsim"
 	"sslab/internal/reaction"
+	"sslab/internal/socks"
 	"sslab/internal/sscrypto"
 	"sslab/internal/ssserver"
 )
@@ -97,32 +103,94 @@ func TestScanReplayTable5(t *testing.T) {
 	}
 }
 
-// TestTCPProberAgainstLiveServer cross-validates the TCP prober against a
-// live ssserver: the live reactions must match the model's Figure 10b row.
-func TestTCPProberAgainstLiveServer(t *testing.T) {
-	srv, err := ssserver.Listen("127.0.0.1:0", ssserver.Config{
-		Method: "chacha20-ietf-poly1305", Password: "pw",
-		Profile: reaction.Outline106, Timeouts: netsim.Timeouts{Handshake: 10 * time.Second},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+// refuseDialer fails every model dial fast, like the live servers'
+// refusing Config.Dial in TestTCPProberAgainstLiveServer.
+type refuseDialer struct{}
 
-	p := &TCPProber{Addr: srv.Addr().String(), Timeout: 700 * time.Millisecond}
-	payload := make([]byte, 256)
-	for i := range payload {
-		payload[i] = byte(i * 37)
+func (refuseDialer) Dial(socks.Addr) reaction.DialOutcome { return reaction.DialRefused }
+
+// TestTCPProberAgainstLiveServer cross-validates live ssserver reactions,
+// as the TCP prober observes them, against the reaction model: every
+// stream-cipher and AEAD profile, at the lengths around each threshold.
+//
+// One difference is expected. Where the model answers RST but the live
+// server has read the whole probe before it closes, the kernel sends a
+// FIN/ACK instead: for every stream-cipher probe longer than the IV (the
+// first data event takes in the rest of the probe), and for an AEAD probe
+// of exactly salt+35 bytes under WaitPayloadTag.
+func TestTCPProberAgainstLiveServer(t *testing.T) {
+	refuse := func(string, string) (net.Conn, error) { return nil, errors.New("refused") }
+	type liveProbe struct {
+		server  string
+		prober  *TCPProber
+		payload []byte
+		want    reaction.Reaction
 	}
-	if r, err := p.Probe(payload[:49], time.Time{}); err != nil || r != reaction.Timeout {
-		t.Errorf("49B live probe: %v %v, want TIMEOUT", r, err)
+	var probes []liveProbe
+	rng := rand.New(rand.NewSource(1))
+	now := time.Now()
+	for _, tc := range []struct {
+		profile reaction.Profile
+		method  string
+	}{
+		{reaction.LibevOld, "aes-256-ctr"},
+		{reaction.LibevNew, "chacha20-ietf"},
+		{reaction.SSPython, "chacha20"},
+		{reaction.SSR, "aes-128-cfb"},
+		{reaction.LibevOld, "aes-128-gcm"},
+		{reaction.LibevNew, "aes-192-gcm"},
+		{reaction.Outline106, "chacha20-ietf-poly1305"},
+		{reaction.Outline107, "aes-256-gcm"},
+		{reaction.Hardened, "chacha20-ietf-poly1305"},
+	} {
+		spec, err := sscrypto.Lookup(tc.method)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := ssserver.Listen("127.0.0.1:0", ssserver.Config{
+			Method: tc.method, Password: "pw", Profile: tc.profile, Dial: refuse,
+			Timeouts: netsim.Timeouts{Handshake: 10 * time.Second},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		model, err := reaction.NewServer(tc.profile, spec, "pw")
+		if err != nil {
+			t.Fatal(err)
+		}
+		model.Dialer = refuseDialer{}
+		prober := &TCPProber{Addr: srv.Addr().String(), Timeout: time.Second}
+		name := fmt.Sprintf("%s %s %s", tc.profile.Name, tc.profile.Versions, tc.method)
+
+		n := spec.IVSize
+		for _, l := range []int{n, n + 1, n + 3, n + 17, n + 18, n + 19, n + 34, n + 35, n + 36, 221} {
+			for k := 0; k < 2; k++ {
+				payload := make([]byte, l)
+				rng.Read(payload)
+				payload[0] = byte(len(probes)) // distinct IVs: no probe is a replay
+				want := model.React(payload, now).Reaction
+				readWhole := l > n && spec.Kind == sscrypto.Stream ||
+					l == n+35 && spec.Kind == sscrypto.AEAD && tc.profile.WaitPayloadTag
+				if want == reaction.RST && readWhole {
+					want = reaction.FINACK
+				}
+				probes = append(probes, liveProbe{name, prober, payload, want})
+			}
+		}
 	}
-	if r, err := p.Probe(payload[:50], time.Time{}); err != nil || r == reaction.Timeout {
-		t.Errorf("50B live probe: %v %v, want immediate close", r, err)
+
+	var wg sync.WaitGroup
+	for _, p := range probes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got, err := p.prober.Probe(p.payload, time.Time{}); err != nil || got != p.want {
+				t.Errorf("%s, %d-byte probe: live %v (err %v), want %v", p.server, len(p.payload), got, err, p.want)
+			}
+		}()
 	}
-	if r, err := p.Probe(payload[:221], time.Time{}); err != nil || r == reaction.Timeout {
-		t.Errorf("221B live probe: %v %v, want immediate close", r, err)
-	}
+	wg.Wait()
 }
 
 func TestParseLengths(t *testing.T) {

@@ -31,8 +31,6 @@ type aeadConn struct {
 	rAEAD  cipher.AEAD
 	wNonce []byte
 	rNonce []byte
-	wSalt  []byte
-	rSalt  []byte
 
 	rBuf   []byte  // decrypted bytes not yet returned to the caller
 	rStore []byte  // backing array for rBuf, reused across chunks
@@ -41,9 +39,6 @@ type aeadConn struct {
 	wBuf   []byte  // reused wire-format scratch: steady-state writes don't allocate
 	lenBuf [2]byte // chunk length prefix plaintext
 }
-
-func (c *aeadConn) Salt() []byte     { return c.wSalt }
-func (c *aeadConn) PeerSalt() []byte { return c.rSalt }
 
 func incrementNonce(n []byte) {
 	for i := range n {
@@ -71,9 +66,13 @@ func (c *aeadConn) Write(p []byte) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		c.wSalt, c.wAEAD = salt, aead
+		c.wAEAD = aead
 		c.wNonce = make([]byte, aead.NonceSize())
-		out = append(out, salt...)
+		// Size the first flight's buffer for all of it, so it is not
+		// regrown chunk by chunk.
+		chunks := (len(p) + MaxChunkPayload - 1) / MaxChunkPayload
+		out = make([]byte, len(salt), len(salt)+len(p)+chunks*(2+2*aead.Overhead()))
+		copy(out, salt)
 	}
 	total := 0
 	for len(p) > 0 {
@@ -114,7 +113,7 @@ func (c *aeadConn) Read(p []byte) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		c.rSalt, c.rAEAD = salt, aead
+		c.rAEAD = aead
 		c.rNonce = make([]byte, aead.NonceSize())
 		c.rHead = make([]byte, 2+aead.Overhead())
 	}

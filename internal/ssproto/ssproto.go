@@ -28,29 +28,16 @@ import (
 // two length bytes encode at most 0x3FFF.
 const MaxChunkPayload = 0x3FFF
 
-// Conn is a Shadowsocks-encrypted connection.
-type Conn interface {
-	net.Conn
-	// Salt returns the IV or salt this side sent (nil until first write).
-	Salt() []byte
-	// PeerSalt returns the IV or salt received from the peer (nil until
-	// first read).
-	PeerSalt() []byte
-}
-
 // NewConn wraps transport in the construction selected by spec, keyed by
 // masterKey. The same call serves both client and server: each direction
 // has its own independently derived IV/salt.
-func NewConn(transport net.Conn, spec sscrypto.Spec, masterKey []byte) Conn {
-	if spec.Kind == sscrypto.Stream {
-		return &streamConn{Conn: transport, spec: spec, key: masterKey, rand: rand.Reader}
-	}
-	return &aeadConn{Conn: transport, spec: spec, key: masterKey, rand: rand.Reader}
+func NewConn(transport net.Conn, spec sscrypto.Spec, masterKey []byte) net.Conn {
+	return NewConnWithRand(transport, spec, masterKey, rand.Reader)
 }
 
 // NewConnWithRand is NewConn with explicit IV/salt randomness, for
 // deterministic tests and for the prober simulator's replay recording.
-func NewConnWithRand(transport net.Conn, spec sscrypto.Spec, masterKey []byte, rnd io.Reader) Conn {
+func NewConnWithRand(transport net.Conn, spec sscrypto.Spec, masterKey []byte, rnd io.Reader) net.Conn {
 	if spec.Kind == sscrypto.Stream {
 		return &streamConn{Conn: transport, spec: spec, key: masterKey, rand: rnd}
 	}

@@ -13,7 +13,7 @@ import (
 	"sslab/internal/sscrypto"
 )
 
-func pipePair(t *testing.T, method string) (client, server Conn) {
+func pipePair(t *testing.T, method string) (client, server net.Conn) {
 	t.Helper()
 	spec, err := sscrypto.Lookup(method)
 	if err != nil {
@@ -188,32 +188,6 @@ func TestAEADTamperDetected(t *testing.T) {
 type discardConn struct{ net.Conn }
 
 func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
-
-// TestSaltVisibility checks Salt/PeerSalt bookkeeping used by the replay
-// filters and the prober simulator.
-func TestSaltVisibility(t *testing.T) {
-	client, server := pipePair(t, "aes-128-gcm")
-	defer client.Close()
-	defer server.Close()
-
-	if client.Salt() != nil || server.PeerSalt() != nil {
-		t.Error("salts non-nil before first write")
-	}
-	go client.Write([]byte("x"))
-	buf := make([]byte, 1)
-	if _, err := io.ReadFull(server, buf); err != nil {
-		t.Fatal(err)
-	}
-	if client.Salt() == nil || server.PeerSalt() == nil {
-		t.Fatal("salts not recorded")
-	}
-	if !bytes.Equal(client.Salt(), server.PeerSalt()) {
-		t.Error("server saw a different salt than the client sent")
-	}
-	if len(client.Salt()) != 16 {
-		t.Errorf("aes-128-gcm salt length %d, want 16", len(client.Salt()))
-	}
-}
 
 // TestStreamNoIntegrity documents the stream construction's malleability:
 // flipping a ciphertext bit flips the plaintext bit without any error —

@@ -21,14 +21,9 @@ type streamConn struct {
 
 	wStream cipher.Stream
 	rStream cipher.Stream
-	wIV     []byte
-	rIV     []byte
 
 	wBuf []byte // reused ciphertext scratch: steady-state writes don't allocate
 }
-
-func (c *streamConn) Salt() []byte     { return c.wIV }
-func (c *streamConn) PeerSalt() []byte { return c.rIV }
 
 // Write encrypts p and writes it; the first Write also generates and
 // prepends this direction's IV in the same segment, so the first
@@ -46,7 +41,7 @@ func (c *streamConn) Write(p []byte) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		c.wIV, c.wStream = iv, s
+		c.wStream = s
 		buf := c.scratch(len(iv) + len(p))
 		copy(buf, iv)
 		c.wStream.XORKeyStream(buf[len(iv):], p)
@@ -85,7 +80,7 @@ func (c *streamConn) Read(p []byte) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		c.rIV, c.rStream = iv, s
+		c.rStream = s
 	}
 	n, err := c.Conn.Read(p)
 	if n > 0 {

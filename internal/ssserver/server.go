@@ -4,12 +4,12 @@
 // stream, parses the target specification, dials the target, and relays —
 // while reacting to malformed or replayed first packets exactly the way the
 // profiled implementation would (immediate close, which yields a FIN/ACK
-// or RST depending on unread data, versus reading until timeout).
+// or RST depending on unread data, versus reading until timeout). The wire
+// constructions are internal/ssproto's, shared with the client; the server
+// adds only the profile's handshake.
 package ssserver
 
 import (
-	"crypto/cipher"
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"io"
@@ -24,6 +24,7 @@ import (
 	"sslab/internal/replay"
 	"sslab/internal/socks"
 	"sslab/internal/sscrypto"
+	"sslab/internal/ssproto"
 )
 
 // Config configures a Server.
@@ -187,10 +188,18 @@ func (s *Server) Close() error {
 // protocol errors (bad auth, bad address type, replay, short first packet).
 var errProtocol = errors.New("ssserver: protocol error")
 
+// libevWait is what libev reads after the salt before it judges an AEAD
+// first flight (Profile.WaitPayloadTag): the sealed length and its tag,
+// the first payload tag and one payload byte.
+const libevWait = 2 + 16 + 16 + 1
+
+// relayBufSize is the read buffer of each relay direction.
+const relayBufSize = 8 << 10
+
 // armIdle bounds one relay-stage read by Timeouts.Idle. A zero Idle is
-// a no-op: the relay entry points clear the handshake deadline once, so
-// the historical wait-forever behaviour (and its syscall count) is
-// unchanged. Called before every relay read, so the window is per-read.
+// a no-op: proxy clears the handshake deadline once, so the historical
+// wait-forever behaviour (and its syscall count) is unchanged. Called
+// before every relay read, so the window is per-read.
 func (s *Server) armIdle(c net.Conn) {
 	if d := s.cfg.Timeouts.Idle; d > 0 {
 		c.SetReadDeadline(time.Now().Add(d))
@@ -202,14 +211,7 @@ func (s *Server) handle(c net.Conn) {
 	defer c.Close()
 	deadline := time.Now().Add(s.cfg.Timeouts.Handshake)
 	c.SetReadDeadline(deadline)
-
-	var err error
-	if s.spec.Kind == sscrypto.AEAD {
-		err = s.handleAEAD(c)
-	} else {
-		err = s.handleStream(c)
-	}
-	if errors.Is(err, errProtocol) {
+	if errors.Is(s.serve(c), errProtocol) {
 		s.onProtocolError(c, deadline)
 	}
 }
@@ -229,294 +231,131 @@ func (s *Server) onProtocolError(c net.Conn, deadline time.Time) {
 	// or FIN/ACK (everything read) the prober observes.
 }
 
-// readTargetStream incrementally decrypts and parses the stream-cipher
-// target specification. firstEvent is everything that arrived in the first
-// read — old libev requires the complete specification within it.
-func (s *Server) handleStream(c net.Conn) error {
-	iv := make([]byte, s.spec.IVSize)
-	if _, err := io.ReadFull(c, iv); err != nil {
+// authError counts an authentication or target-parse failure.
+func (s *Server) authError() error {
+	s.Stats.AuthErrors.Add(1)
+	s.mAuthErrors.Inc()
+	return errProtocol
+}
+
+// serve runs the profile's handshake on c and proxies the connection
+// through ssproto. The handshake reads exactly what the profiled
+// implementation reads before it judges a first flight: the IV or salt,
+// libevWait more bytes under an AEAD WaitPayloadTag profile, then the
+// first data event — one Read of stream ciphertext or the first AEAD
+// chunk. Whatever the probe holds beyond that stays unread.
+func (s *Server) serve(c net.Conn) error {
+	saltLen := s.spec.SaltSize()
+	head := make([]byte, saltLen, saltLen+libevWait)
+	if _, err := io.ReadFull(c, head); err != nil {
 		return nil // connection died or timed out while waiting
 	}
-	if s.filter.Replay(iv, time.Now()) {
+	if s.filter.Replay(head, time.Now()) {
 		s.Stats.ReplaysBlocked.Add(1)
 		s.mReplays.Inc()
 		return errProtocol
 	}
-	dec, err := s.spec.NewStreamDecrypter(s.key, iv)
-	if err != nil {
-		return errProtocol
+	if s.spec.Kind == sscrypto.AEAD && s.cfg.Profile.WaitPayloadTag {
+		head = head[:cap(head)]
+		if _, err := io.ReadFull(c, head[saltLen:]); err != nil {
+			return nil
+		}
 	}
+	ssc := ssproto.NewConn(&prefixConn{Conn: c, prefix: head}, s.spec, s.key)
 
-	// First data event: one Read call's worth of ciphertext.
-	buf := make([]byte, 16*1024)
-	n, err := c.Read(buf)
-	if err != nil {
-		return nil
-	}
-	plain := make([]byte, 0, n)
-	tmp := make([]byte, n)
-	dec.XORKeyStream(tmp, buf[:n])
-	plain = append(plain, tmp...)
-
+	mask := s.cfg.Profile.AtypMask && s.spec.Kind == sscrypto.Stream
+	buf := make([]byte, relayBufSize) // goes on to carry client→target
+	n, err := ssc.Read(buf)
 	for {
-		target, consumed, derr := socks.Decode(plain, s.cfg.Profile.AtypMask)
+		if errors.Is(err, ssproto.ErrAuth) {
+			return s.authError()
+		}
+		if err != nil {
+			return nil
+		}
+		target, consumed, derr := socks.Decode(buf[:n], mask)
 		switch {
 		case derr == nil:
 			s.Stats.Proxied.Add(1)
 			s.mProxied.Inc()
-			return s.relayStream(c, dec, iv, target, plain[consumed:])
-		case errors.Is(derr, socks.ErrIncomplete):
-			if s.cfg.Profile.RSTOnError {
-				// Old libev: the whole spec must be in the first packet.
-				s.Stats.AuthErrors.Add(1)
-				s.mAuthErrors.Inc()
-				return errProtocol
-			}
-			// New libev keeps waiting for the rest.
-			m, err := c.Read(buf)
-			if err != nil {
-				return nil
-			}
-			tmp = tmp[:m]
-			dec.XORKeyStream(tmp, buf[:m])
-			plain = append(plain, tmp...)
+			s.proxy(ssc, target, buf, buf[consumed:n])
+			return nil
+		case errors.Is(derr, socks.ErrIncomplete) && s.spec.Kind == sscrypto.Stream && !s.cfg.Profile.RSTOnError:
+			// New libev keeps waiting for the rest of a stream-cipher
+			// spec; old libev needs all of it in the first data event.
+			// An incomplete spec is shorter than socks.MaxAddrLen, so
+			// buf has room.
+			var m int
+			m, err = ssc.Read(buf[n:])
+			n += m
 		default:
-			s.Stats.AuthErrors.Add(1)
-			s.mAuthErrors.Inc()
-			return errProtocol
+			return s.authError()
 		}
 	}
 }
 
-// relayStream connects to target and splices traffic, encrypting
-// server->client with a fresh IV and decrypting client->server with dec.
-func (s *Server) relayStream(c net.Conn, dec cipher.Stream, clientIV []byte, target socks.Addr, initial []byte) error {
+// prefixConn hands the bytes the handshake already read back to ssproto
+// before reading on from the connection.
+type prefixConn struct {
+	net.Conn
+	prefix []byte
+}
+
+func (c *prefixConn) Read(p []byte) (int, error) {
+	if len(c.prefix) == 0 {
+		return c.Conn.Read(p)
+	}
+	n := copy(p, c.prefix)
+	c.prefix = c.prefix[n:]
+	return n, nil
+}
+
+// proxy dials target, forwards the first flight's data and splices ssc
+// with the target until either direction stops. buf is the handshake's
+// read buffer, reused for client→target.
+func (s *Server) proxy(ssc net.Conn, target socks.Addr, buf, initial []byte) {
 	remote, err := s.cfg.Dial("tcp", target.String())
 	if err != nil {
 		s.cfg.Logf("dial %v: %v", target, err)
-		return nil // close; FIN or RST per pending data
+		return // close; FIN or RST per pending data
 	}
 	defer remote.Close()
 	if len(initial) > 0 {
 		if _, err := remote.Write(initial); err != nil {
-			return nil
-		}
-	}
-	c.SetReadDeadline(time.Time{})
-
-	done := make(chan struct{}, 2)
-	// client -> remote (decrypt).
-	go func() {
-		defer func() { done <- struct{}{} }()
-		buf := make([]byte, 16*1024)
-		for {
-			s.armIdle(c)
-			n, err := c.Read(buf)
-			if n > 0 {
-				dec.XORKeyStream(buf[:n], buf[:n])
-				if _, werr := remote.Write(buf[:n]); werr != nil {
-					return
-				}
-			}
-			if err != nil {
-				return
-			}
-		}
-	}()
-	// remote -> client (encrypt under a server-direction IV).
-	go func() {
-		defer func() { done <- struct{}{} }()
-		ivOut := make([]byte, s.spec.IVSize)
-		if _, err := io.ReadFull(randReader, ivOut); err != nil {
 			return
 		}
-		enc, err := s.spec.NewStream(s.key, ivOut)
-		if err != nil {
-			return
-		}
-		if _, err := c.Write(ivOut); err != nil {
-			return
-		}
-		buf := make([]byte, 16*1024)
-		for {
-			s.armIdle(remote)
-			n, err := remote.Read(buf)
-			if n > 0 {
-				enc.XORKeyStream(buf[:n], buf[:n])
-				if _, werr := c.Write(buf[:n]); werr != nil {
-					return
-				}
-			}
-			if err != nil {
-				return
-			}
-		}
-	}()
-	<-done
-	return nil
-}
-
-// handleAEAD serves the AEAD construction.
-func (s *Server) handleAEAD(c net.Conn) error {
-	saltLen := s.spec.SaltSize()
-	salt := make([]byte, saltLen)
-	if _, err := io.ReadFull(c, salt); err != nil {
-		return nil
 	}
-	if s.filter.Replay(salt, time.Now()) {
-		s.Stats.ReplaysBlocked.Add(1)
-		s.mReplays.Inc()
-		return errProtocol
-	}
-	aead, err := s.spec.NewAEAD(sscrypto.SessionSubkey(s.key, salt))
-	if err != nil {
-		return errProtocol
-	}
-	nonce := make([]byte, aead.NonceSize())
-	overhead := aead.Overhead()
-
-	// Per-connection scratch, reused across chunks: the returned plaintext
-	// aliases body and is only valid until the next readChunk call — both
-	// callers fully consume it before asking for the next chunk.
-	headLen := 2 + overhead
-	head := make([]byte, headLen, headLen+overhead+1)
-	lenScratch := make([]byte, 0, 2)
-	var body []byte
-
-	readChunk := func() ([]byte, error) {
-		head = head[:headLen]
-		if _, err := io.ReadFull(c, head); err != nil {
-			return nil, err
-		}
-		// Emulate libev's extra buffering: it does not attempt decryption
-		// until a payload tag could also be present.
-		if s.cfg.Profile.WaitPayloadTag {
-			head = head[:headLen+overhead+1]
-			if _, err := io.ReadFull(c, head[headLen:]); err != nil {
-				return nil, err
-			}
-		}
-		lenPlain, err := aead.Open(lenScratch[:0], nonce, head[:headLen], nil)
-		if err != nil {
-			s.Stats.AuthErrors.Add(1)
-			s.mAuthErrors.Inc()
-			return nil, errProtocol
-		}
-		incNonce(nonce)
-		n := int(lenPlain[0])<<8 | int(lenPlain[1])
-		if cap(body) < n+overhead {
-			body = make([]byte, n+overhead)
-		}
-		body = body[:n+overhead]
-		already := copy(body, head[headLen:])
-		if _, err := io.ReadFull(c, body[already:]); err != nil {
-			return nil, err
-		}
-		plain, err := aead.Open(body[:0], nonce, body, nil)
-		if err != nil {
-			s.Stats.AuthErrors.Add(1)
-			s.mAuthErrors.Inc()
-			return nil, errProtocol
-		}
-		incNonce(nonce)
-		return plain, nil
-	}
-
-	first, err := readChunk()
-	if err != nil {
-		if errors.Is(err, errProtocol) {
-			return errProtocol
-		}
-		return nil
-	}
-	target, consumed, derr := socks.Decode(first, false)
-	if derr != nil {
-		s.Stats.AuthErrors.Add(1)
-		s.mAuthErrors.Inc()
-		return errProtocol
-	}
-	s.Stats.Proxied.Add(1)
-	s.mProxied.Inc()
-	return s.relayAEAD(c, target, first[consumed:], readChunk)
-}
-
-// relayAEAD connects to target and splices traffic in AEAD chunks.
-func (s *Server) relayAEAD(c net.Conn, target socks.Addr, initial []byte, readChunk func() ([]byte, error)) error {
-	remote, err := s.cfg.Dial("tcp", target.String())
-	if err != nil {
-		s.cfg.Logf("dial %v: %v", target, err)
-		return nil
-	}
-	defer remote.Close()
-	if len(initial) > 0 {
-		if _, err := remote.Write(initial); err != nil {
-			return nil
-		}
-	}
-	c.SetReadDeadline(time.Time{})
+	ssc.SetReadDeadline(time.Time{})
 
 	done := make(chan struct{}, 2)
 	go func() {
-		defer func() { done <- struct{}{} }()
-		for {
-			s.armIdle(c)
-			chunk, err := readChunk()
-			if err != nil {
-				return
-			}
-			if _, err := remote.Write(chunk); err != nil {
-				return
-			}
-		}
+		s.pump(remote, ssc, buf)
+		done <- struct{}{}
 	}()
 	go func() {
-		defer func() { done <- struct{}{} }()
-		salt := make([]byte, s.spec.SaltSize())
-		if _, err := io.ReadFull(randReader, salt); err != nil {
-			return
-		}
-		aead, err := s.spec.NewAEAD(sscrypto.SessionSubkey(s.key, salt))
-		if err != nil {
-			return
-		}
-		nonce := make([]byte, aead.NonceSize())
-		if _, err := c.Write(salt); err != nil {
-			return
-		}
-		buf := make([]byte, 8*1024)
-		out := make([]byte, 0, 2+2*aead.Overhead()+len(buf))
-		var lb [2]byte
-		for {
-			s.armIdle(remote)
-			n, err := remote.Read(buf)
-			if n > 0 {
-				lb[0], lb[1] = byte(n>>8), byte(n)
-				out = aead.Seal(out[:0], nonce, lb[:], nil)
-				incNonce(nonce)
-				out = aead.Seal(out, nonce, buf[:n], nil)
-				incNonce(nonce)
-				if _, werr := c.Write(out); werr != nil {
-					return
-				}
-			}
-			if err != nil {
+		s.pump(ssc, remote, make([]byte, relayBufSize))
+		done <- struct{}{}
+	}()
+	<-done
+}
+
+// pump copies src to dst through buf until either side fails, bounding
+// each read by the idle timeout. A client stream that fails
+// authentication mid-connection counts as an auth error.
+func (s *Server) pump(dst, src net.Conn, buf []byte) {
+	for {
+		s.armIdle(src)
+		n, err := src.Read(buf)
+		if n > 0 {
+			if _, werr := dst.Write(buf[:n]); werr != nil {
 				return
 			}
 		}
-	}()
-	<-done
-	return nil
-}
-
-func incNonce(n []byte) {
-	for i := range n {
-		n[i]++
-		if n[i] != 0 {
+		if err != nil {
+			if errors.Is(err, ssproto.ErrAuth) {
+				s.authError()
+			}
 			return
 		}
 	}
 }
-
-// randReader provides IV/salt randomness; tests may substitute it for
-// determinism.
-var randReader io.Reader = rand.Reader

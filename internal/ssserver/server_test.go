@@ -422,3 +422,63 @@ func TestLiveHardenedRejectsReplayQuietly(t *testing.T) {
 	}
 	waitFor(t, 2*time.Second, func() bool { return srv.Stats.ReplaysBlocked.Load() >= 1 })
 }
+
+// splitConn sends its first write in two segments, cut after the first
+// cut bytes, with a pause between them so the server reads them as two
+// data events.
+type splitConn struct {
+	net.Conn
+	cut  int
+	sent bool
+}
+
+func (c *splitConn) Write(p []byte) (int, error) {
+	if c.sent || len(p) <= c.cut {
+		return c.Conn.Write(p)
+	}
+	c.sent = true
+	if _, err := c.Conn.Write(p[:c.cut]); err != nil {
+		return 0, err
+	}
+	time.Sleep(100 * time.Millisecond)
+	n, err := c.Conn.Write(p[c.cut:])
+	return c.cut + n, err
+}
+
+// TestLiveStreamSpecAcrossSegments: a stream-cipher server that waits for
+// an incomplete target spec must accept a later segment longer than the
+// first data event, and proxy the connection.
+func TestLiveStreamSpecAcrossSegments(t *testing.T) {
+	echo := startEcho(t)
+	srv := startServer(t, "aes-256-ctr", reaction.LibevNew, 5*time.Second)
+	client, err := ssclient.New(ssclient.Config{
+		Server: srv.Addr().String(), Method: "aes-256-ctr", Password: "integration-pw",
+		// The IV and the first 3 bytes of the 7-byte IPv4 spec, then the rest.
+		Shaper: func(c net.Conn) net.Conn { return &splitConn{Conn: c, cut: 16 + 3} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := client.Dial(echo.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	msg := bytes.Repeat([]byte("across segments "), 12)
+	if _, err := conn.Write(msg); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte("ok:"), msg...)
+	got := make([]byte, len(want))
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadFull(conn, got); err != nil {
+		t.Fatalf("read back: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("echoed %q, want %q", got, want)
+	}
+	if n := srv.Stats.Proxied.Load(); n != 1 {
+		t.Errorf("Proxied = %d, want 1", n)
+	}
+}
