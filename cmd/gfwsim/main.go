@@ -120,10 +120,8 @@ func main() {
 			if err == nil && rep == nil {
 				continue // snapshot written; nothing to report yet
 			}
-		} else if wr, ok := r.(experiment.WorkersRunner); ok {
-			rep, err = wr.RunWorkers(cfg, *workers)
 		} else {
-			rep, err = r.Run(cfg)
+			rep, err = r.Run(cfg, *workers)
 		}
 		if err != nil {
 			log.Fatalf("%s experiment: %v", r.Name(), err)

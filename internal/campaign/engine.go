@@ -17,10 +17,9 @@ type Options struct {
 	// Workers bounds the goroutine pool (default: GOMAXPROCS). The
 	// merged report does not depend on it.
 	Workers int
-	// RunWorkers bounds each shard's *intra-run* worker pool, for
-	// experiments whose runner implements experiment.WorkersRunner
-	// (fleet, armsrace, spatiotemporal); other experiments ignore it.
-	// Zero keeps each
+	// RunWorkers bounds each shard's *intra-run* worker pool, passed
+	// to every runner's Run; only experiments that parallelize inside a
+	// run (fleet, armsrace, spatiotemporal) use it. Zero keeps each
 	// run single-threaded, so sweep- and run-level parallelism don't
 	// multiply by accident. Like Workers, it never changes the merged
 	// report's bytes.
@@ -162,8 +161,8 @@ func Run(spec Spec, opt Options) (*MergedReport, error) {
 }
 
 // runRegistered builds the shard's config from the registry (seed,
-// scale, base overrides, then the grid point) and runs it, threading
-// the intra-run worker bound through to runners that support one.
+// scale, base overrides, then the grid point) and runs it with the
+// intra-run worker bound.
 func runRegistered(spec Spec, s Shard, runWorkers int) (json.RawMessage, error) {
 	r, ok := experiment.Lookup(s.Experiment)
 	if !ok {
@@ -176,16 +175,10 @@ func runRegistered(spec Spec, s Shard, runWorkers int) (json.RawMessage, error) 
 	if err := ApplyParams(cfg, s.GridPoint); err != nil {
 		return nil, fmt.Errorf("experiment %s: %v", s.Experiment, err)
 	}
-	var rep experiment.Report
-	var err error
-	if wr, ok := r.(experiment.WorkersRunner); ok {
-		if runWorkers <= 0 {
-			runWorkers = 1 // sweep-level workers are the default parallelism
-		}
-		rep, err = wr.RunWorkers(cfg, runWorkers)
-	} else {
-		rep, err = r.Run(cfg)
+	if runWorkers <= 0 {
+		runWorkers = 1 // sweep-level workers are the default parallelism
 	}
+	rep, err := r.Run(cfg, runWorkers)
 	if err != nil {
 		return nil, err
 	}

@@ -218,23 +218,20 @@ func fmtDurS(sec float64) string {
 
 // armsraceRunner registers the sweep under the "armsrace" name. Fast
 // scale is four chains over a 1200-user, 6-hour population per chain.
-var armsraceRunner = workersRunner[ArmsRaceConfig]{
-	runner: runner[ArmsRaceConfig]{
-		name: "armsrace",
-		desc: "detector chains × protocol mixes: survival matrix, latency, false positives",
-		config: func(seed int64, full bool) ArmsRaceConfig {
-			cfg := ArmsRaceConfig{Seed: seed}
-			if !full {
-				cfg.Users = 1200
-				cfg.UsersPerServer = 40
-				cfg.Hours = 6
-				cfg.GFW = gfw.Config{PoolSize: 2000}
-			}
-			return cfg
-		},
-		run: func(cfg ArmsRaceConfig) (Report, error) { return ArmsRace(cfg) },
+var armsraceRunner = runner[ArmsRaceConfig]{
+	name: "armsrace",
+	desc: "detector chains × protocol mixes: survival matrix, latency, false positives",
+	config: func(seed int64, full bool) ArmsRaceConfig {
+		cfg := ArmsRaceConfig{Seed: seed}
+		if !full {
+			cfg.Users = 1200
+			cfg.UsersPerServer = 40
+			cfg.Hours = 6
+			cfg.GFW = gfw.Config{PoolSize: 2000}
+		}
+		return cfg
 	},
-	runWorkers: func(cfg ArmsRaceConfig, workers int) (Report, error) {
+	run: func(cfg ArmsRaceConfig, workers int) (Report, error) {
 		return ArmsRace(cfg, fleet.WithWorkers(workers))
 	},
 }

@@ -68,71 +68,49 @@ type BlockingReport struct {
 // survive the same probing.
 func BlockingExperiment(cfg BlockingConfig) (*BlockingReport, error) {
 	cfg = cfg.withDefaults()
-	sim, net := simNet(cfg.Seed, cfg.Impair)
 	gcfg := cfg.GFW
-	gcfg.Seed = seedfork.Fork(cfg.Seed, "blocking.gfw")
 	gcfg.Sensitivity = cfg.Sensitivity
-	g := gfw.New(gfw.Env{Sim: sim, Net: net}, gfw.WithConfig(gcfg))
-	net.AddMiddlebox(g)
+	b := newTestbed(cfg.Seed, cfg.Impair, gcfg, "blocking.gfw")
+	g := b.gfw
 
 	type entry struct {
 		name    string
 		profile reaction.Profile
 		method  string
 		server  netsim.Endpoint
-		client  netsim.Endpoint
-		host    *ServerHost
 		outage  int
 	}
-	configs := []struct {
-		name    string
-		profile reaction.Profile
-		method  string
-	}{
-		{"ss-python", reaction.SSPython, "aes-256-cfb"},
-		{"ssr", reaction.SSR, "aes-256-ctr"},
-		{"libev-new", reaction.LibevNew, "aes-256-gcm"},
-		{"outline-1.0.7", reaction.Outline107, "chacha20-ietf-poly1305"},
-		{"hardened", reaction.Hardened, "chacha20-ietf-poly1305"},
+	entries := []*entry{
+		{name: "ss-python", profile: reaction.SSPython, method: "aes-256-cfb"},
+		{name: "ssr", profile: reaction.SSR, method: "aes-256-ctr"},
+		{name: "libev-new", profile: reaction.LibevNew, method: "aes-256-gcm"},
+		{name: "outline-1.0.7", profile: reaction.Outline107, method: "chacha20-ietf-poly1305"},
+		{name: "hardened", profile: reaction.Hardened, method: "chacha20-ietf-poly1305"},
 	}
-	var entries []*entry
-	for i, c := range configs {
-		host, err := NewServerHost(sim, c.profile, c.method, "blocking-pw")
+	for i, e := range entries {
+		host, err := NewServerHost(b.sim, e.profile, e.method, "blocking-pw")
 		if err != nil {
 			return nil, err
 		}
-		e := &entry{
-			name: c.name, profile: c.profile, method: c.method,
-			server: netsim.Endpoint{IP: fmt.Sprintf("178.62.40.%d", i+1), Port: 8388},
-			client: netsim.Endpoint{IP: fmt.Sprintf("150.109.40.%d", i+1), Port: 40000},
-			host:   host,
-		}
-		net.AddHost(e.server, host)
-		entries = append(entries, e)
+		e.server = netsim.Endpoint{IP: fmt.Sprintf("178.62.40.%d", i+1), Port: 8388}
+		b.net.AddHost(e.server, host)
 	}
 
 	end := netsim.Epoch.Add(time.Duration(cfg.Days) * 24 * time.Hour)
 	for i, e := range entries {
-		e := e
 		tg := trafficgen.New(seedfork.Fork(cfg.Seed, "blocking.trafficgen", int64(i)))
 		spec, err := sscrypto.Lookup(e.method)
 		if err != nil {
 			return nil, err
 		}
-		var tick func()
-		tick = func() {
-			if sim.Now().After(end) {
-				return
-			}
-			o := net.Connect(e.client, e.server, tg.FirstWirePacket(spec, trafficgen.CurlHTTPS), false, time.Time{})
-			if o.Blocked {
+		client := netsim.Endpoint{IP: fmt.Sprintf("150.109.40.%d", i+1), Port: 40000}
+		b.until(end, time.Duration(i)*time.Second, 30*time.Second, func() {
+			if b.net.Connect(client, e.server, tg.FirstWirePacket(spec, trafficgen.CurlHTTPS), false, time.Time{}).Blocked {
 				e.outage++
 			}
-			sim.After(30*time.Second, tick)
-		}
-		sim.After(time.Duration(i)*time.Second, tick)
+		})
 	}
-	sim.Run()
+	b.sim.Run()
 
 	report := &BlockingReport{Config: cfg, Events: g.BlockEvents}
 	probesByDst := map[string]int{}

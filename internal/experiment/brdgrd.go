@@ -75,11 +75,8 @@ type BrdgrdReport struct {
 // brdgrd toggling, plus an identical control pair without brdgrd.
 func BrdgrdExperiment(cfg BrdgrdConfig) (*BrdgrdReport, error) {
 	cfg = cfg.withDefaults()
-	sim, net := simNet(cfg.Seed, cfg.Impair)
-	gcfg := cfg.GFW
-	gcfg.Seed = seedfork.Fork(cfg.Seed, "brdgrd.gfw")
-	g := gfw.New(gfw.Env{Sim: sim, Net: net}, gfw.WithConfig(gcfg))
-	net.AddMiddlebox(g)
+	b := newTestbed(cfg.Seed, cfg.Impair, cfg.GFW, "brdgrd.gfw")
+	g := b.gfw
 
 	spec, err := sscrypto.Lookup("aes-256-gcm")
 	if err != nil {
@@ -93,16 +90,16 @@ func BrdgrdExperiment(cfg BrdgrdConfig) (*BrdgrdReport, error) {
 	client := netsim.Endpoint{IP: "150.109.20.1", Port: 40000}
 	client2 := netsim.Endpoint{IP: "150.109.20.2", Port: 40001}
 
-	shapedHost, err := NewServerHost(sim, reaction.LibevNew, "aes-256-gcm", "pw")
+	shapedHost, err := NewServerHost(b.sim, reaction.LibevNew, "aes-256-gcm", "pw")
 	if err != nil {
 		return nil, err
 	}
-	controlHost, err := NewServerHost(sim, reaction.LibevNew, "aes-256-gcm", "pw")
+	controlHost, err := NewServerHost(b.sim, reaction.LibevNew, "aes-256-gcm", "pw")
 	if err != nil {
 		return nil, err
 	}
-	net.AddHost(shaped, shapedHost)
-	net.AddHost(controlEP, controlHost)
+	b.net.AddHost(shaped, shapedHost)
+	b.net.AddHost(controlEP, controlHost)
 
 	// Toggle schedule.
 	active := func(hour int) bool {
@@ -117,24 +114,18 @@ func BrdgrdExperiment(cfg BrdgrdConfig) (*BrdgrdReport, error) {
 	end := netsim.Epoch.Add(time.Duration(cfg.Hours) * time.Hour)
 	tg := trafficgen.New(seedfork.Fork(cfg.Seed, "brdgrd.trafficgen.shaped"))
 	tg2 := trafficgen.New(seedfork.Fork(cfg.Seed, "brdgrd.trafficgen.control"))
-	var tick func()
-	tick = func() {
-		if sim.Now().After(end) {
-			return
-		}
-		hour := int(sim.Now().Sub(netsim.Epoch).Hours())
+	b.until(end, 0, 5*time.Minute, func() {
+		hour := int(b.sim.Now().Sub(netsim.Epoch).Hours())
 		guard.SetActive(active(hour))
 		for i := 0; i < cfg.ConnsPer5Min; i++ {
 			// The GFW sees only brdgrd's first segment of the shaped
 			// client's flight; the control client sends whole flights.
 			wire := tg.FirstWirePacket(spec, trafficgen.CurlHTTPS)
-			net.Connect(client, shaped, guard.FirstSegment(wire), false, time.Time{})
-			net.Connect(client2, controlEP, tg2.FirstWirePacket(spec, trafficgen.CurlHTTPS), false, time.Time{})
+			b.net.Connect(client, shaped, guard.FirstSegment(wire), false, time.Time{})
+			b.net.Connect(client2, controlEP, tg2.FirstWirePacket(spec, trafficgen.CurlHTTPS), false, time.Time{})
 		}
-		sim.After(5*time.Minute, tick)
-	}
-	sim.After(0, tick)
-	sim.Run()
+	})
+	b.sim.Run()
 
 	// Bucket probes per hour per destination.
 	r := &BrdgrdReport{Config: cfg}

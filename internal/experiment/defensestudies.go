@@ -47,29 +47,17 @@ func BanStudy(cfg BanStudyConfig) (*BanStudyReport, error) {
 	if cfg.Triggers == 0 {
 		cfg.Triggers = 300000
 	}
-	sim, net := simNet(cfg.Seed, cfg.Impair)
-	gcfg := cfg.GFW
-	gcfg.Seed = seedfork.Fork(cfg.Seed, "banstudy.gfw")
-	g := gfw.New(gfw.Env{Sim: sim, Net: net}, gfw.WithConfig(gcfg))
-	net.AddMiddlebox(g)
+	b := newTestbed(cfg.Seed, cfg.Impair, cfg.GFW, "banstudy.gfw")
+	g := b.gfw
 	server := netsim.Endpoint{IP: "178.62.60.1", Port: 443}
 	client := netsim.Endpoint{IP: "150.109.60.1", Port: 40000}
-	host := &ServerHost{Sim: sim, Sink: true, seen: map[uint64]struct{}{}}
-	net.AddHost(server, host)
+	b.sink(server)
 
 	gen := entropy.NewGenerator(seedfork.Fork(cfg.Seed, "banstudy.entropy"))
-	sent := 0
-	var tick func()
-	tick = func() {
-		if sent >= cfg.Triggers {
-			return
-		}
-		sent++
-		net.Connect(client, server, gen.Random(1+gen.Intn(1000)), false, time.Time{})
-		sim.After(5*time.Second, tick)
-	}
-	sim.After(0, tick)
-	sim.Run()
+	b.times(cfg.Triggers, 0, 5*time.Second, func() {
+		b.net.Connect(client, server, gen.Random(1+gen.Intn(1000)), false, time.Time{})
+	})
+	b.sim.Run()
 
 	ban := defense.NewIPBanlist()
 	r := &BanStudyReport{Config: cfg, TotalProbes: g.Log.Len()}
@@ -131,52 +119,33 @@ func MimicStudy(cfg MimicStudyConfig) (*MimicStudyReport, error) {
 	}
 	framing := defense.TLSRecordFraming{}
 
-	run := func(whitelist, framed bool, cell int64) (int, error) {
-		sim, net := simNet(cfg.Seed, cfg.Impair)
+	run := func(whitelist, framed bool, cell int64) int {
 		gcfg := cfg.GFW
-		gcfg.Seed = seedfork.Fork(cfg.Seed, "mimic.gfw", cell)
 		gcfg.TLSWhitelist = whitelist
-		g := gfw.New(gfw.Env{Sim: sim, Net: net}, gfw.WithConfig(gcfg))
-		net.AddMiddlebox(g)
+		b := newTestbed(cfg.Seed, cfg.Impair, gcfg, "mimic.gfw", cell)
 		server := netsim.Endpoint{IP: "178.62.61.1", Port: 443}
 		client := netsim.Endpoint{IP: "150.109.61.1", Port: 40000}
-		host := &ServerHost{Sim: sim, Sink: true, seen: map[uint64]struct{}{}}
-		net.AddHost(server, host)
+		b.sink(server)
 
 		tg := trafficgen.New(seedfork.Fork(cfg.Seed, "mimic.trafficgen", cell))
-		sent := 0
-		var tick func()
-		tick = func() {
-			if sent >= cfg.Triggers {
-				return
-			}
-			sent++
+		b.times(cfg.Triggers, 0, 5*time.Second, func() {
 			wire := tg.FirstWirePacket(spec, trafficgen.BrowseAlexa)
 			if framed {
 				wire = framing.FrameFirstPacket(wire)
 			}
-			net.Connect(client, server, wire, false, time.Time{})
-			sim.After(5*time.Second, tick)
-		}
-		sim.After(0, tick)
-		sim.Run()
-		return g.Log.Len(), nil
+			b.net.Connect(client, server, wire, false, time.Time{})
+		})
+		b.sim.Run()
+		return b.gfw.Log.Len()
 	}
 
-	r := &MimicStudyReport{Config: cfg}
-	if r.PlainNoWL, err = run(false, false, 1); err != nil {
-		return nil, err
-	}
-	if r.FramedNoWL, err = run(false, true, 2); err != nil {
-		return nil, err
-	}
-	if r.PlainWL, err = run(true, false, 3); err != nil {
-		return nil, err
-	}
-	if r.FramedWL, err = run(true, true, 4); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return &MimicStudyReport{
+		Config:     cfg,
+		PlainNoWL:  run(false, false, 1),
+		FramedNoWL: run(false, true, 2),
+		PlainWL:    run(true, false, 3),
+		FramedWL:   run(true, true, 4),
+	}, nil
 }
 
 // Render prints the four-cell comparison.

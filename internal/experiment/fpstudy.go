@@ -91,34 +91,22 @@ func FPStudy(cfg FPStudyConfig) (*FPStudyReport, error) {
 
 	report := &FPStudyReport{Config: cfg}
 	for i, c := range classes {
-		sim, net := simNet(cfg.Seed, cfg.Impair)
-		gcfg := cfg.GFW
-		gcfg.Seed = seedfork.Fork(cfg.Seed, "fpstudy.gfw", int64(i))
-		g := gfw.New(gfw.Env{Sim: sim, Net: net}, gfw.WithConfig(gcfg))
-		net.AddMiddlebox(g)
+		b := newTestbed(cfg.Seed, cfg.Impair, cfg.GFW, "fpstudy.gfw", int64(i))
 		server := netsim.Endpoint{IP: fmt.Sprintf("178.62.50.%d", i+1), Port: 443}
 		client := netsim.Endpoint{IP: fmt.Sprintf("150.109.50.%d", i+1), Port: 40000}
-		host := &ServerHost{Sim: sim, Sink: true, seen: map[uint64]struct{}{}}
-		net.AddHost(server, host)
+		b.sink(server)
 
 		tg := trafficgen.New(seedfork.Fork(cfg.Seed, "fpstudy.trafficgen", int64(i)))
 		gen := entropy.NewGenerator(seedfork.Fork(cfg.Seed, "fpstudy.entropy", int64(i)))
-		sent := 0
-		var tick func()
-		tick = func() {
-			if sent >= cfg.FlowsPerKind {
-				return
-			}
-			sent++
-			net.Connect(client, server, c.payload(tg, gen), false, time.Time{})
-			sim.After(2*time.Second, tick)
-		}
-		sim.After(0, tick)
-		sim.Run()
+		b.times(cfg.FlowsPerKind, 0, 2*time.Second, func() {
+			b.net.Connect(client, server, c.payload(tg, gen), false, time.Time{})
+		})
+		b.sim.Run()
 
+		g := b.gfw
 		report.Classes = append(report.Classes, FPClassResult{
-			Kind: c.kind, Flows: sent, Probes: g.Log.Len(), Recorded: g.PayloadsRecorded,
-			Rate: float64(g.Log.Len()) / float64(sent) * 1000,
+			Kind: c.kind, Flows: cfg.FlowsPerKind, Probes: g.Log.Len(), Recorded: g.PayloadsRecorded,
+			Rate: float64(g.Log.Len()) / float64(cfg.FlowsPerKind) * 1000,
 		})
 	}
 	return report, nil

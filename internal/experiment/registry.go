@@ -32,19 +32,13 @@ type Runner interface {
 	// the campaign engine overrides fields through that round trip.
 	Config(seed int64, full bool) any
 	// Run executes the experiment on a config of the type Config
-	// returns (pointer or value — Run normalizes).
-	Run(cfg any) (Report, error)
-}
-
-// WorkersRunner is the optional Runner extension for experiments that
-// can parallelize inside a single run (the fleet's space shards, the
-// arms race's chains of fleets). RunWorkers is Run with an intra-run
-// worker bound; intra-run workers are execution policy, so the report
-// is byte-identical to Run's for every value. workers <= 0 selects the
-// default (GOMAXPROCS).
-type WorkersRunner interface {
-	Runner
-	RunWorkers(cfg any, workers int) (Report, error)
+	// returns (pointer or value — Run normalizes). workers bounds the
+	// intra-run worker pool of experiments that parallelize inside a
+	// single run (the fleet's space shards, the arms race's chains of
+	// fleets) and is ignored by the rest; workers <= 0 selects the
+	// default (GOMAXPROCS). Intra-run workers are execution policy, so
+	// the report is byte-identical for every value.
+	Run(cfg any, workers int) (Report, error)
 }
 
 // runner implements Runner for one experiment via typed closures.
@@ -52,7 +46,7 @@ type runner[C any] struct {
 	name   string
 	desc   string
 	config func(seed int64, full bool) C
-	run    func(cfg C) (Report, error)
+	run    func(cfg C, workers int) (Report, error)
 }
 
 func (r runner[C]) Name() string { return r.name }
@@ -64,29 +58,12 @@ func (r runner[C]) Config(seed int64, full bool) any {
 	return &c
 }
 
-func (r runner[C]) Run(cfg any) (Report, error) {
+func (r runner[C]) Run(cfg any, workers int) (Report, error) {
 	switch c := cfg.(type) {
 	case C:
-		return r.run(c)
+		return r.run(c, workers)
 	case *C:
-		return r.run(*c)
-	default:
-		return nil, fmt.Errorf("experiment %s: config type %T, want %T", r.name, cfg, new(C))
-	}
-}
-
-// workersRunner decorates runner with the WorkersRunner entry point.
-type workersRunner[C any] struct {
-	runner[C]
-	runWorkers func(cfg C, workers int) (Report, error)
-}
-
-func (r workersRunner[C]) RunWorkers(cfg any, workers int) (Report, error) {
-	switch c := cfg.(type) {
-	case C:
-		return r.runWorkers(c, workers)
-	case *C:
-		return r.runWorkers(*c, workers)
+		return r.run(*c, workers)
 	default:
 		return nil, fmt.Errorf("experiment %s: config type %T, want %T", r.name, cfg, new(C))
 	}
@@ -105,7 +82,7 @@ var runners = []Runner{
 		name:   "table1",
 		desc:   "the paper's active-probing experiment timeline (Table 1)",
 		config: func(int64, bool) Table1Config { return Table1Config{} },
-		run:    func(Table1Config) (Report, error) { return Table1(), nil },
+		run:    func(Table1Config, int) (Report, error) { return Table1(), nil },
 	},
 	runner[ShadowsocksConfig]{
 		name: "shadowsocks",
@@ -119,7 +96,7 @@ var runners = []Runner{
 			}
 			return cfg
 		},
-		run: func(cfg ShadowsocksConfig) (Report, error) { return ShadowsocksExperiment(cfg) },
+		run: func(cfg ShadowsocksConfig, _ int) (Report, error) { return ShadowsocksExperiment(cfg) },
 	},
 	runner[SinkConfig]{
 		name: "sink",
@@ -133,7 +110,7 @@ var runners = []Runner{
 			}
 			return cfg
 		},
-		run: func(cfg SinkConfig) (Report, error) { return SinkExperiments(cfg) },
+		run: func(cfg SinkConfig, _ int) (Report, error) { return SinkExperiments(cfg) },
 	},
 	runner[BrdgrdConfig]{
 		name: "brdgrd",
@@ -147,7 +124,7 @@ var runners = []Runner{
 			}
 			return cfg
 		},
-		run: func(cfg BrdgrdConfig) (Report, error) { return BrdgrdExperiment(cfg) },
+		run: func(cfg BrdgrdConfig, _ int) (Report, error) { return BrdgrdExperiment(cfg) },
 	},
 	runner[BlockingConfig]{
 		name: "blocking",
@@ -160,7 +137,7 @@ var runners = []Runner{
 			}
 			return cfg
 		},
-		run: func(cfg BlockingConfig) (Report, error) { return BlockingExperiment(cfg) },
+		run: func(cfg BlockingConfig, _ int) (Report, error) { return BlockingExperiment(cfg) },
 	},
 	runner[FPStudyConfig]{
 		name: "fpstudy",
@@ -173,7 +150,7 @@ var runners = []Runner{
 			}
 			return cfg
 		},
-		run: func(cfg FPStudyConfig) (Report, error) { return FPStudy(cfg) },
+		run: func(cfg FPStudyConfig, _ int) (Report, error) { return FPStudy(cfg) },
 	},
 	runner[BanStudyConfig]{
 		name: "banstudy",
@@ -186,7 +163,7 @@ var runners = []Runner{
 			}
 			return cfg
 		},
-		run: func(cfg BanStudyConfig) (Report, error) { return BanStudy(cfg) },
+		run: func(cfg BanStudyConfig, _ int) (Report, error) { return BanStudy(cfg) },
 	},
 	runner[MimicStudyConfig]{
 		name: "mimicstudy",
@@ -199,7 +176,7 @@ var runners = []Runner{
 			}
 			return cfg
 		},
-		run: func(cfg MimicStudyConfig) (Report, error) { return MimicStudy(cfg) },
+		run: func(cfg MimicStudyConfig, _ int) (Report, error) { return MimicStudy(cfg) },
 	},
 	runner[ProbeCostConfig]{
 		name: "probecost",
@@ -211,7 +188,7 @@ var runners = []Runner{
 			}
 			return cfg
 		},
-		run: func(cfg ProbeCostConfig) (Report, error) { return ProbeCost(cfg) },
+		run: func(cfg ProbeCostConfig, _ int) (Report, error) { return ProbeCost(cfg) },
 	},
 	runner[MatrixConfig]{
 		name: "matrix",
@@ -223,7 +200,7 @@ var runners = []Runner{
 			}
 			return cfg
 		},
-		run: func(cfg MatrixConfig) (Report, error) { return ReactionMatrices(cfg) },
+		run: func(cfg MatrixConfig, _ int) (Report, error) { return ReactionMatrices(cfg) },
 	},
 	runner[RobustnessConfig]{
 		name: "robustness",
@@ -241,7 +218,7 @@ var runners = []Runner{
 			}
 			return cfg
 		},
-		run: func(cfg RobustnessConfig) (Report, error) { return Robustness(cfg) },
+		run: func(cfg RobustnessConfig, _ int) (Report, error) { return Robustness(cfg) },
 	},
 	fleetRunner,
 	armsraceRunner,

@@ -99,7 +99,7 @@ func TestRunnerRunsSmall(t *testing.T) {
 		}
 		cfg := r.Config(3, false)
 		tc.shape(cfg)
-		rep, err := r.Run(cfg)
+		rep, err := r.Run(cfg, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -114,7 +114,7 @@ func TestRunnerRunsSmall(t *testing.T) {
 
 func TestRunnerRejectsWrongConfigType(t *testing.T) {
 	r, _ := Lookup("probecost")
-	if _, err := r.Run(&MatrixConfig{}); err == nil {
+	if _, err := r.Run(&MatrixConfig{}, 0); err == nil {
 		t.Fatal("wrong config type accepted")
 	}
 }

@@ -96,20 +96,8 @@ type ShadowsocksReport struct {
 	// Figure 4.
 	Overlap capture.Overlap
 
-	// Probe-delivery accounting under link impairment (the prober's
-	// retry-with-timeout path): probes whose connects died on lossy
-	// links, the retries that followed, and probes reclassified as
-	// timeouts because the impaired round trip outlasted the prober's
-	// patience. All zero on ideal links, so unimpaired reports are
-	// byte-identical to pre-impairment ones.
-	ProbeDrops    int `json:"ProbeDrops,omitzero"`
-	ProbeRetries  int `json:"ProbeRetries,omitzero"`
-	ProbeTimeouts int `json:"ProbeTimeouts,omitzero"`
-	// Link-level impairment accounting from the sim's metrics registry:
-	// transport retransmissions absorbed by the links, and flows lost
-	// after every retry. Zero on ideal links.
-	LinkRetransmits  int64 `json:"LinkRetransmits,omitzero"`
-	LinkDroppedFlows int64 `json:"LinkDroppedFlows,omitzero"`
+	// Impairment accounting (see transport); omitted on ideal links.
+	transport
 
 	// Log is the raw probe capture for further analysis. It is excluded
 	// from the report's JSON form (shard reports must stay compact;
@@ -117,50 +105,26 @@ type ShadowsocksReport struct {
 	Log *capture.Log `json:"-"`
 }
 
+// ssPair is one §3.1 client/server pair: a server implementation and
+// cipher, and the workload its client drives.
+type ssPair struct {
+	name    string
+	profile reaction.Profile
+	method  string
+	wl      trafficgen.Workload
+}
+
 // ShadowsocksExperiment reproduces §3.1: five Shadowsocks-libev pairs, one
 // OutlineVPN pair, and an untouched control host, run for months of
 // virtual time under the GFW model.
 func ShadowsocksExperiment(cfg ShadowsocksConfig) (*ShadowsocksReport, error) {
 	cfg = cfg.withDefaults()
-	sim, net := simNet(cfg.Seed, cfg.Impair)
-	gcfg := cfg.GFW
-	gcfg.Seed = seedfork.Fork(cfg.Seed, "shadowsocks.gfw")
-	g := gfw.New(gfw.Env{Sim: sim, Net: net}, gfw.WithConfig(gcfg))
-	net.AddMiddlebox(g)
-
-	type pair struct {
-		name    string
-		profile reaction.Profile
-		method  string
-		server  netsim.Endpoint
-		client  netsim.Endpoint
-		host    *ServerHost
-		wl      trafficgen.Workload
-	}
-	mk := func(i int, name string, p reaction.Profile, method string, wl trafficgen.Workload) (*pair, error) {
-		host, err := NewServerHost(sim, p, method, "experiment-pw")
-		if err != nil {
-			return nil, err
-		}
-		pr := &pair{
-			name: name, profile: p, method: method,
-			server: netsim.Endpoint{IP: fmt.Sprintf("178.62.1.%d", i+1), Port: 8388},
-			client: netsim.Endpoint{IP: fmt.Sprintf("150.109.2.%d", i+1), Port: 50000},
-			host:   host, wl: wl,
-		}
-		net.AddHost(pr.server, host)
-		return pr, nil
-	}
+	b := newTestbed(cfg.Seed, cfg.Impair, cfg.GFW, "shadowsocks.gfw")
+	g := b.gfw
 
 	// Five Shadowsocks-libev pairs (two old, three new, as in §3.1) plus
 	// one OutlineVPN pair driven by Alexa browsing.
-	var pairs []*pair
-	specs := []struct {
-		name    string
-		profile reaction.Profile
-		method  string
-		wl      trafficgen.Workload
-	}{
+	pairs := []ssPair{
 		{"libev-v3.1.3-a", reaction.LibevOld, "aes-256-gcm", trafficgen.CurlLoop},
 		{"libev-v3.1.3-b", reaction.LibevOld, "aes-256-ctr", trafficgen.CurlLoop},
 		{"libev-v3.3.1-a", reaction.LibevNew, "aes-256-gcm", trafficgen.CurlLoop},
@@ -168,65 +132,39 @@ func ShadowsocksExperiment(cfg ShadowsocksConfig) (*ShadowsocksReport, error) {
 		{"libev-v3.3.1-c", reaction.LibevNew, "aes-128-gcm", trafficgen.CurlLoop},
 		{"outline-v1.0.7", reaction.Outline107, "chacha20-ietf-poly1305", trafficgen.BrowseAlexa},
 	}
-	for i, s := range specs {
-		p, err := mk(i, s.name, s.profile, s.method, s.wl)
+	servers := make([]netsim.Endpoint, len(pairs))
+	for i, p := range pairs {
+		host, err := NewServerHost(b.sim, p.profile, p.method, "experiment-pw")
 		if err != nil {
 			return nil, err
 		}
-		pairs = append(pairs, p)
+		servers[i] = netsim.Endpoint{IP: fmt.Sprintf("178.62.1.%d", i+1), Port: 8388}
+		b.net.AddHost(servers[i], host)
 	}
 
 	// The control host: same datacenter, never connected to.
-	control := netsim.Endpoint{IP: "178.62.1.250", Port: 8388}
-	controlHost := &ServerHost{Sim: sim, Sink: true, seen: map[uint64]struct{}{}}
-	net.AddHost(control, controlHost)
+	control := b.sink(netsim.Endpoint{IP: "178.62.1.250", Port: 8388})
 
 	// Drive each pair's curl/browse loop.
 	end := netsim.Epoch.Add(time.Duration(cfg.Days) * 24 * time.Hour)
 	interval := time.Hour / time.Duration(cfg.ConnsPerPairPerHour)
 	for i, p := range pairs {
-		p := p
 		tg := trafficgen.New(seedfork.Fork(cfg.Seed, "shadowsocks.trafficgen", int64(i)))
 		spec, err := sscrypto.Lookup(p.method)
 		if err != nil {
 			return nil, err
 		}
-		var tick func()
-		tick = func() {
-			if sim.Now().After(end) {
-				return
-			}
-			wire := tg.FirstWirePacket(spec, p.wl)
-			net.Connect(p.client, p.server, wire, false, time.Time{})
-			sim.After(interval, tick)
-		}
-		sim.After(time.Duration(i)*time.Second, tick)
+		client := netsim.Endpoint{IP: fmt.Sprintf("150.109.2.%d", i+1), Port: 50000}
+		b.until(end, time.Duration(i)*time.Second, interval, func() {
+			b.net.Connect(client, servers[i], tg.FirstWirePacket(spec, p.wl), false, time.Time{})
+		})
 	}
-	sim.Run()
+	b.sim.Run()
 
-	rep, err := buildShadowsocksReport(cfg, g, pairs, controlHost, func(p *pair) (string, reaction.Profile, string, netsim.Endpoint, *ServerHost) {
-		return p.name, p.profile, p.method, p.server, p.host
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep.LinkRetransmits = sim.Metrics.Counter("net.impair_retransmits").Value()
-	rep.LinkDroppedFlows = sim.Metrics.Counter("net.impair_dropped_flows").Value()
-	return rep, nil
-}
-
-// buildShadowsocksReport assembles the report (generic over the pair type
-// via an accessor to keep the pair struct local).
-func buildShadowsocksReport[T any](cfg ShadowsocksConfig, g *gfw.GFW, pairs []T, control *ServerHost,
-	get func(T) (string, reaction.Profile, string, netsim.Endpoint, *ServerHost)) (*ShadowsocksReport, error) {
-
-	r := &ShadowsocksReport{Config: cfg, Log: g.Log}
+	r := &ShadowsocksReport{Config: cfg, Log: g.Log, transport: b.transport()}
 	r.Triggers = g.Triggers
 	r.Probes = g.Log.Len()
 	r.ControlProbes = control.ProbesSeen
-	r.ProbeDrops = g.ProbeDrops
-	r.ProbeRetries = g.ProbeRetries
-	r.ProbeTimeouts = g.ProbeTimeouts
 
 	// Per-pair type analysis.
 	typeByDst := map[string]map[probe.Type]int{}
@@ -239,18 +177,12 @@ func buildShadowsocksReport[T any](cfg ShadowsocksConfig, g *gfw.GFW, pairs []T,
 		}
 		m[rec.Type]++
 	}
-	for _, p := range pairs {
-		name, profile, method, server, host := get(p)
-		tc := typeByDst[server.IP]
-		total := 0
-		for _, c := range tc {
-			total += c
-		}
+	for i, p := range pairs {
+		tc := typeByDst[servers[i].IP]
 		r.Pairs = append(r.Pairs, PairResult{
-			Name: name, Profile: profile, Method: method,
-			Probes: total, TypeCounts: tc, Stage: g.Stage(server),
+			Name: p.name, Profile: p.profile, Method: p.method,
+			Probes: total(tc), TypeCounts: tc, Stage: g.Stage(servers[i]),
 		})
-		_ = host
 	}
 
 	// Figure 2: NR1 length histogram and NR2 count.

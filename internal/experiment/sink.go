@@ -70,16 +70,9 @@ type SinkReport struct {
 	Stage2BeforeSwitch int
 	Stage2AfterSwitch  int
 
-	// Probe-delivery accounting under link impairment for Exp 1 (the
-	// run behind Figure 8). All zero on ideal links, so unimpaired
-	// reports are byte-identical to pre-impairment ones.
-	ProbeDrops    int `json:"ProbeDrops,omitzero"`
-	ProbeRetries  int `json:"ProbeRetries,omitzero"`
-	ProbeTimeouts int `json:"ProbeTimeouts,omitzero"`
-	// Link-level impairment accounting for Exp 1 (see
-	// ShadowsocksReport). Zero on ideal links.
-	LinkRetransmits  int64 `json:"LinkRetransmits,omitzero"`
-	LinkDroppedFlows int64 `json:"LinkDroppedFlows,omitzero"`
+	// Impairment accounting for Exp 1, the run behind Figure 8 (see
+	// transport); omitted on ideal links.
+	transport
 }
 
 // SinkExperiments runs Exps 1.a, 1.b, 2 and 3 of Table 4.
@@ -88,39 +81,19 @@ func SinkExperiments(cfg SinkConfig) (*SinkReport, error) {
 	report := &SinkReport{Config: cfg}
 
 	// --- Exp 1.a + 1.b: high entropy, sink for Hours, then responding. ---
-	sim, net := simNet(cfg.Seed, cfg.Impair)
-	gcfg := cfg.GFW
-	gcfg.Seed = seedfork.Fork(cfg.Seed, "sink.exp1.gfw")
-	g := gfw.New(gfw.Env{Sim: sim, Net: net}, gfw.WithConfig(gcfg))
-	net.AddMiddlebox(g)
-
-	server := netsim.Endpoint{IP: "178.62.10.1", Port: 443}
-	client := netsim.Endpoint{IP: "150.109.10.1", Port: 40000}
-	host := &ServerHost{Sim: sim, Sink: true, seen: map[uint64]struct{}{}}
-	net.AddHost(server, host)
-
-	gen := entropy.NewGenerator(seedfork.Fork(cfg.Seed, "sink.exp1.entropy"))
-	interval := time.Hour / time.Duration(cfg.ConnsPerHour)
 	switchAt := netsim.Epoch.Add(time.Duration(cfg.Hours) * time.Hour)
-	end := switchAt.Add(time.Duration(cfg.Hours) / 2 * time.Hour)
-	triggers1a, triggers1b := 0, 0
-	var tick func()
-	tick = func() {
-		if sim.Now().After(end) {
-			return
-		}
-		if sim.Now().Before(switchAt) {
-			triggers1a++
-		} else {
-			host.Sink = false
-			host.RespondAll = true
-			triggers1b++
-		}
-		net.Connect(client, server, gen.Random(1+gen.Intn(1000)), false, time.Time{})
-		sim.After(interval, tick)
-	}
-	sim.After(0, tick)
-	sim.Run()
+	triggers1a := 0
+	b, triggers := runSink(cfg, "exp1", 1, switchAt.Add(time.Duration(cfg.Hours)/2*time.Hour),
+		func(host *ServerHost, gen *entropy.Generator) []byte {
+			if host.Sim.Now().Before(switchAt) {
+				triggers1a++
+			} else {
+				host.Sink = false
+				host.RespondAll = true
+			}
+			return gen.Random(1 + gen.Intn(1000))
+		})
+	g := b.gfw
 
 	// Partition probes by the switch time.
 	count1a := map[probe.Type]int{}
@@ -150,32 +123,29 @@ func SinkExperiments(cfg SinkConfig) (*SinkReport, error) {
 		ExpRow{Name: "1.a", LenRange: [2]int{1, 1000}, Entropy: ">7", Mode: "sink",
 			Triggers: triggers1a, Probes: total(count1a), TypeCounts: count1a},
 		ExpRow{Name: "1.b", LenRange: [2]int{1, 1000}, Entropy: ">7", Mode: "responding",
-			Triggers: triggers1b, Probes: total(count1b), TypeCounts: count1b},
+			Triggers: triggers - triggers1a, Probes: total(count1b), TypeCounts: count1b},
 	)
 	report.fillFigure8(replayLens)
-	report.ProbeDrops = g.ProbeDrops
-	report.ProbeRetries = g.ProbeRetries
-	report.ProbeTimeouts = g.ProbeTimeouts
-	report.LinkRetransmits = sim.Metrics.Counter("net.impair_retransmits").Value()
-	report.LinkDroppedFlows = sim.Metrics.Counter("net.impair_dropped_flows").Value()
+	report.transport = b.transport()
 
 	// --- Exp 2: low entropy (<2), sink. ---
-	row2, _, err := runSinkVariant(cfg, "exp2", func(gen *entropy.Generator) []byte {
+	b, triggers = runSink(cfg, "exp2", 2, switchAt, func(_ *ServerHost, gen *entropy.Generator) []byte {
 		return gen.Payload(1+gen.Intn(1000), 1.2)
 	})
-	if err != nil {
-		return nil, err
-	}
-	row2.Name, row2.LenRange, row2.Entropy, row2.Mode = "2", [2]int{1, 1000}, "<2", "sink"
-	report.Rows = append(report.Rows, row2)
+	report.Rows = append(report.Rows, ExpRow{Name: "2", LenRange: [2]int{1, 1000}, Entropy: "<2", Mode: "sink",
+		Triggers: triggers, Probes: b.gfw.Log.Len(), TypeCounts: b.gfw.Log.TypeCounts()})
 
 	// --- Exp 3: entropy uniform in [0,8], lengths up to 2000. ---
-	row3, log3, triggerPerBin, err := runExp3(cfg)
-	if err != nil {
-		return nil, err
-	}
-	report.Rows = append(report.Rows, row3)
-	report.fillFigure9(log3, triggerPerBin)
+	triggerPerBin := make([]int, figure9Bins)
+	b, triggers = runSink(cfg, "exp3", 3, switchAt, func(_ *ServerHost, gen *entropy.Generator) []byte {
+		h := gen.Float64() * 8
+		p := gen.Payload(1+gen.Intn(2000), h)
+		triggerPerBin[entropyBin(entropy.Shannon(p))]++
+		return p
+	})
+	report.Rows = append(report.Rows, ExpRow{Name: "3", LenRange: [2]int{1, 2000}, Entropy: "[0,8]", Mode: "sink",
+		Triggers: triggers, Probes: b.gfw.Log.Len(), TypeCounts: b.gfw.Log.TypeCounts()})
+	report.fillFigure9(b.gfw.Log, triggerPerBin)
 
 	return report, nil
 }
@@ -188,75 +158,25 @@ func total(m map[probe.Type]int) int {
 	return t
 }
 
-// runSinkVariant runs one sink experiment with a payload generator.
-func runSinkVariant(cfg SinkConfig, variant string, payload func(*entropy.Generator) []byte) (ExpRow, *capture.Log, error) {
-	sim, net := simNet(cfg.Seed, cfg.Impair)
-	gcfg := cfg.GFW
-	gcfg.Seed = seedfork.Fork(cfg.Seed, "sink."+variant+".gfw")
-	g := gfw.New(gfw.Env{Sim: sim, Net: net}, gfw.WithConfig(gcfg))
-	net.AddMiddlebox(g)
-	server := netsim.Endpoint{IP: "178.62.10.2", Port: 443}
-	client := netsim.Endpoint{IP: "150.109.10.2", Port: 40001}
-	host := &ServerHost{Sim: sim, Sink: true, seen: map[uint64]struct{}{}}
-	net.AddHost(server, host)
+// runSink runs one sink campaign: the client at 150.109.10.n sends a
+// trigger to the sink server at 178.62.10.n every 1/ConnsPerHour until
+// end, and returns the finished testbed with the number of triggers
+// sent. trigger builds each payload and keeps any per-trigger state.
+func runSink(cfg SinkConfig, variant string, n int, end time.Time,
+	trigger func(host *ServerHost, gen *entropy.Generator) []byte) (*testbed, int) {
+	b := newTestbed(cfg.Seed, cfg.Impair, cfg.GFW, "sink."+variant+".gfw")
+	server := netsim.Endpoint{IP: fmt.Sprintf("178.62.10.%d", n), Port: 443}
+	client := netsim.Endpoint{IP: fmt.Sprintf("150.109.10.%d", n), Port: 40000 + n - 1}
+	host := b.sink(server)
 
-	if payload == nil {
-		payload = func(gen *entropy.Generator) []byte { return gen.Random(1 + gen.Intn(1000)) }
-	}
 	gen := entropy.NewGenerator(seedfork.Fork(cfg.Seed, "sink."+variant+".entropy"))
-	interval := time.Hour / time.Duration(cfg.ConnsPerHour)
-	end := netsim.Epoch.Add(time.Duration(cfg.Hours) * time.Hour)
 	triggers := 0
-	var tick func()
-	tick = func() {
-		if sim.Now().After(end) {
-			return
-		}
+	b.until(end, 0, time.Hour/time.Duration(cfg.ConnsPerHour), func() {
 		triggers++
-		net.Connect(client, server, payload(gen), false, time.Time{})
-		sim.After(interval, tick)
-	}
-	sim.After(0, tick)
-	sim.Run()
-
-	return ExpRow{Triggers: triggers, Probes: g.Log.Len(), TypeCounts: g.Log.TypeCounts()}, g.Log, nil
-}
-
-// runExp3 runs experiment 3 tracking per-trigger entropy bins for Figure 9.
-func runExp3(cfg SinkConfig) (ExpRow, *capture.Log, []int, error) {
-	sim, net := simNet(cfg.Seed, cfg.Impair)
-	gcfg := cfg.GFW
-	gcfg.Seed = seedfork.Fork(cfg.Seed, "sink.exp3.gfw")
-	g := gfw.New(gfw.Env{Sim: sim, Net: net}, gfw.WithConfig(gcfg))
-	net.AddMiddlebox(g)
-	server := netsim.Endpoint{IP: "178.62.10.3", Port: 443}
-	client := netsim.Endpoint{IP: "150.109.10.3", Port: 40002}
-	host := &ServerHost{Sim: sim, Sink: true, seen: map[uint64]struct{}{}}
-	net.AddHost(server, host)
-
-	gen := entropy.NewGenerator(seedfork.Fork(cfg.Seed, "sink.exp3.entropy"))
-	interval := time.Hour / time.Duration(cfg.ConnsPerHour)
-	end := netsim.Epoch.Add(time.Duration(cfg.Hours) * time.Hour)
-	triggers := 0
-	triggerPerBin := make([]int, figure9Bins)
-	var tick func()
-	tick = func() {
-		if sim.Now().After(end) {
-			return
-		}
-		triggers++
-		h := gen.Float64() * 8
-		p := gen.Payload(1+gen.Intn(2000), h)
-		triggerPerBin[entropyBin(entropy.Shannon(p))]++
-		net.Connect(client, server, p, false, time.Time{})
-		sim.After(interval, tick)
-	}
-	sim.After(0, tick)
-	sim.Run()
-
-	row := ExpRow{Name: "3", LenRange: [2]int{1, 2000}, Entropy: "[0,8]", Mode: "sink",
-		Triggers: triggers, Probes: g.Log.Len(), TypeCounts: g.Log.TypeCounts()}
-	return row, g.Log, triggerPerBin, nil
+		b.net.Connect(client, server, trigger(host, gen), false, time.Time{})
+	})
+	b.sim.Run()
+	return b, triggers
 }
 
 // figure9Bins buckets entropies into unit-wide bins.

@@ -257,23 +257,20 @@ func (r *SpatioReport) Render() string {
 // Fast scale is four shapes over a 1200-user, 12-hour gradient with
 // aggressive recording so the regional contrast is visible in seconds;
 // full scale leaves the config zeroed for the three-week default.
-var spatioRunner = workersRunner[SpatioConfig]{
-	runner: runner[SpatioConfig]{
-		name: "spatiotemporal",
-		desc: "regional sensitivity gradients × policy schedules: per-region blocking over weeks",
-		config: func(seed int64, full bool) SpatioConfig {
-			cfg := SpatioConfig{Seed: seed}
-			if !full {
-				cfg.Users = 1200
-				cfg.UsersPerServer = 40
-				cfg.Hours = 12
-				cfg.GFW = gfw.Config{PoolSize: 2000, ReplayBase: 0.3}
-			}
-			return cfg
-		},
-		run: func(cfg SpatioConfig) (Report, error) { return Spatiotemporal(cfg) },
+var spatioRunner = runner[SpatioConfig]{
+	name: "spatiotemporal",
+	desc: "regional sensitivity gradients × policy schedules: per-region blocking over weeks",
+	config: func(seed int64, full bool) SpatioConfig {
+		cfg := SpatioConfig{Seed: seed}
+		if !full {
+			cfg.Users = 1200
+			cfg.UsersPerServer = 40
+			cfg.Hours = 12
+			cfg.GFW = gfw.Config{PoolSize: 2000, ReplayBase: 0.3}
+		}
+		return cfg
 	},
-	runWorkers: func(cfg SpatioConfig, workers int) (Report, error) {
+	run: func(cfg SpatioConfig, workers int) (Report, error) {
 		return Spatiotemporal(cfg, fleet.WithWorkers(workers))
 	},
 }

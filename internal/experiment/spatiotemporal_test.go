@@ -20,15 +20,12 @@ func spatioTestCfg(seed int64) SpatioConfig {
 	}
 }
 
-// TestSpatioRegistered: the runner is in the registry and implements
-// the workers extension.
+// TestSpatioRegistered: the runner is in the registry with a compact
+// fast-scale config.
 func TestSpatioRegistered(t *testing.T) {
 	r, ok := Lookup("spatiotemporal")
 	if !ok {
 		t.Fatal("spatiotemporal not registered")
-	}
-	if _, ok := r.(WorkersRunner); !ok {
-		t.Fatal("spatiotemporal does not implement WorkersRunner")
 	}
 	cfg, ok := r.Config(1, false).(*SpatioConfig)
 	if !ok {

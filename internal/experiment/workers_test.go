@@ -6,18 +6,15 @@ import (
 	"testing"
 )
 
-// TestWorkersRunnerByteIdentity: the registry's intra-run workers path
-// must reproduce Run's bytes exactly, for both workers-aware runners,
-// on sharded configs (Shards is science; workers is execution).
-func TestWorkersRunnerByteIdentity(t *testing.T) {
-	for _, name := range []string{"fleet", "armsrace"} {
+// TestRunWorkersByteIdentity: every runner takes an intra-run worker
+// bound, and for the ones that parallelize inside a run it must not
+// change a byte of the report — on sharded configs (Shards is science;
+// workers is execution).
+func TestRunWorkersByteIdentity(t *testing.T) {
+	for _, name := range []string{"fleet", "armsrace", "spatiotemporal"} {
 		r, ok := Lookup(name)
 		if !ok {
 			t.Fatalf("experiment %q not registered", name)
-		}
-		wr, ok := r.(WorkersRunner)
-		if !ok {
-			t.Fatalf("experiment %q does not implement WorkersRunner", name)
 		}
 
 		mkCfg := func() any {
@@ -28,6 +25,11 @@ func TestWorkersRunnerByteIdentity(t *testing.T) {
 				c.Hours = 2
 				c.Shards = 3
 				c.Chains = [][]string{{"shadowsocks"}, {"shadowsocks", "openvpn"}}
+			case *SpatioConfig:
+				c.Users = 300
+				c.Hours = 3
+				c.Shards = 3
+				c.Shapes = []string{"steady", "crackdown"}
 			default:
 				// fleet.Config lives in another package; drive it through
 				// JSON like the campaign engine does.
@@ -43,7 +45,7 @@ func TestWorkersRunnerByteIdentity(t *testing.T) {
 			return cfg
 		}
 
-		base, err := r.Run(mkCfg())
+		base, err := r.Run(mkCfg(), 0)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -52,7 +54,7 @@ func TestWorkersRunnerByteIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4} {
-			rep, err := wr.RunWorkers(mkCfg(), workers)
+			rep, err := r.Run(mkCfg(), workers)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
@@ -61,7 +63,7 @@ func TestWorkersRunnerByteIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, golden) {
-				t.Fatalf("%s: RunWorkers(%d) diverged from Run:\n%s\nvs\n%s", name, workers, got, golden)
+				t.Fatalf("%s: Run(cfg, %d) diverged from Run(cfg, 0):\n%s\nvs\n%s", name, workers, got, golden)
 			}
 		}
 	}

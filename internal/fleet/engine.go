@@ -213,9 +213,7 @@ func (e *Engine) Report() (*Report, error) {
 
 	if e.o.metrics != nil {
 		for i := range e.units {
-			if err := e.o.metrics.Absorb(e.units[i].sim.Metrics.Snapshot()); err != nil {
-				return nil, fmt.Errorf("fleet: unit %d/%d: %w", i, len(e.units), err)
-			}
+			e.o.metrics.Absorb(e.units[i].sim.Metrics.Snapshot())
 		}
 	}
 	e.rep = rep

@@ -148,9 +148,6 @@ func NewPool(rng *rand.Rand, size int, start time.Time) *Pool {
 	return p
 }
 
-// Size returns the number of addresses in the pool.
-func (p *Pool) Size() int { return len(p.ips) }
-
 // pickIP samples an address by weight.
 func (p *Pool) pickIP() poolIP {
 	x := p.rng.Float64() * p.cum[len(p.cum)-1]

@@ -234,6 +234,3 @@ func (g *GFW) SetBlockTTL(ttlHours, jitterHours float64) {
 // no probe — including already-scheduled batches, retries and NR2
 // duplicates — is sent while paused.
 func (g *GFW) SetProbingPaused(paused bool) { g.paused = paused }
-
-// ProbingPaused reports whether probing is currently paused.
-func (g *GFW) ProbingPaused() bool { return g.paused }

@@ -1,15 +1,8 @@
 package metrics
 
-import (
-	"fmt"
-	"math"
-)
-
-// Absorb folds a snapshot into the registry: counters and gauges add,
-// histograms add bucket-wise (count, sum and the min/max water marks
-// included). Instruments named by the snapshot are created on first
-// use; a histogram that already exists must have the snapshot's bucket
-// bounds. Safe on a nil registry (no-op).
+// Absorb folds a snapshot into the registry: counters and gauges add.
+// Instruments named by the snapshot are created on first use. Safe on
+// a nil registry (no-op).
 //
 // Absorb is how execution layers that run several isolated
 // sub-simulations (the fleet's space shards, the arms race's chains)
@@ -18,9 +11,9 @@ import (
 // order. Adding gauges makes level gauges (blocked users, bytes held)
 // cross-shard totals; high-water marks become sums of per-shard peaks,
 // which bounds — but no longer equals — a global peak.
-func (r *Registry) Absorb(s Snapshot) error {
+func (r *Registry) Absorb(s Snapshot) {
 	if r == nil {
-		return nil
+		return
 	}
 	for _, v := range s.Counters {
 		r.Counter(v.Name).Add(v.Value)
@@ -28,48 +21,4 @@ func (r *Registry) Absorb(s Snapshot) error {
 	for _, v := range s.Gauges {
 		r.Gauge(v.Name).Add(v.Value)
 	}
-	for _, hs := range s.Histograms {
-		if err := r.Histogram(hs.Name, hs.Bounds).absorb(hs); err != nil {
-			return fmt.Errorf("metrics: absorbing histogram %q: %v", hs.Name, err)
-		}
-	}
-	return nil
-}
-
-// absorb adds one histogram snapshot into h. The bounds must match —
-// bucket counts are positional — and an empty snapshot (min +Inf,
-// max -Inf) leaves the water marks untouched.
-func (h *Histogram) absorb(hs HistogramSnapshot) error {
-	if len(hs.Bounds) != len(h.bounds) || len(hs.Counts) != len(h.counts) {
-		return fmt.Errorf("bucket shape %d/%d, want %d/%d",
-			len(hs.Bounds), len(hs.Counts), len(h.bounds), len(h.counts))
-	}
-	for i, b := range h.bounds {
-		if hs.Bounds[i] != b {
-			return fmt.Errorf("bound[%d] = %v, want %v", i, hs.Bounds[i], b)
-		}
-	}
-	for i, c := range hs.Counts {
-		h.counts[i].Add(c)
-	}
-	h.count.Add(hs.Count)
-	for {
-		old := h.sum.Load()
-		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+hs.Sum)) {
-			break
-		}
-	}
-	for {
-		old := h.min.Load()
-		if hs.Min >= math.Float64frombits(old) || h.min.CompareAndSwap(old, math.Float64bits(hs.Min)) {
-			break
-		}
-	}
-	for {
-		old := h.max.Load()
-		if hs.Max <= math.Float64frombits(old) || h.max.CompareAndSwap(old, math.Float64bits(hs.Max)) {
-			break
-		}
-	}
-	return nil
 }

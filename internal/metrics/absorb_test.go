@@ -1,44 +1,31 @@
 package metrics
 
 import (
-	"math"
 	"reflect"
 	"testing"
 )
 
-func TestAbsorbCountersGaugesHistograms(t *testing.T) {
+func TestAbsorbCountersGauges(t *testing.T) {
 	mk := func(base int64) *Registry {
 		r := New()
 		r.Counter("c.flows").Add(10 * base)
 		r.Gauge("g.blocked").Set(base)
-		h := r.Histogram("h.lat", []float64{1, 10})
-		h.Observe(float64(base))
-		h.Observe(float64(base) * 20)
 		return r
 	}
 	dst := New()
-	if err := dst.Absorb(mk(1).Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.Absorb(mk(3).Snapshot()); err != nil {
-		t.Fatal(err)
-	}
+	dst.Absorb(mk(1).Snapshot())
+	dst.Absorb(mk(3).Snapshot())
 	if got := dst.Counter("c.flows").Value(); got != 40 {
 		t.Fatalf("counter = %d, want 40", got)
 	}
 	if got := dst.Gauge("g.blocked").Value(); got != 4 {
 		t.Fatalf("gauge = %d, want 4", got)
 	}
-	s := dst.Snapshot()
-	if len(s.Histograms) != 1 {
-		t.Fatalf("histograms = %d, want 1", len(s.Histograms))
-	}
-	h := s.Histograms[0]
-	if h.Count != 4 || h.Sum != 1+20+3+60 || h.Min != 1 || h.Max != 60 {
-		t.Fatalf("histogram digest = %+v", h)
-	}
-	if !reflect.DeepEqual(h.Counts, []int64{1, 1, 2}) {
-		t.Fatalf("histogram counts = %v", h.Counts)
+
+	var nilReg *Registry
+	nilReg.Absorb(mk(1).Snapshot())
+	if s := nilReg.Snapshot(); len(s.Counters)+len(s.Gauges) != 0 {
+		t.Fatalf("nil registry absorbed %v", s)
 	}
 }
 
@@ -51,57 +38,16 @@ func TestAbsorbEqualsDirect(t *testing.T) {
 	for shard := 0; shard < 4; shard++ {
 		part := New()
 		for i := 0; i < 5; i++ {
-			v := float64(shard*5 + i)
+			v := int64(shard*5 + i)
 			direct.Counter("c").Inc()
 			part.Counter("c").Inc()
-			direct.Histogram("h", []float64{3, 9, 15}).Observe(v)
-			part.Histogram("h", []float64{3, 9, 15}).Observe(v)
+			direct.Gauge("g").Add(v)
+			part.Gauge("g").Add(v)
 		}
-		if err := merged.Absorb(part.Snapshot()); err != nil {
-			t.Fatal(err)
-		}
+		merged.Absorb(part.Snapshot())
 	}
 	if !reflect.DeepEqual(direct.Snapshot(), merged.Snapshot()) {
 		t.Fatalf("absorbed snapshots diverge from direct observation:\n%v\nvs\n%v",
 			direct.Snapshot(), merged.Snapshot())
-	}
-}
-
-// TestAbsorbEmptyHistogram: an empty snapshot must not poison the
-// destination's min/max water marks.
-func TestAbsorbEmptyHistogram(t *testing.T) {
-	src := New()
-	src.Histogram("h", []float64{1})
-	dst := New()
-	dst.Histogram("h", []float64{1}).Observe(5)
-	if err := dst.Absorb(src.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	h := dst.Snapshot().Histograms[0]
-	if h.Count != 1 || h.Min != 5 || h.Max != 5 {
-		t.Fatalf("digest after empty absorb = %+v", h)
-	}
-	// And absorbing into an empty destination keeps the infinities.
-	fresh := New()
-	if err := fresh.Absorb(src.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	h = fresh.Snapshot().Histograms[0]
-	if h.Count != 0 || !math.IsInf(h.Min, 1) || !math.IsInf(h.Max, -1) {
-		t.Fatalf("empty-into-empty digest = %+v", h)
-	}
-}
-
-func TestAbsorbBoundsMismatch(t *testing.T) {
-	src := New()
-	src.Histogram("h", []float64{1, 2}).Observe(1)
-	dst := New()
-	dst.Histogram("h", []float64{1, 5})
-	if err := dst.Absorb(src.Snapshot()); err == nil {
-		t.Fatal("want error on mismatched bounds")
-	}
-	var nilReg *Registry
-	if err := nilReg.Absorb(src.Snapshot()); err != nil {
-		t.Fatalf("nil registry: %v", err)
 	}
 }

@@ -1,23 +1,18 @@
 // Package metrics is the repo's deterministic observability layer:
-// counters, gauges and histograms with a snapshot API, designed to be
-// safe inside the discrete-event simulator.
+// counters and gauges with a snapshot API, designed to be safe inside
+// the discrete-event simulator.
 //
 // Determinism rules (enforced by the detrand/simclock analyzers, whose
 // scopes cover this package):
 //
 //   - No wall clock. The package never calls time.Now; anything
-//     time-shaped that gets recorded (e.g. histogram observations of
-//     latencies) must be derived from the simulator's virtual clock by
-//     the caller.
+//     time-shaped that gets recorded must be derived from the
+//     simulator's virtual clock by the caller.
 //   - No randomness. Sampling decisions, if ever needed, belong to the
 //     caller's seeded rng.
-//   - Snapshots are sorted by name, so rendering a snapshot of a
-//     single-threaded (simulator-side) registry is byte-stable across
-//     runs. Counters and gauges stay deterministic under concurrency
-//     too (integer addition commutes); histogram *sums* are float64 and
-//     therefore only bit-stable when observed from one goroutine —
-//     which is why merged sweep reports never embed snapshots and the
-//     campaign layer restricts itself to counters.
+//   - Snapshots are sorted by name, so rendering a snapshot is
+//     byte-stable across runs. Counters and gauges stay deterministic
+//     under concurrency too (integer addition commutes).
 //
 // All instrument methods are nil-receiver-safe so call sites can be
 // instrumented unconditionally and cost nothing when metrics are off;
@@ -26,10 +21,7 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -96,62 +88,6 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Histogram counts observations into fixed buckets with inclusive upper
-// bounds, plus a +Inf overflow bucket, and tracks count/sum/min/max.
-type Histogram struct {
-	bounds []float64 // sorted inclusive upper bounds
-	counts []atomic.Int64
-	count  atomic.Int64
-	sum    atomic.Uint64 // float64 bits, CAS-updated
-	min    atomic.Uint64 // float64 bits
-	max    atomic.Uint64 // float64 bits
-}
-
-func newHistogram(bounds []float64) *Histogram {
-	bs := append([]float64(nil), bounds...)
-	sort.Float64s(bs)
-	h := &Histogram{bounds: bs, counts: make([]atomic.Int64, len(bs)+1)}
-	h.min.Store(math.Float64bits(math.Inf(1)))
-	h.max.Store(math.Float64bits(math.Inf(-1)))
-	return h
-}
-
-// Observe records one value. Safe on a nil receiver (no-op).
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sum.Load()
-		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			break
-		}
-	}
-	for {
-		old := h.min.Load()
-		if v >= math.Float64frombits(old) || h.min.CompareAndSwap(old, math.Float64bits(v)) {
-			break
-		}
-	}
-	for {
-		old := h.max.Load()
-		if v <= math.Float64frombits(old) || h.max.CompareAndSwap(old, math.Float64bits(v)) {
-			break
-		}
-	}
-}
-
-// Count returns the number of observations (0 on a nil receiver).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // Registry holds named instruments. The zero value is not usable; use
 // New. A nil *Registry is safe: all lookups return nil instruments,
 // whose methods are no-ops.
@@ -159,7 +95,6 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
 }
 
 // New returns an empty registry.
@@ -167,7 +102,6 @@ func New() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Histogram{},
 	}
 }
 
@@ -203,34 +137,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it with the given
-// bucket upper bounds on first use (later calls ignore bounds).
-// Returns nil (a no-op instrument) on a nil registry.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = newHistogram(bounds)
-		r.hists[name] = h
-	}
-	return h
-}
-
-// HistogramSnapshot is one histogram's state at snapshot time.
-type HistogramSnapshot struct {
-	Name   string    `json:"name"`
-	Bounds []float64 `json:"bounds"` // inclusive upper bounds; last bucket is +Inf
-	Counts []int64   `json:"counts"` // len(Bounds)+1
-	Count  int64     `json:"count"`
-	Sum    float64   `json:"sum"`
-	Min    float64   `json:"min"` // +Inf when empty
-	Max    float64   `json:"max"` // -Inf when empty
-}
-
 // Value is one counter or gauge reading.
 type Value struct {
 	Name  string `json:"name"`
@@ -239,9 +145,8 @@ type Value struct {
 
 // Snapshot is a point-in-time, name-sorted view of a registry.
 type Snapshot struct {
-	Counters   []Value             `json:"counters,omitempty"`
-	Gauges     []Value             `json:"gauges,omitempty"`
-	Histograms []HistogramSnapshot `json:"histograms,omitempty"`
+	Counters []Value `json:"counters,omitempty"`
+	Gauges   []Value `json:"gauges,omitempty"`
 }
 
 // Snapshot captures the registry's current state, sorted by name.
@@ -259,24 +164,8 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, g := range r.gauges {
 		s.Gauges = append(s.Gauges, Value{name, g.Value()})
 	}
-	for name, h := range r.hists {
-		hs := HistogramSnapshot{
-			Name:   name,
-			Bounds: append([]float64(nil), h.bounds...),
-			Counts: make([]int64, len(h.counts)),
-			Count:  h.count.Load(),
-			Sum:    math.Float64frombits(h.sum.Load()),
-			Min:    math.Float64frombits(h.min.Load()),
-			Max:    math.Float64frombits(h.max.Load()),
-		}
-		for i := range h.counts {
-			hs.Counts[i] = h.counts[i].Load()
-		}
-		s.Histograms = append(s.Histograms, hs)
-	}
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
-	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 	return s
 }
 
@@ -294,31 +183,11 @@ func (s Snapshot) String() string {
 			w = len(v.Name)
 		}
 	}
-	for _, h := range s.Histograms {
-		if len(h.Name) > w {
-			w = len(h.Name)
-		}
-	}
 	for _, v := range s.Counters {
 		fmt.Fprintf(&b, "%-*s  %d\n", w, v.Name, v.Value)
 	}
 	for _, v := range s.Gauges {
 		fmt.Fprintf(&b, "%-*s  %d (gauge)\n", w, v.Name, v.Value)
 	}
-	for _, h := range s.Histograms {
-		if h.Count == 0 {
-			fmt.Fprintf(&b, "%-*s  histogram: empty\n", w, h.Name)
-			continue
-		}
-		fmt.Fprintf(&b, "%-*s  histogram: n=%d sum=%g min=%g max=%g\n",
-			w, h.Name, h.Count, h.Sum, h.Min, h.Max)
-	}
 	return b.String()
-}
-
-// WriteJSON writes the snapshot as indented JSON.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }

@@ -77,7 +77,9 @@ func NR1Lengths() []int {
 func NR3Lengths() []int { return []int{53, 56, 169, 180, 402} }
 
 // mutated returns the offsets (relative to the recorded payload) each
-// replay type changes.
+// replay type changes (empty for R1 and non-replay types). §5.3's key
+// observation is that R2, R3 and R5 all touch the IV/salt region, while
+// R4 targets byte 16 — past an 8- or 12-byte IV but inside a 16-byte one.
 func mutated(t Type) []int {
 	switch t {
 	case R2:
@@ -98,12 +100,6 @@ func mutated(t Type) []int {
 		return nil
 	}
 }
-
-// MutatedOffsets exposes the byte offsets a replay type changes (empty for
-// R1 and non-replay types). §5.3's key observation is that R2, R3 and R5
-// all touch the IV/salt region, while R4 targets byte 16 — past an 8- or
-// 12-byte IV but inside a 16-byte one.
-func MutatedOffsets(t Type) []int { return mutated(t) }
 
 // Build constructs a probe payload of the given type. recorded is the
 // legitimate first packet being replayed (required for R1–R6, ignored for

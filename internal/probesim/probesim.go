@@ -21,18 +21,13 @@ import (
 	"sslab/internal/ssproto"
 )
 
-// Prober abstracts "deliver one first-packet payload, observe the reaction".
-type Prober interface {
-	Probe(payload []byte, generatedAt time.Time) (reaction.Reaction, error)
-}
-
 // ModelProber probes an in-process reaction.Server.
 type ModelProber struct {
 	Server *reaction.Server
 	Now    time.Time
 }
 
-// Probe implements Prober.
+// Probe delivers one first-packet payload and returns the reaction.
 func (m *ModelProber) Probe(payload []byte, generatedAt time.Time) (reaction.Reaction, error) {
 	if m.Now.IsZero() {
 		m.Now = time.Date(2019, 9, 29, 0, 0, 0, 0, time.UTC)
@@ -54,7 +49,8 @@ type TCPProber struct {
 	Timeout time.Duration
 }
 
-// Probe implements Prober over real TCP.
+// Probe delivers one first-packet payload over real TCP and returns the
+// observed reaction.
 func (p *TCPProber) Probe(payload []byte, _ time.Time) (reaction.Reaction, error) {
 	timeout := p.Timeout
 	if timeout <= 0 {

@@ -348,6 +348,3 @@ func (s *SPRT) Observe(outcome string) Verdict {
 
 // N returns the number of observations consumed.
 func (s *SPRT) N() int { return s.n }
-
-// Reset clears the accumulated evidence.
-func (s *SPRT) Reset() { s.llr, s.n = 0, 0 }
