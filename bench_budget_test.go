@@ -110,12 +110,14 @@ func TestFleetAllocBudgets(t *testing.T) {
 
 // TestImpairAllocBudgets enforces BENCH_impair.json: the fault-injecting
 // Connect path must stay on the ideal path's allocation profile (no
-// per-connection allocation, nothing from the impairment machinery).
+// per-connection allocation, nothing from the impairment machinery),
+// and a flow that creates its two links allocates only their states.
 func TestImpairAllocBudgets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full benchmarks; skipped with -short")
 	}
 	checkAllocBudgets(t, "BENCH_impair.json", map[string]func(*testing.B){
 		"ImpairedConnect": benchImpairedConnect,
+		"ImpairedNewLink": benchImpairedNewLink,
 	})
 }

@@ -10,6 +10,7 @@
 package sslab_test
 
 import (
+	"fmt"
 	"math/rand"
 	"net"
 	"testing"
@@ -31,6 +32,7 @@ func BenchmarkHotPath(b *testing.B) {
 	b.Run("DetectorChainSS", benchDetectorChainSS)
 	b.Run("DetectorChain3", benchDetectorChain3)
 	b.Run("ImpairedConnect", benchImpairedConnect)
+	b.Run("ImpairedNewLink", benchImpairedNewLink)
 	b.Run("EventDispatch", benchEventDispatch)
 	b.Run("StreamConnWrite", benchStreamConnWrite)
 	b.Run("AEADConnWrite", benchAEADConnWrite)
@@ -228,6 +230,43 @@ func benchImpairedConnect(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		network.Connect(client, server, payload, false, time.Time{})
+	}
+}
+
+// benchImpairedNewLink connects from a client address the network has
+// not seen, on the lossy fleet workload's link profile, so every op
+// creates both directed links — the common case for a probe, whose
+// prober address rarely repeats. The budget in BENCH_impair.json is one
+// linkState per direction: each link's stream lives in its state and
+// seeds lazily. The network is rebuilt outside the timer every
+// perNet ops, which bounds the link map.
+func benchImpairedNewLink(b *testing.B) {
+	const perNet = 4096
+	clients := make([]netsim.Endpoint, perNet)
+	for i := range clients {
+		clients[i] = netsim.Endpoint{IP: fmt.Sprintf("100.64.%d.%d", i/250, i%250+1), Port: 40000}
+	}
+	server := netsim.Endpoint{IP: "198.51.0.1", Port: 8388}
+	host := netsim.HostFunc(func(*netsim.Flow) netsim.Outcome {
+		return netsim.Outcome{Reaction: reaction.Data, ResponseLen: 1200}
+	})
+	payload := entropy.NewGenerator(3).Random(400)
+	var network *netsim.Network
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%perNet == 0 {
+			b.StopTimer()
+			sim := netsim.NewSim(netsim.WithSeed(int64(i / perNet)))
+			network = netsim.NewNetwork(sim, netsim.WithDefaultLink(netsim.LinkProfile{
+				LatencyBase: 80 * time.Millisecond,
+				Jitter:      40 * time.Millisecond,
+				Loss:        0.01,
+			}))
+			network.AddHost(server, host)
+			b.StartTimer()
+		}
+		network.Connect(clients[i%perNet], server, payload, false, time.Time{})
 	}
 }
 

@@ -125,6 +125,20 @@ func (p *Pass) PkgFunc(call *ast.CallExpr, pkgPath string) (name string, sel *as
 	return se.Sel.Name, se, true
 }
 
+// FuncName returns the name a call's function is spelled with — f in
+// f(x) and pkg.f(x) alike — or "" for any other callee. Analyzers that
+// recognize helpers by name (Fork, NewSource) use it, so their
+// stdlib-only fixtures can declare stand-ins.
+func FuncName(call *ast.CallExpr) string {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		return fun.Name
+	case *ast.SelectorExpr:
+		return fun.Sel.Name
+	}
+	return ""
+}
+
 // Diagnostic is one finding.
 type Diagnostic struct {
 	Pos      token.Position

@@ -59,7 +59,8 @@ var mathRandPaths = []string{"math/rand", "math/rand/v2"}
 
 // constructors are the math/rand functions that build a *rand.Rand (or
 // Source) and are therefore allowed — provided their seed does not come
-// from the wall clock.
+// from the wall clock. A function named NewSource in any package
+// (seedfork.NewSource) is held to the same seed rule.
 var constructors = map[string]bool{"New": true, "NewSource": true, "NewZipf": true, "NewPCG": true, "NewChaCha8": true}
 
 func run(pass *analysis.Pass) error {
@@ -73,12 +74,12 @@ func run(pass *analysis.Pass) error {
 				return true
 			}
 			name, sel, ok := randCall(pass, call)
-			if !ok {
-				return true
-			}
-			if !constructors[name] {
+			switch {
+			case ok && !constructors[name]:
 				pass.Reportf(sel.Sel.Pos(),
 					"global math/rand.%s draws from shared process state and breaks deterministic replay; use an injected, seeded *rand.Rand", name)
+				return true
+			case !ok && analysis.FuncName(call) != "NewSource":
 				return true
 			}
 			for _, arg := range call.Args {

@@ -24,6 +24,22 @@ func seeded(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed)) // ok: explicit seed
 }
 
+// source and NewSource stand in for sslab/internal/seedfork's: the
+// analyzer recognizes any function named NewSource as a PRNG
+// constructor.
+type source struct{ seed int64 }
+
+func NewSource(seed int64) source { return source{seed} }
+
+func wallClockSource() source {
+	return NewSource(time.Now().UnixNano()) // want `seeded from the wall clock`
+}
+
+func allowedWallClockSource() source {
+	//sslab:allow-detrand throwaway debug stream outside any replayed experiment path
+	return NewSource(time.Now().UnixNano())
+}
+
 func injected(rng *rand.Rand) int {
 	return rng.Intn(6) // ok: method on an injected *rand.Rand
 }

@@ -64,9 +64,10 @@ var arithmeticOps = map[token.Token]bool{
 	token.SHL: true, token.SHR: true, token.AND_NOT: true,
 }
 
-// seedCtors are the math/rand constructors whose argument is a seed.
+// seedCtors are the math/rand/v2 constructors whose argument is a
+// seed. math/rand's NewSource is recognized by name, with
+// seedfork.NewSource (see isSeedCtor).
 var seedCtors = map[string]map[string]bool{
-	"math/rand":    {"NewSource": true},
 	"math/rand/v2": {"NewPCG": true, "NewChaCha8": true},
 }
 
@@ -154,23 +155,19 @@ func seedishOperand(pass *analysis.Pass, e ast.Expr) (string, bool) {
 }
 
 // isSeedCtor reports whether call constructs a PRNG source from a seed
-// argument (math/rand NewSource, math/rand/v2 NewPCG/NewChaCha8, or any
-// SplitMix-style helper by name).
+// argument (math/rand/v2 NewPCG/NewChaCha8, or by name any NewSource
+// or SplitMix-style helper).
 func isSeedCtor(pass *analysis.Pass, call *ast.CallExpr) bool {
 	for path, names := range seedCtors {
 		if name, _, ok := pass.PkgFunc(call, path); ok && names[name] {
 			return true
 		}
 	}
-	// Inline SplitMix-style seeding helpers (the fleet engine's per-user
-	// PRNG) are recognized by name, wherever they live.
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return strings.Contains(strings.ToLower(fun.Name), "splitmix")
-	case *ast.SelectorExpr:
-		return strings.Contains(strings.ToLower(fun.Sel.Name), "splitmix")
-	}
-	return false
+	// NewSource (math/rand's and seedfork's) and inline SplitMix-style
+	// seeding helpers (the fleet engine's per-user PRNG) are recognized
+	// by name, wherever they live.
+	name := analysis.FuncName(call)
+	return name == "NewSource" || strings.Contains(strings.ToLower(name), "splitmix")
 }
 
 // flowsFromFork reports whether the expression contains a call to a
@@ -179,19 +176,8 @@ func isSeedCtor(pass *analysis.Pass, call *ast.CallExpr) bool {
 func flowsFromFork(e ast.Expr) bool {
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		switch fun := call.Fun.(type) {
-		case *ast.Ident:
-			if fun.Name == "Fork" {
-				found = true
-			}
-		case *ast.SelectorExpr:
-			if fun.Sel.Name == "Fork" {
-				found = true
-			}
+		if call, ok := n.(*ast.CallExpr); ok && analysis.FuncName(call) == "Fork" {
+			found = true
 		}
 		return !found
 	})

@@ -10,6 +10,13 @@ import "math/rand"
 // self-contained.
 func Fork(parent int64, label string, idx ...int64) int64 { return parent }
 
+// Source and NewSource stand in for sslab/internal/seedfork's: the
+// analyzer recognizes any function named NewSource as a PRNG
+// constructor.
+type Source struct{ seed int64 }
+
+func NewSource(seed int64) Source { return Source{seed} }
+
 type config struct {
 	Seed int64
 }
@@ -28,6 +35,15 @@ func xorChild(baseSeed int64) int64 {
 
 func arithmeticallySeeded(i int) *rand.Rand {
 	return rand.New(rand.NewSource(int64(i) * 77)) // want `PRNG seeded from an arithmetic expression`
+}
+
+func arithmeticallySeededSource(i int) Source {
+	return NewSource(int64(i) * 77) // want `PRNG seeded from an arithmetic expression`
+}
+
+func allowedSourceOffset(i int) Source {
+	//sslab:allow-seedfork historical stream pinned by goldens; do not re-derive
+	return NewSource(int64(i) + 1)
 }
 
 func forked(cfg config, i int) *rand.Rand {

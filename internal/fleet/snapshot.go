@@ -125,16 +125,17 @@ type eventSnap struct {
 // Restore, run-to-2T reports exactly what an uninterrupted run-to-2T
 // does, at any shard count.
 //
-// Two documented refusals: impaired runs (per-link PRNG positions and
-// in-flight delayed deliveries are not serializable) and engines that
-// already reported (Report's reduction consumes pending block
-// latencies, so the state is no longer the mid-run state).
+// Two documented refusals: impaired runs (per-link state — each link's
+// stream position, Gilbert–Elliott state and queue clocks — is not
+// captured yet) and engines that already reported (Report's reduction
+// consumes pending block latencies, so the state is no longer the
+// mid-run state).
 func (e *Engine) Snapshot() ([]byte, error) {
 	if e.rep != nil {
 		return nil, fmt.Errorf("fleet: cannot snapshot after Report — the reduction already consumed pending state")
 	}
 	if e.cfg.Impair != nil {
-		return nil, fmt.Errorf("fleet: cannot snapshot an impaired run (per-link PRNG state is not serializable)")
+		return nil, fmt.Errorf("fleet: cannot snapshot an impaired run (per-link impairment state is not captured yet)")
 	}
 	snap := engineSnap{Config: e.cfg, Now: e.now, Units: make([]unitSnap, len(e.units))}
 	if err := e.each(func(i int) error {
@@ -341,7 +342,9 @@ func (f *Fleet) restore(s *unitSnap, now time.Time) error {
 	ts, lat, life, gap := s.FlowsTS, s.LatQ, s.LifeQ, s.GapQ
 	f.flowsTS, f.latencies, f.lifetimes, f.gapQ = &ts, &lat, &life, &gap
 	f.policyNext = s.PolicyNext
-	f.tg.RestoreRNG(s.TG)
+	if err := f.tg.RestoreRNG(s.TG); err != nil {
+		return fmt.Errorf("trafficgen: %w", err)
+	}
 	if err := f.gfw.RestoreState(s.GFW); err != nil {
 		return err
 	}

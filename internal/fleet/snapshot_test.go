@@ -2,11 +2,13 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -291,6 +293,22 @@ func TestSnapshotRefusals(t *testing.T) {
 	bad[len(snapMagic)+3] = 99 // future version
 	if _, err := Restore(bad); err == nil {
 		t.Fatal("Restore must reject unknown snapshot versions")
+	}
+
+	// A trafficgen Read carry no run leaves behind is refused, naming
+	// the unit.
+	var snap engineSnap
+	if err := gob.NewDecoder(bytes.NewReader(good[len(snapMagic)+4:])).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	snap.Units[0].TG.ReadPos = -1
+	var buf bytes.Buffer
+	buf.Write(good[:len(snapMagic)+4])
+	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Restore(buf.Bytes()); err == nil || !strings.Contains(err.Error(), "unit 0") {
+		t.Fatalf("Restore of an unreachable trafficgen carry: err = %v, want a unit 0 error", err)
 	}
 }
 

@@ -2,12 +2,12 @@ package gfw
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 	"time"
 
 	"sslab/internal/entropy"
 	"sslab/internal/netsim"
+	"sslab/internal/seedfork"
 )
 
 // TestSourcePortRangeExact pins the non-ephemeral source-port support to
@@ -16,7 +16,7 @@ import (
 // 65535 (and 65238–65534) unreachable while every sampled port still
 // looked plausible.
 func TestSourcePortRangeExact(t *testing.T) {
-	pool := NewPool(rand.New(rand.NewSource(41)), 64, netsim.Epoch)
+	pool := NewPool(seedfork.NewSource(41), 64, netsim.Epoch)
 	minPort, maxPort := 1<<16, 0
 	for i := 0; i < 4_000_000; i++ {
 		p := pool.Source(netsim.Epoch).Port
@@ -45,7 +45,7 @@ func TestSourcePortRangeExact(t *testing.T) {
 // below 1 the inflation becomes unmistakable.
 func TestPickProcessResidualOwner(t *testing.T) {
 	p := &Pool{
-		rng: rand.New(rand.NewSource(7)),
+		rng: seedfork.NewSource(7),
 		// Positive weights sum to 0.7: 30% of draws fall off the loop
 		// and must land on index 2 (the last positive weight). Index 1
 		// has zero weight and must never be chosen.
@@ -71,7 +71,7 @@ func TestPickProcessResidualOwner(t *testing.T) {
 	// And with the real Figure 6 weights the 1000 Hz process must stay
 	// tiny — its nominal share is 0.0004, so anything visible means the
 	// fallback became modal.
-	pool := NewPool(rand.New(rand.NewSource(8)), 64, netsim.Epoch)
+	pool := NewPool(seedfork.NewSource(8), 64, netsim.Epoch)
 	counts = make([]int, len(pool.procs))
 	for i := 0; i < n; i++ {
 		counts[pool.pickProcess()]++

@@ -2,8 +2,9 @@ package gfw
 
 import (
 	"math"
-	"math/rand"
 	"time"
+
+	"sslab/internal/seedfork"
 )
 
 // Replay-delay model calibrated to Figure 7: more than 20% of first
@@ -22,9 +23,8 @@ var delayBands = []struct {
 }
 
 // sampleDelay draws one replay delay.
-func sampleDelay(rng *rand.Rand) time.Duration {
+func sampleDelay(rng *seedfork.Source) time.Duration {
 	u := rng.Float64()
-	prev := 0.0
 	for _, b := range delayBands {
 		if u < b.p || b.p == 1 {
 			// Log-uniform within [lo, hi).
@@ -32,9 +32,7 @@ func sampleDelay(rng *rand.Rand) time.Duration {
 			sec := math.Exp(math.Log(b.lo) + v*(math.Log(b.hi)-math.Log(b.lo)))
 			return time.Duration(sec * float64(time.Second))
 		}
-		prev = b.p
 	}
-	_ = prev
 	return time.Second
 }
 
@@ -42,7 +40,7 @@ func sampleDelay(rng *rand.Rand) time.Duration {
 // in total. Figure 7's two curves imply a mean of ≈3.4 replays per
 // distinct payload, with an observed maximum of 47; a geometric tail
 // reproduces both.
-func sampleRepeatCount(rng *rand.Rand) int {
+func sampleRepeatCount(rng *seedfork.Source) int {
 	const meanExtra = 2.4
 	p := 1 / (1 + meanExtra)
 	n := 1

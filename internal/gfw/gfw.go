@@ -14,7 +14,6 @@ package gfw
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"time"
 
@@ -178,21 +177,13 @@ type GFW struct {
 	cfg   Config
 	sim   *netsim.Sim
 	net   *netsim.Network
-	rng   *rand.Rand
 	chain *detector.Chain
 	Pool  *Pool
 
-	// src and poolSrc are the counted sources behind rng and the pool's
-	// rng; their draw counts, plus rd's partial-draw remainder, are the
-	// censor's entire serializable stream position (see state.go). rd
-	// replicates rand.Rand's byte reader with exported state so probe
-	// payload bytes survive a snapshot/restore cycle byte-identically.
-	src     *seedfork.CountedSource
-	poolSrc *seedfork.CountedSource
-	rd      seedfork.ByteReader
-	// prng is the resident probe.RNG adapter; passing its address keeps
-	// the hot probe path free of per-call interface boxing.
-	prng probeRNG
+	// rng and Pool's stream are the censor's randomness; their positions
+	// are its whole serializable stream state (see state.go). &rng is
+	// also the probe.RNG probe.Build draws from.
+	rng seedfork.Source
 
 	// Runtime policy knobs, initialized from Config and adjustable
 	// mid-run by the spatiotemporal schedule layer (SetSensitivity,
@@ -372,10 +363,8 @@ func New(env Env, opts ...Option) *GFW {
 		panic(err)
 	}
 	sim, net := env.Sim, env.Net
-	src := seedfork.NewCountedSource(cfg.Seed)
-	rng := rand.New(src)
 	//sslab:allow-seedfork historical +1 offset is baked into the zero-impairment goldens and EXPERIMENTS.md; changing the pool stream would invalidate every pinned report
-	poolSrc := seedfork.NewCountedSource(cfg.Seed + 1)
+	poolRng := seedfork.NewSource(cfg.Seed + 1)
 	chain := detector.MustChain(cfg.chainNames(), detector.Params{
 		Base:           cfg.ReplayBase,
 		DisableLength:  cfg.DisableLengthFeature,
@@ -385,16 +374,14 @@ func New(env Env, opts ...Option) *GFW {
 		cfg:            cfg,
 		sim:            sim,
 		net:            net,
-		rng:            rng,
-		src:            src,
-		poolSrc:        poolSrc,
+		rng:            seedfork.NewSource(cfg.Seed),
 		sens:           cfg.Sensitivity,
 		ttlHours:       cfg.BlockTTLHours,
 		ttlJitter:      cfg.BlockTTLJitterHours,
 		chain:          chain,
 		stageRecs:      make([]int, chain.Len()),
 		mStageRec:      make([]*metrics.Counter, chain.Len()),
-		Pool:           NewPool(rand.New(poolSrc), cfg.PoolSize, sim.Now()),
+		Pool:           NewPool(poolRng, cfg.PoolSize, sim.Now()),
 		Log:            capture.NewLog(sim.Now()),
 		servers:        map[netsim.Endpoint]*serverState{},
 		profiles:       map[netsim.Endpoint]*lenProfile{},
@@ -407,7 +394,6 @@ func New(env Env, opts ...Option) *GFW {
 		mProbeRetries:  sim.Metrics.Counter("gfw.probe_retries"),
 		mProbeTimeouts: sim.Metrics.Counter("gfw.probe_timeouts"),
 	}
-	g.prng.g = g
 	for i, name := range chain.Names() {
 		g.mStageRec[i] = sim.Metrics.Counter("gfw.recorded." + name)
 	}
@@ -559,9 +545,9 @@ func (g *GFW) OnFlow(f *netsim.Flow) {
 	s.recordedPays = append(s.recordedPays, payload) //sslab:allow-hotpath cold branch: a few recordings per thousand flows, and the ground-truth list must grow
 
 	at := g.sim.Now()
-	n := sampleRepeatCount(g.rng)
+	n := sampleRepeatCount(&g.rng)
 	for i := 0; i < n; i++ {
-		g.sim.AfterCall(sampleDelay(g.rng), runProbeTask,
+		g.sim.AfterCall(sampleDelay(&g.rng), runProbeTask,
 			g.newTask(TaskState{Kind: kindProbe, Server: f.Server, Payload: payload, RecAt: at}))
 	}
 }
@@ -712,7 +698,7 @@ func (g *GFW) sendProbe(server netsim.Endpoint, rec []byte, recAt time.Time) {
 	s := g.state(server)
 	typ := g.chooseType(s.stage, g.profile(server).ssLike(g.cfg.NR1MinFlows))
 	var replayOf time.Time
-	payload := probe.Build(typ, rec, &g.prng)
+	payload := probe.Build(typ, rec, &g.rng)
 	if typ.Replay() {
 		replayOf = recAt
 	}
@@ -722,20 +708,10 @@ func (g *GFW) sendProbe(server netsim.Endpoint, rec []byte, recAt time.Time) {
 	// than once — a replay-filter detection trick.
 	if typ == probe.NR2 && g.rng.Float64() < 0.10 {
 		dup := append([]byte(nil), payload...) //sslab:allow-hotpath rare branch (~10% of NR2 probes); the copy must outlive the scheduled duplicate
-		g.sim.AfterCall(sampleDelay(g.rng), runProbeTask,
+		g.sim.AfterCall(sampleDelay(&g.rng), runProbeTask,
 			g.newTask(TaskState{Kind: kindDup, Server: server, Payload: dup}))
 	}
 }
-
-// probeRNG adapts the censor's counted stream to probe.RNG: integer
-// draws go through the shared rng, byte fills through the serializable
-// byte reader. The bytes are exactly what rand.Rand.Read over the same
-// source would produce (see seedfork.ByteReader), but the partially
-// consumed draw lives in exported state a snapshot can capture.
-type probeRNG struct{ g *GFW }
-
-func (r *probeRNG) Intn(n int) int             { return r.g.rng.Intn(n) }
-func (r *probeRNG) Read(p []byte) (int, error) { return r.g.rd.Read(r.g.src, p) }
 
 // emit sends transmission number attempt of one probe and books its
 // outcome.

@@ -2,7 +2,6 @@ package gfw
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -22,11 +21,11 @@ import (
 
 // TestDelayDistribution pins the Figure 7 anchors.
 func TestDelayDistribution(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+	rng := seedfork.NewSource(7)
 	var samples []float64
 	minD, maxD := math.Inf(1), 0.0
 	for i := 0; i < 50000; i++ {
-		d := sampleDelay(rng).Seconds()
+		d := sampleDelay(&rng).Seconds()
 		samples = append(samples, d)
 		minD = math.Min(minD, d)
 		maxD = math.Max(maxD, d)
@@ -53,11 +52,11 @@ func TestDelayDistribution(t *testing.T) {
 }
 
 func TestRepeatCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
+	rng := seedfork.NewSource(8)
 	sum, max := 0, 0
 	const n = 20000
 	for i := 0; i < n; i++ {
-		c := sampleRepeatCount(rng)
+		c := sampleRepeatCount(&rng)
 		if c < 1 || c > 47 {
 			t.Fatalf("repeat count %d outside [1,47]", c)
 		}
@@ -78,8 +77,7 @@ func TestRepeatCount(t *testing.T) {
 // --- pool fingerprints (§3.3, §3.4) ----------------------------------------
 
 func TestPoolFingerprints(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	pool := NewPool(rng, 13000, netsim.Epoch)
+	pool := NewPool(seedfork.NewSource(9), 13000, netsim.Epoch)
 
 	const probes = 51837 // the paper's total
 	perIP := map[string]int{}

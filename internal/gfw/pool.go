@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sslab/internal/netsim"
+	"sslab/internal/seedfork"
 )
 
 // ASWeights is the distribution of unique prober IPs per autonomous
@@ -62,7 +63,7 @@ const (
 // set of source IP addresses spread over the Table 3 ASes, with per-probe
 // fingerprints (source port, TTL, IP ID, TCP timestamp) matching §3.4.
 type Pool struct {
-	rng   *rand.Rand
+	rng   seedfork.Source
 	ips   []poolIP
 	cum   []float64 // cumulative sampling weights over ips
 	procs []tsProcess
@@ -82,9 +83,13 @@ type ProbeSource struct {
 	Process int
 }
 
-// NewPool builds a pool of size addresses seeded from rng.
-func NewPool(rng *rand.Rand, size int, start time.Time) *Pool {
+// NewPool builds a pool of size addresses that draws from rng, which
+// must not have drawn yet (see seedfork.Source).
+func NewPool(rng seedfork.Source, size int, start time.Time) *Pool {
 	p := &Pool{rng: rng, start: start}
+	// Source has no NormFloat64 or Uint32; the wrapper draws both from
+	// the same stream.
+	wrap := rand.New(&p.rng)
 
 	// Assign counts per AS proportional to Table 3.
 	totalW := 0
@@ -133,7 +138,7 @@ func NewPool(rng *rand.Rand, size int, start time.Time) *Pool {
 	p.cum = make([]float64, len(p.ips))
 	sum := 0.0
 	for i := range p.ips {
-		w := math.Exp(p.rng.NormFloat64() * 0.7)
+		w := math.Exp(wrap.NormFloat64() * 0.7)
 		sum += w
 		p.cum[i] = sum
 	}
@@ -142,9 +147,9 @@ func NewPool(rng *rand.Rand, size int, start time.Time) *Pool {
 	// process — the Figure 6 structure.
 	weights := []float64{0.82, 0.05, 0.04, 0.03, 0.025, 0.02, 0.0146}
 	for _, w := range weights {
-		p.procs = append(p.procs, tsProcess{rate: 250, offset: p.rng.Uint32(), weight: w})
+		p.procs = append(p.procs, tsProcess{rate: 250, offset: wrap.Uint32(), weight: w})
 	}
-	p.procs = append(p.procs, tsProcess{rate: 1000, offset: p.rng.Uint32(), weight: 0.0004})
+	p.procs = append(p.procs, tsProcess{rate: 1000, offset: wrap.Uint32(), weight: 0.0004})
 	return p
 }
 

@@ -2,7 +2,6 @@ package gfw
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -11,8 +10,8 @@ import (
 )
 
 // This file is the censor's snapshot surface. A GFW's mutable state is
-// small and regular: two RNG stream positions (plus the byte reader's
-// partial draw), the per-suspect probing states, the length profiles,
+// small and regular: two RNG stream positions (plus the main stream's
+// Read carry), the per-suspect probing states, the length profiles,
 // the runtime policy knobs and the report counters. Everything else —
 // the detector chain, the prober pool's address tables, the metrics
 // bindings — is a deterministic function of the Config and is rebuilt
@@ -43,7 +42,7 @@ type ProfileSnap struct {
 // State is the censor's full serializable mutable state.
 type State struct {
 	// RNG stream positions: draws consumed from the main and pool
-	// sources, plus the byte reader's leftover partial draw.
+	// streams, plus the main stream's Read carry (see seedfork.State).
 	RNGDraws  uint64
 	ReadVal   uint64
 	ReadPos   int8
@@ -80,11 +79,12 @@ func lessEndpoint(a, b netsim.Endpoint) bool {
 
 // CaptureState returns the censor's serializable state.
 func (g *GFW) CaptureState() State {
+	rs := g.rng.State()
 	st := State{
-		RNGDraws:         g.src.Draws(),
-		ReadVal:          g.rd.Val,
-		ReadPos:          g.rd.Pos,
-		PoolDraws:        g.poolSrc.Draws(),
+		RNGDraws:         rs.Draws,
+		ReadVal:          rs.ReadVal,
+		ReadPos:          rs.ReadPos,
+		PoolDraws:        g.Pool.rng.State().Draws,
 		Triggers:         g.Triggers,
 		PayloadsRecorded: g.PayloadsRecorded,
 		ProbesSent:       g.ProbesSent,
@@ -122,23 +122,23 @@ func (g *GFW) CaptureState() State {
 // RestoreState overwrites a freshly constructed censor's mutable state
 // with st. The receiver must have been built by New with the same
 // Config (and on a simulator at the same virtual time) as the captured
-// one; stream positions are restored by fast-forwarding fresh sources,
+// one; stream positions are restored by reseeding and fast-forwarding,
 // so restore cost is proportional to simulated progress, not wall
-// time. Metrics instruments deliberately restart cold — they feed
-// observability sinks, not reports.
+// time, and a Read carry no run can produce is an error. Metrics
+// instruments deliberately restart cold — they feed observability
+// sinks, not reports.
 func (g *GFW) RestoreState(st State) error {
 	if len(st.StageRecs) != len(g.stageRecs) {
 		return fmt.Errorf("gfw: snapshot has %d stage counters, config builds %d — detector chain mismatch", len(st.StageRecs), len(g.stageRecs))
 	}
-	src := seedfork.NewCountedSource(g.cfg.Seed)
-	src.Skip(st.RNGDraws)
-	g.src = src
-	g.rng = rand.New(src)
-	g.rd = seedfork.ByteReader{Val: st.ReadVal, Pos: st.ReadPos}
-	if cur := g.poolSrc.Draws(); st.PoolDraws < cur {
+	if err := g.rng.Restore(seedfork.State{Draws: st.RNGDraws, ReadVal: st.ReadVal, ReadPos: st.ReadPos}); err != nil {
+		return fmt.Errorf("gfw: %w", err)
+	}
+	cur := g.Pool.rng.State().Draws
+	if st.PoolDraws < cur {
 		return fmt.Errorf("gfw: snapshot pool position %d predates pool construction (%d draws)", st.PoolDraws, cur)
 	}
-	g.poolSrc.Skip(st.PoolDraws - g.poolSrc.Draws())
+	g.Pool.rng.Skip(st.PoolDraws - cur)
 
 	g.Triggers = st.Triggers
 	g.PayloadsRecorded = st.PayloadsRecorded

@@ -135,3 +135,29 @@ func TestTaskSnapshotRoundTrip(t *testing.T) {
 		t.Error("censor or network state differs 30 days after the capture point")
 	}
 }
+
+// TestRestoreStateRejectsCarry: a snapshot whose Read carry no run can
+// produce fails to restore; a reachable one restores as captured.
+func TestRestoreStateRejectsCarry(t *testing.T) {
+	build := func() *GFW {
+		sim := netsim.NewSim()
+		return New(Env{Sim: sim, Net: netsim.NewNetwork(sim)}, WithConfig(Config{Seed: 3, PoolSize: 64}))
+	}
+	st := build().CaptureState()
+	for _, pos := range []int8{-1, 7} {
+		bad := st
+		bad.ReadPos = pos
+		if err := build().RestoreState(bad); err == nil {
+			t.Errorf("RestoreState accepted ReadPos %d", pos)
+		}
+	}
+	ok := st
+	ok.ReadVal, ok.ReadPos = 0xabcdef, 3
+	g := build()
+	if err := g.RestoreState(ok); err != nil {
+		t.Fatalf("RestoreState rejected a reachable carry: %v", err)
+	}
+	if got := g.CaptureState(); got.ReadVal != ok.ReadVal || got.ReadPos != ok.ReadPos {
+		t.Errorf("restored carry (%#x, %d), want (%#x, %d)", got.ReadVal, got.ReadPos, ok.ReadVal, ok.ReadPos)
+	}
+}

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"hash/fnv"
-	"math/rand"
 	"time"
 
 	"sslab/internal/reaction"
@@ -124,10 +123,11 @@ type linkKey struct {
 // linkState is the mutable per-directed-link impairment state. It is
 // created lazily on first use; its PRNG is forked from the Sim seed and
 // the two IPs, so stream identity depends only on the link, never on
-// creation order.
+// creation order. The stream is held by value: most links draw a few
+// values, which a lazily seeded Source computes without a register.
 type linkState struct {
 	prof LinkProfile
-	rng  *rand.Rand
+	rng  seedfork.Source
 
 	geBad bool
 	// fifoFloor is the earliest arrival the next in-order delivery may
@@ -169,7 +169,7 @@ func (n *Network) linkFor(src, dst Endpoint) *linkState {
 		seed := seedfork.Fork(n.Sim.seed, "netsim.link", hashIP(src.IP), hashIP(dst.IP))
 		st = &linkState{
 			prof: p.normalized(),
-			rng:  rand.New(rand.NewSource(seed)),
+			rng:  seedfork.NewSource(seed),
 		}
 	}
 	if n.links == nil {

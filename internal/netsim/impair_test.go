@@ -1,10 +1,14 @@
 package netsim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"io"
 	"testing"
 	"time"
 
+	"sslab/internal/metrics"
 	"sslab/internal/reaction"
 )
 
@@ -283,5 +287,67 @@ func TestImpairLatencyRecorded(t *testing.T) {
 	}
 	if want := 4 * lat; o.Elapsed != want {
 		t.Errorf("Elapsed = %v, want %v", o.Elapsed, want)
+	}
+}
+
+// transcriptBox hashes the arrival time of every payload it observes,
+// duplicates included.
+type transcriptBox struct{ h io.Writer }
+
+func (b *transcriptBox) OnFlow(f *Flow)               { fmt.Fprintf(b.h, "flow %d %d\n", f.ID, f.Start.UnixNano()) }
+func (b *transcriptBox) OnOutcome(f *Flow, o Outcome) {}
+
+// TestGoldenImpairedTranscript pins the values of every per-link draw
+// site — Gilbert–Elliott steps and losses, jitter, reordering holds,
+// duplication — and the bandwidth queue they feed, as the SHA-256 of
+// one line per flow. Odd flows come from a client IP the network has
+// not seen, so both of their links are fresh and draw only a handful of
+// values; even flows share one client, whose two links run for
+// thousands of draws.
+func TestGoldenImpairedTranscript(t *testing.T) {
+	sim := NewSim(WithSeed(7))
+	net := NewNetwork(sim, WithDefaultLink(LinkProfile{
+		LatencyBase:   20 * time.Millisecond,
+		Jitter:        80 * time.Millisecond,
+		GE:            GEParams{PGoodToBad: 0.05, PBadToGood: 0.3, LossGood: 0.01, LossBad: 0.6},
+		Duplicate:     0.02,
+		ReorderProb:   0.05,
+		ReorderWindow: 30 * time.Millisecond,
+		BandwidthBPS:  1e6,
+	}))
+	h := sha256.New()
+	net.AddMiddlebox(&transcriptBox{h: h})
+	net.AddHost(impairServer, &impairTestHost{})
+	payload := make([]byte, 1400)
+	for i := 0; i < 3000; i++ {
+		client := impairClient
+		if i%2 == 1 {
+			client = Endpoint{IP: fmt.Sprintf("150.110.%d.%d", i/250, i%250+1), Port: 40000}
+		}
+		o := net.Connect(client, impairServer, payload[:100+i%1300], false, time.Time{})
+		fmt.Fprintf(h, "%d %v %v %v %d %d %d %d\n", i, o.Reaction, o.Dropped, o.Elapsed,
+			net.mImpRetransmits.Value(), net.mImpReorders.Value(), net.mImpDuplicates.Value(), net.mImpDroppedFlows.Value())
+		sim.RunUntil(sim.Now().Add(time.Duration(i%5) * time.Millisecond))
+	}
+	for _, c := range []*metrics.Counter{net.mImpRetransmits, net.mImpReorders, net.mImpDuplicates, net.mImpDroppedFlows, net.mImpDroppedResponses} {
+		if c.Value() == 0 {
+			t.Fatalf("a transport counter stayed at 0; the profile no longer reaches every draw site")
+		}
+	}
+	// The shared client's links run past math/rand's 607-word register; a
+	// fresh client's stay within the 273 draws a lazy stream computes
+	// without one.
+	if d := net.links[linkKey{impairClient.IP, impairServer.IP}].rng.State().Draws; d <= 607 {
+		t.Errorf("the shared client's link drew %d values, want more than 607", d)
+	}
+	if d := net.links[linkKey{"150.110.0.2", impairServer.IP}].rng.State().Draws; d >= 273 {
+		t.Errorf("a fresh client's link drew %d values, want fewer than 273", d)
+	}
+	got := hex.EncodeToString(h.Sum(nil))
+	// Written with math/rand's own source behind every link; a change
+	// means some link draw moved.
+	const want = "cffc0063790bb126f83c81f83e5d318844f8621b8ec29a1cc2eb545c173b432e"
+	if got != want {
+		t.Fatalf("impaired transcript SHA-256 = %s, want %s", got, want)
 	}
 }

@@ -9,9 +9,8 @@ import "bytes"
 
 // RNG is the randomness Build consumes: integer draws for mutation
 // deltas and length picks, byte fills for random payloads. *rand.Rand
-// satisfies it; callers that must serialize their stream position pass
-// an adapter whose Read routes through explicit reader state instead
-// of rand.Rand's unexported read buffer.
+// satisfies it, and so does *seedfork.Source, whose stream position —
+// Read's partial draw included — serializes.
 type RNG interface {
 	Intn(n int) int
 	Read(p []byte) (int, error)

@@ -8,6 +8,9 @@
 // a call-site label and optional indices through a SplitMix64-style
 // finalizer, so distinct label paths yield statistically independent
 // streams and identical inputs always yield the same child seed.
+//
+// Source, math/rand's generator seeded lazily and with a serializable
+// position, is the stream of every snapshotted or per-link component.
 package seedfork
 
 import "hash/fnv"

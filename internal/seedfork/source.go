@@ -1,0 +1,216 @@
+package seedfork
+
+import "fmt"
+
+// math/rand's additive lagged Fibonacci generator: each value is the
+// sum of two register words rngTap apart, written back over the first.
+const (
+	rngLen   = 607
+	rngTap   = 273
+	int32max = 1<<31 - 1
+)
+
+// pow48271[s] is 48271^s mod (2³¹−1). math/rand seeds its register by
+// stepping x ← 48271·x mod (2³¹−1) from the seed, so step s is
+// seed·pow48271[s], and register word k uses steps 21+3k to 23+3k.
+var pow48271 = func() (t [3*rngLen + 21]uint64) {
+	t[0] = 1
+	for s := 1; s < len(t); s++ {
+		t[s] = t[s-1] * 48271 % int32max
+	}
+	return t
+}()
+
+// Source draws exactly what rand.New(rand.NewSource(seed)) draws,
+// method for method, but starts lazily: each of math/rand's first 273
+// values adds two register words as seeded, so Source computes those
+// words on demand and builds the 607-word register only when draw 274
+// needs it. A stream that never draws that far — nearly every
+// impaired link's — costs 40 bytes instead of a seeded 4.9 KB
+// register. Its position (State, Restore) serializes.
+//
+// A Source must not be copied after its first draw: a copy would share
+// the register. Hold it in a struct that is itself held by pointer.
+type Source struct {
+	seed    uint64    // the seed reduced as math/rand reduces it: [1, 2³¹−2]
+	n       uint64    // values drawn
+	reg     *register // nil until draw 274
+	readVal uint64    // Read's partially consumed draw
+	readPos int8      // bytes of readVal that Read has yet to use
+}
+
+// register is math/rand's rngSource state.
+type register struct {
+	tap, feed int
+	vec       [rngLen]int64
+}
+
+// NewSource returns a Source seeded like rand.NewSource(seed).
+func NewSource(seed int64) Source {
+	seed %= int32max
+	if seed < 0 {
+		seed += int32max
+	}
+	if seed == 0 {
+		seed = 89482311
+	}
+	return Source{seed: uint64(seed)}
+}
+
+// Seed resets s to NewSource(seed). It makes *Source a rand.Source, so
+// rand.New(&s) can serve the draws Source lacks (NormFloat64, Uint32).
+func (s *Source) Seed(seed int64) { *s = NewSource(seed) }
+
+// word returns register word k as math/rand seeds it.
+func (s *Source) word(k int) int64 {
+	i := 21 + 3*k
+	a := s.seed * pow48271[i] % int32max
+	b := s.seed * pow48271[i+1] % int32max
+	c := s.seed * pow48271[i+2] % int32max
+	return int64(a<<40^b<<20^c) ^ rngCooked[k]
+}
+
+// Uint64 returns a pseudo-random 64-bit value (rand.Source64).
+func (s *Source) Uint64() uint64 {
+	if s.reg == nil {
+		if s.n < rngTap {
+			// Draw i adds the words at feed 333−i and tap 606−i; no
+			// earlier draw has written either.
+			i := int(s.n)
+			s.n++
+			return uint64(s.word(rngLen-rngTap-1-i) + s.word(rngLen-1-i))
+		}
+		s.build()
+	}
+	s.n++
+	return s.reg.next()
+}
+
+// build seeds the register and replays the s.n draws already made.
+func (s *Source) build() {
+	r := &register{feed: rngLen - rngTap}
+	for k := range r.vec {
+		r.vec[k] = s.word(k)
+	}
+	for i := uint64(0); i < s.n; i++ {
+		r.next()
+	}
+	s.reg = r
+}
+
+// next is one step of math/rand's rngSource.Uint64.
+func (r *register) next() uint64 {
+	if r.tap--; r.tap < 0 {
+		r.tap += rngLen
+	}
+	if r.feed--; r.feed < 0 {
+		r.feed += rngLen
+	}
+	x := r.vec[r.feed] + r.vec[r.tap]
+	r.vec[r.feed] = x
+	return uint64(x)
+}
+
+// Int63 returns a non-negative pseudo-random 63-bit value (rand.Source).
+func (s *Source) Int63() int64 { return int64(s.Uint64() & (1<<63 - 1)) }
+
+// Int63n is rand.(*Rand).Int63n: a value in [0, n); it panics if n <= 0.
+func (s *Source) Int63n(n int64) int64 {
+	if n <= 0 {
+		panic("invalid argument to Int63n")
+	}
+	if n&(n-1) == 0 { // a power of two: mask
+		return s.Int63() & (n - 1)
+	}
+	max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
+	v := s.Int63()
+	for v > max {
+		v = s.Int63()
+	}
+	return v % n
+}
+
+// Intn is rand.(*Rand).Intn: a value in [0, n); it panics if n <= 0.
+// Up to 2³¹−1 it takes Int31n's path, whose draws are Int63()>>32.
+func (s *Source) Intn(n int) int {
+	if n <= 0 {
+		panic("invalid argument to Intn")
+	}
+	if n > 1<<31-1 {
+		return int(s.Int63n(int64(n)))
+	}
+	m := int32(n)
+	if m&(m-1) == 0 { // a power of two: mask
+		return int(int32(s.Int63()>>32) & (m - 1))
+	}
+	max := int32((1 << 31) - 1 - (1<<31)%uint32(m))
+	v := int32(s.Int63() >> 32)
+	for v > max {
+		v = int32(s.Int63() >> 32)
+	}
+	return int(v % m)
+}
+
+// Float64 is rand.(*Rand).Float64: a value in [0, 1), drawn again when
+// the division rounds up to 1.
+func (s *Source) Float64() float64 {
+	for {
+		if f := float64(s.Int63()) / (1 << 63); f < 1 {
+			return f
+		}
+	}
+}
+
+// Read is rand.(*Rand).Read: the little-endian bytes of successive
+// draws, seven per draw, with the unused rest of the last draw carried
+// to the next call. It always returns len(p), nil.
+func (s *Source) Read(p []byte) (int, error) {
+	pos, val := s.readPos, s.readVal
+	for i := range p {
+		if pos == 0 {
+			val, pos = s.Uint64(), 7
+		}
+		p[i] = byte(val)
+		val >>= 8
+		pos--
+	}
+	s.readPos, s.readVal = pos, val
+	return len(p), nil
+}
+
+// State is a Source's serializable stream position.
+type State struct {
+	Draws   uint64 // values drawn since seeding
+	ReadVal uint64 // Read's partially consumed draw
+	ReadPos int8   // bytes of ReadVal that Read has yet to use
+}
+
+// State returns s's stream position.
+func (s *Source) State() State { return State{s.n, s.readVal, s.readPos} }
+
+// Skip advances s by n draws, as if n values had been drawn and
+// discarded. A stream that ends within its first 273 draws stays lazy.
+func (s *Source) Skip(n uint64) {
+	s.n += n
+	if s.reg == nil {
+		if s.n > rngTap {
+			s.build() // replays all s.n draws
+		}
+		return
+	}
+	for ; n > 0; n-- {
+		s.reg.next()
+	}
+}
+
+// Restore moves s to position st of its seed's stream by reseeding and
+// fast-forwarding. It rejects a Read carry no stream reaches: after any
+// Read, ReadPos is in [0, 6] and ReadVal holds at most ReadPos+1 bytes.
+func (s *Source) Restore(st State) error {
+	if st.ReadPos < 0 || st.ReadPos > 6 || st.ReadVal>>(8*uint(st.ReadPos)+8) != 0 {
+		return fmt.Errorf("seedfork: read carry %#x with %d bytes left is not one a stream can reach", st.ReadVal, st.ReadPos)
+	}
+	*s = Source{seed: s.seed, readVal: st.ReadVal, readPos: st.ReadPos}
+	s.Skip(st.Draws)
+	return nil
+}

@@ -1,0 +1,180 @@
+package seedfork
+
+import (
+	"bytes"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// identitySeeds are the seeds TestSourceMatchesMathRand draws from:
+// every edge of math/rand's seed reduction (0, negatives, multiples of
+// 2³¹−1, the value 0 maps to, the int64 extremes) plus forked seeds
+// spread over the whole int64 range.
+func identitySeeds() []int64 {
+	seeds := []int64{
+		0, 1, -1, 2, -2, 7, 42,
+		int32max, -int32max, 2 * int32max, -3 * int32max, int32max - 1, int32max + 1, -int32max + 1,
+		89482311, -89482311, int32max + 89482311,
+		math.MaxInt64, math.MinInt64, math.MinInt64 + 1, 1 << 40, -(1 << 40),
+	}
+	for i := int64(0); len(seeds) < 210; i++ {
+		seeds = append(seeds, Fork(1, "seedfork.identity", i))
+	}
+	return seeds
+}
+
+// drawBoth applies one randomly chosen method, with a randomly chosen
+// argument, to a Source and to the math/rand reference, and fails on
+// any difference. The mix covers Intn at powers of two, at odd n and
+// above 2³¹−1, Int63n likewise, and Read calls of uneven length so the
+// carry crosses calls.
+func drawBoth(t *testing.T, seed int64, step int, op *rand.Rand, s *Source, ref *rand.Rand) {
+	t.Helper()
+	var got, want any
+	switch k := op.Intn(9); k {
+	case 0:
+		got, want = s.Uint64(), ref.Uint64()
+	case 1:
+		got, want = s.Int63(), ref.Int63()
+	case 2:
+		got, want = s.Float64(), ref.Float64()
+	case 3:
+		n := 1 << op.Intn(31)
+		got, want = s.Intn(n), ref.Intn(n)
+	case 4:
+		n := 1 + 2*op.Intn(1<<20)
+		got, want = s.Intn(n), ref.Intn(n)
+	case 5:
+		n := 1<<31 + op.Intn(1<<40)
+		got, want = s.Intn(n), ref.Intn(n)
+	case 6:
+		n := op.Int63n(4e7) + 1
+		if op.Intn(4) == 0 {
+			n = 1 << op.Intn(63)
+		}
+		got, want = s.Int63n(n), ref.Int63n(n)
+	case 7:
+		n := op.Intn(20)
+		a, b := make([]byte, n), make([]byte, n)
+		s.Read(a)
+		ref.Read(b)
+		got, want = string(a), string(b)
+	case 8:
+		got, want = rand.New(s).NormFloat64(), ref.NormFloat64()
+	}
+	if got != want {
+		t.Fatalf("seed %d, step %d: Source drew %v, math/rand %v", seed, step, got, want)
+	}
+}
+
+// TestSourceMatchesMathRand draws every Source method against
+// rand.New(rand.NewSource(seed)) over 210 seeds and mixed streams that
+// run well past the lazy phase (273 draws) and the register length
+// (607), and requires equal values throughout.
+func TestSourceMatchesMathRand(t *testing.T) {
+	op := rand.New(rand.NewSource(1))
+	for _, seed := range identitySeeds() {
+		s := NewSource(seed)
+		ref := rand.New(rand.NewSource(seed))
+		for step := 0; s.n < 2000; step++ {
+			drawBoth(t, seed, step, op, &s, ref)
+		}
+	}
+}
+
+// TestSourceLazyUntilTap pins when the register is built: not for the
+// first 273 draws, nor for a Skip that stays within them, and at draw
+// 274.
+func TestSourceLazyUntilTap(t *testing.T) {
+	s := NewSource(5)
+	s.Skip(200)
+	for s.n < rngTap {
+		s.Uint64()
+	}
+	if s.reg != nil {
+		t.Fatalf("register built after %d draws", s.n)
+	}
+	s.Uint64()
+	if s.reg == nil {
+		t.Fatal("register not built at draw 274")
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		s := NewSource(9)
+		for i := 0; i < 11; i++ {
+			s.Float64()
+		}
+	}); a != 0 {
+		t.Errorf("a short lazy stream allocates %v times", a)
+	}
+}
+
+// TestSourceSeed: Seed restarts the stream, as rand.(*Rand).Seed does.
+func TestSourceSeed(t *testing.T) {
+	s := NewSource(3)
+	s.Skip(1000)
+	s.Seed(-77)
+	ref := rand.New(rand.NewSource(-77))
+	for i := 0; i < 700; i++ {
+		if got, want := s.Uint64(), ref.Uint64(); got != want {
+			t.Fatalf("draw %d after Seed: %d, want %d", i, got, want)
+		}
+	}
+}
+
+// TestSourceRestore moves sources to positions on both sides of the
+// lazy phase — by Skip on a fresh source, and by Restore on one that
+// has already drawn past the target — and requires each to continue
+// exactly as the uninterrupted stream does, Read carry included.
+func TestSourceRestore(t *testing.T) {
+	const seed = 12345
+	for _, pos := range []uint64{0, 272, 273, 274, 1e5} {
+		whole := NewSource(seed)
+		whole.Skip(pos)
+		if pos > 0 {
+			// Leave a carry: 3 of the next draw's 7 bytes are consumed.
+			whole.Read(make([]byte, 3))
+		}
+		st := whole.State()
+		want := make([]byte, 300)
+		whole.Read(want)
+		wantInt := whole.Intn(1000)
+
+		skipped := NewSource(seed)
+		skipped.Skip(st.Draws)
+		skipped.readVal, skipped.readPos = st.ReadVal, st.ReadPos
+
+		restored := NewSource(seed)
+		restored.Skip(pos + 700)
+		if err := restored.Restore(st); err != nil {
+			t.Fatal(err)
+		}
+		for name, s := range map[string]*Source{"Skip": &skipped, "Restore": &restored} {
+			got := make([]byte, 300)
+			s.Read(got)
+			if !bytes.Equal(got, want) || s.Intn(1000) != wantInt {
+				t.Errorf("%s to draw %d: stream diverged from the uninterrupted one", name, pos)
+			}
+		}
+	}
+}
+
+// TestSourceRestoreRejectsCarry: a carry no Read leaves behind is an
+// error, not a stream that emits stale bytes.
+func TestSourceRestoreRejectsCarry(t *testing.T) {
+	for _, st := range []State{
+		{Draws: 10, ReadPos: -1},
+		{Draws: 10, ReadPos: 7},
+		{Draws: 10, ReadVal: 1 << 16, ReadPos: 1},
+		{Draws: 10, ReadVal: 1 << 8, ReadPos: 0},
+	} {
+		s := NewSource(1)
+		if err := s.Restore(st); err == nil {
+			t.Errorf("Restore(%+v) accepted an unreachable carry", st)
+		}
+	}
+	s := NewSource(1)
+	if err := s.Restore(State{Draws: 10, ReadVal: 0xffff, ReadPos: 1}); err != nil {
+		t.Errorf("Restore rejected a reachable carry: %v", err)
+	}
+}

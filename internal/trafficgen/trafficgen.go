@@ -9,7 +9,6 @@ package trafficgen
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"strings"
 
@@ -60,13 +59,9 @@ var sites = []string{
 
 // Generator produces first flights deterministically from a seed.
 type Generator struct {
-	seed int64
-	// src is the counted source behind rng, so the generator's stream
-	// position — (seed, draw count) plus the byte reader's leftover —
+	// rng's stream position — draw count plus Read's leftover —
 	// serializes into RNGState for engine snapshots.
-	src *seedfork.CountedSource
-	rd  seedfork.ByteReader
-	rng *rand.Rand
+	rng seedfork.Source
 	// scratch holds the intermediate plaintext of AppendFirstWirePacket
 	// so the population-scale hot path reuses one buffer per generator.
 	scratch []byte
@@ -74,15 +69,7 @@ type Generator struct {
 
 // New returns a Generator.
 func New(seed int64) *Generator {
-	src := seedfork.NewCountedSource(seed)
-	return &Generator{seed: seed, src: src, rng: rand.New(src)}
-}
-
-// read fills p with random bytes through the serializable byte reader;
-// it produces exactly the bytes rng.Read would, but with the partially
-// consumed draw in exported state (see seedfork.ByteReader).
-func (g *Generator) read(p []byte) {
-	g.rd.Read(g.src, p)
+	return &Generator{rng: seedfork.NewSource(seed)}
 }
 
 // RNGState is the generator's serializable stream position.
@@ -93,19 +80,12 @@ type RNGState struct {
 }
 
 // CaptureRNG returns the generator's current stream position.
-func (g *Generator) CaptureRNG() RNGState {
-	return RNGState{Draws: g.src.Draws(), ReadVal: g.rd.Val, ReadPos: g.rd.Pos}
-}
+func (g *Generator) CaptureRNG() RNGState { return RNGState(g.rng.State()) }
 
-// RestoreRNG rewinds the generator to a captured stream position by
-// reconstructing the source from the seed and fast-forwarding.
-func (g *Generator) RestoreRNG(st RNGState) {
-	src := seedfork.NewCountedSource(g.seed)
-	src.Skip(st.Draws)
-	g.src = src
-	g.rng = rand.New(src)
-	g.rd = seedfork.ByteReader{Val: st.ReadVal, Pos: st.ReadPos}
-}
+// RestoreRNG moves the generator to a captured stream position by
+// reseeding and fast-forwarding. It fails on a Read carry no run
+// leaves behind.
+func (g *Generator) RestoreRNG(st RNGState) error { return g.rng.Restore(seedfork.State(st)) }
 
 // curlSites are the three targets §3.1's curl loops fetched.
 var curlSites = []string{"https://www.wikipedia.org", "http://example.com", "https://gfw.report"}
@@ -181,7 +161,7 @@ func (g *Generator) appendClientHello(dst []byte, host string) []byte {
 
 	b := rec[5:]
 	nRand := len(b) / 3 // client random + session id + X25519 key share
-	g.read(b[:nRand])
+	g.rng.Read(b[:nRand])
 	for i := nRand; i < len(b); i++ {
 		b[i] = helloStructural[g.rng.Intn(len(helloStructural))]
 	}
@@ -214,7 +194,7 @@ func (g *Generator) WireFirstPacket(spec sscrypto.Spec, plaintext []byte) []byte
 		n = spec.SaltSize() + 2 + 16 + len(plaintext) + 16
 	}
 	out := make([]byte, n)
-	g.read(out)
+	g.rng.Read(out)
 	return out
 }
 
@@ -250,11 +230,11 @@ func (g *Generator) AppendOpenVPNClientReset(dst []byte, tlsAuth bool) []byte {
 	p := dst[start:]
 	p[0], p[1] = byte((n-2)>>8), byte(n-2)
 	p[2] = ovpnOpcodeHardResetClientV2 << 3 // key ID 0
-	g.read(p[3:11])                         // session ID
+	g.rng.Read(p[3:11])                     // session ID
 	if tlsAuth {
-		g.read(p[11:31]) // HMAC
-		p[34] = 1        // replay packet ID 1
-		g.read(p[35:39]) // net time
+		g.rng.Read(p[11:31]) // HMAC
+		p[34] = 1            // replay packet ID 1
+		g.rng.Read(p[35:39]) // net time
 	}
 	// Remaining bytes stay zero: empty ACK array, message packet ID 0.
 	return dst
@@ -269,7 +249,7 @@ func (g *Generator) AppendObfsFirstPacket(dst []byte) []byte {
 	n := 160 + g.rng.Intn(740)
 	start := len(dst)
 	dst = slices.Grow(dst, n)[:start+n]
-	g.read(dst[start:])
+	g.rng.Read(dst[start:])
 	return dst
 }
 
@@ -325,6 +305,6 @@ func (g *Generator) AppendFirstWirePacket(dst []byte, spec sscrypto.Spec, w Work
 	}
 	start := len(dst)
 	dst = slices.Grow(dst, n)[:start+n]
-	g.read(dst[start:])
+	g.rng.Read(dst[start:])
 	return dst
 }
