@@ -77,6 +77,7 @@ func TestHotPathAllocBudgets(t *testing.T) {
 		t.Skip("runs full benchmarks; skipped with -short")
 	}
 	checkAllocBudgets(t, "BENCH_hotpath.json", map[string]func(*testing.B){
+		"FirstWirePacket": benchFirstWirePacket,
 		"GFWOnFlow":       benchGFWOnFlow,
 		"GFWOnFlow3Stage": benchGFWOnFlow3Stage,
 		"GFWFlowBatch":    benchGFWFlowBatch,

@@ -230,8 +230,11 @@ func benchTimerScheduleSparse(b *testing.B) {
 
 // benchFleetRun2k runs a complete 2000-user, 3-virtual-hour fleet
 // experiment per op. The config is fixed-seed, so the allocation count
-// is deterministic: construction (user/server slices, censor state) plus
-// one netsim.Flow per connection, and nothing per wake-up.
+// is deterministic: construction (user/server slices, censor state) and
+// the reaction model's per-probe work, and nothing per wake-up or per
+// flow — the Flow lives in the network's arena, first packets are
+// built into one reused buffer, and replay-filter inserts allocate
+// nothing.
 func benchFleetRun2k(b *testing.B) {
 	cfg := fleet.Config{
 		Seed:           1,

@@ -1,12 +1,13 @@
 // BenchmarkHotPath measures the steady-state per-flow pipeline the
 // ROADMAP's "as fast as the hardware allows" goal is gated on: the
-// netsim event loop, the GFW's passive OnFlow+detector path, the
-// ssproto stream/AEAD framing, and the sscrypto Seal/Open primitives.
+// fleet's first-packet generation, the netsim event loop, the GFW's
+// passive OnFlow+detector path, the ssproto stream/AEAD framing, and
+// the sscrypto Seal/Open primitives.
 //
 // Every sub-benchmark reports allocs/op. The budgets live in
 // BENCH_hotpath.json and are enforced by TestHotPathAllocBudgets and
-// the bench-smoke CI job: steady-state streamConn writes and netsim
-// event dispatch must stay at 0 allocs/op.
+// the bench-smoke CI job: first packets, steady-state streamConn
+// writes and netsim event dispatch must stay at 0 allocs/op.
 package sslab_test
 
 import (
@@ -23,9 +24,11 @@ import (
 	"sslab/internal/reaction"
 	"sslab/internal/sscrypto"
 	"sslab/internal/ssproto"
+	"sslab/internal/trafficgen"
 )
 
 func BenchmarkHotPath(b *testing.B) {
+	b.Run("FirstWirePacket", benchFirstWirePacket)
 	b.Run("GFWOnFlow", benchGFWOnFlow)
 	b.Run("GFWOnFlow3Stage", benchGFWOnFlow3Stage)
 	b.Run("GFWFlowBatch", benchGFWFlowBatch)
@@ -38,6 +41,35 @@ func BenchmarkHotPath(b *testing.B) {
 	b.Run("AEADConnWrite", benchAEADConnWrite)
 	b.Run("AEADSeal", benchAEADSeal)
 	b.Run("AEADOpen", benchAEADOpen)
+}
+
+// benchFirstWirePacket generates first packets the way a fleet-ss user
+// wake does: AppendProtocolFirstPacket into one reused buffer, over the
+// default fleet mix's ciphers with the CurlLoop and BrowseAlexa
+// workloads, plus direct web flows, whose packets carry real bytes.
+// Budget: 0 allocs/op.
+func benchFirstWirePacket(b *testing.B) {
+	type flow struct {
+		spec sscrypto.Spec
+		wl   trafficgen.Workload
+	}
+	var flows []flow
+	for _, m := range []string{"aes-256-cfb", "aes-256-gcm", "chacha20-ietf-poly1305", "aes-256-ctr"} {
+		spec, err := sscrypto.Lookup(m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		flows = append(flows, flow{spec, trafficgen.CurlLoop}, flow{spec, trafficgen.BrowseAlexa})
+	}
+	flows = append(flows, flow{wl: trafficgen.WebDirect})
+	g := trafficgen.New(7)
+	buf := make([]byte, 0, 1024) // above the longest packet, 674 bytes
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := &flows[i%len(flows)]
+		buf = g.AppendProtocolFirstPacket(buf[:0], f.spec, f.wl)
+	}
 }
 
 // benchGFWOnFlow drives the full passive path — Connect → middlebox

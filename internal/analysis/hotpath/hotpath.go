@@ -50,6 +50,7 @@ var Analyzer = &analysis.Analyzer{
 		"sslab/internal/metrics",
 		"sslab/internal/netsim",
 		"sslab/internal/probesim",
+		"sslab/internal/seedfork",
 		"sslab/internal/sscrypto",
 		"sslab/internal/ssproto",
 		"sslab/internal/stats",

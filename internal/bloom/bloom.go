@@ -10,11 +10,7 @@
 // sufficiently old entries are eventually forgotten.
 package bloom
 
-import (
-	"encoding/binary"
-	"hash/fnv"
-	"math"
-)
+import "math"
 
 // Filter is a single Bloom filter with double-hashing (Kirsch–Mitzenmacher)
 // index derivation.
@@ -51,41 +47,53 @@ func New(capacity int, fpRate float64) *Filter {
 	}
 }
 
-// indexes derives the k bit positions for data via two FNV-1a hashes.
-func (f *Filter) indexes(data []byte, idx []uint64) []uint64 {
-	h1 := fnv.New64a()
-	h1.Write(data)
-	a := h1.Sum64()
-
-	h2 := fnv.New64a()
-	var seed [8]byte
-	binary.LittleEndian.PutUint64(seed[:], a)
-	h2.Write(seed[:])
-	h2.Write(data)
-	b := h2.Sum64() | 1 // force odd so the stride cycles
-
-	idx = idx[:0]
-	for i := 0; i < f.k; i++ {
-		idx = append(idx, (a+uint64(i)*b)%f.nbits)
+// hashes derives data's double-hashing pair: bit i of k is
+// (a + i·b) mod nbits. a is the 64-bit FNV-1a hash of data, b the
+// FNV-1a hash of a's little-endian bytes followed by data, forced odd
+// so the stride cycles. Both are computed inline, so no hash.Hash64 is
+// built per call.
+func hashes(data []byte) (a, b uint64) {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	a = offset64
+	for _, c := range data {
+		a ^= uint64(c)
+		a *= prime64
 	}
-	return idx
+	b = offset64
+	for i := 0; i < 64; i += 8 {
+		b ^= a >> i & 0xff
+		b *= prime64
+	}
+	for _, c := range data {
+		b ^= uint64(c)
+		b *= prime64
+	}
+	return a, b | 1
 }
 
 // Add inserts data into the filter.
-func (f *Filter) Add(data []byte) {
-	var scratch [16]uint64
-	for _, i := range f.indexes(data, scratch[:0]) {
-		f.bits[i/64] |= 1 << (i % 64)
+//
+//sslab:hotpath
+func (f *Filter) Add(data []byte) { f.add(hashes(data)) }
+
+func (f *Filter) add(a, b uint64) {
+	for i := 0; i < f.k; i++ {
+		j := (a + uint64(i)*b) % f.nbits
+		f.bits[j/64] |= 1 << (j % 64)
 	}
 	f.entries++
 }
 
 // Test reports whether data may have been added (with the configured
 // false-positive probability) — false means definitely never added.
-func (f *Filter) Test(data []byte) bool {
-	var scratch [16]uint64
-	for _, i := range f.indexes(data, scratch[:0]) {
-		if f.bits[i/64]&(1<<(i%64)) == 0 {
+//
+//sslab:hotpath
+func (f *Filter) Test(data []byte) bool { return f.test(hashes(data)) }
+
+func (f *Filter) test(a, b uint64) bool {
+	for i := 0; i < f.k; i++ {
+		j := (a + uint64(i)*b) % f.nbits
+		if f.bits[j/64]&(1<<(j%64)) == 0 {
 			return false
 		}
 	}
@@ -121,29 +129,41 @@ func NewPingPong(capacity int, fpRate float64) *PingPong {
 }
 
 // Add inserts data, rotating generations when the current one is full.
-func (p *PingPong) Add(data []byte) {
+//
+//sslab:hotpath
+func (p *PingPong) Add(data []byte) { p.add(hashes(data)) }
+
+func (p *PingPong) add(a, b uint64) {
 	cur := p.gen[p.current]
 	if cur.Len() >= cur.Cap() {
 		p.current = 1 - p.current
 		p.gen[p.current].Reset()
 		cur = p.gen[p.current]
 	}
-	cur.Add(data)
+	cur.add(a, b)
 }
 
 // Test reports whether data may be present in either generation.
-func (p *PingPong) Test(data []byte) bool {
-	return p.gen[0].Test(data) || p.gen[1].Test(data)
+//
+//sslab:hotpath
+func (p *PingPong) Test(data []byte) bool { return p.test(hashes(data)) }
+
+func (p *PingPong) test(a, b uint64) bool {
+	return p.gen[0].test(a, b) || p.gen[1].test(a, b)
 }
 
 // TestAndAdd atomically tests then adds; it returns the pre-add Test result.
-// This is the exact operation a replay filter needs per connection.
+// This is the exact operation a replay filter needs per connection. It
+// hashes data once for both generations and the insertion.
+//
+//sslab:hotpath
 func (p *PingPong) TestAndAdd(data []byte) bool {
-	seen := p.Test(data)
-	if !seen {
-		p.Add(data)
+	a, b := hashes(data)
+	if p.test(a, b) {
+		return true
 	}
-	return seen
+	p.add(a, b)
+	return false
 }
 
 // Len returns the total live entries across generations.

@@ -2,7 +2,9 @@ package bloom
 
 import (
 	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -94,6 +96,79 @@ func TestPingPongRotation(t *testing.T) {
 	}
 	if p.Len() > 200 {
 		t.Errorf("live entries %d exceed two generations", p.Len())
+	}
+}
+
+// refIndexes is the bit-position derivation written with hash/fnv:
+// a = FNV-1a(data), b = FNV-1a(a's little-endian bytes ‖ data) | 1,
+// bit i = (a + i·b) mod nbits.
+func refIndexes(f *Filter, data []byte) []uint64 {
+	h1 := fnv.New64a()
+	h1.Write(data)
+	a := h1.Sum64()
+	h2 := fnv.New64a()
+	var seed [8]byte
+	binary.LittleEndian.PutUint64(seed[:], a)
+	h2.Write(seed[:])
+	h2.Write(data)
+	b := h2.Sum64() | 1
+	var idx []uint64
+	for i := 0; i < f.k; i++ {
+		idx = append(idx, (a+uint64(i)*b)%f.nbits)
+	}
+	return idx
+}
+
+// TestBitsMatchReference: the inline hashing sets exactly the bits the
+// hash/fnv derivation names, at k = 10 and k = 20, so filters in
+// snapshots and every report that depends on them stay unchanged.
+func TestBitsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, c := range []struct {
+		fp float64
+		k  int
+	}{{1e-3, 10}, {1e-6, 20}} {
+		f := New(3000, c.fp)
+		if f.k != c.k {
+			t.Fatalf("fp %g: k = %d, want %d", c.fp, f.k, c.k)
+		}
+		want := make([]uint64, len(f.bits))
+		for i := 0; i < 2000; i++ {
+			data := make([]byte, rng.Intn(64))
+			rng.Read(data)
+			f.Add(data)
+			for _, j := range refIndexes(f, data) {
+				want[j/64] |= 1 << (j % 64)
+			}
+		}
+		if !slices.Equal(f.bits, want) {
+			t.Errorf("k = %d: bits differ from the hash/fnv derivation", c.k)
+		}
+	}
+}
+
+// TestNoAllocs: at k = 20, the replay filter's setting, Add, Test and
+// TestAndAdd allocate nothing.
+func TestNoAllocs(t *testing.T) {
+	f := New(1000, 1e-6)
+	p := NewPingPong(1000, 1e-6)
+	if f.k != 20 {
+		t.Fatalf("k = %d, want 20", f.k)
+	}
+	data := make([]byte, 32)
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Filter.Add", func() { f.Add(data) }},
+		{"Filter.Test", func() { f.Test(data) }},
+		{"PingPong.Add", func() { p.Add(data) }},
+		{"PingPong.Test", func() { p.Test(data) }},
+		{"PingPong.TestAndAdd", func() { p.TestAndAdd(data) }},
+	} {
+		if a := testing.AllocsPerRun(100, func() { data[0]++; c.fn() }); a != 0 {
+			t.Errorf("%s: %v allocs per call", c.name, a)
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package seedfork
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // math/rand's additive lagged Fibonacci generator: each value is the
 // sum of two register words rngTap apart, written back over the first.
@@ -161,12 +164,71 @@ func (s *Source) Float64() float64 {
 	}
 }
 
+// SkipIntn advances s exactly as count calls of Intn(n) would, for
+// 0 < n ≤ 2³¹−1, rejection redraws included, without reducing any
+// value. It panics if n is outside that range.
+//
+//sslab:hotpath
+func (s *Source) SkipIntn(n, count int) {
+	if n <= 0 || n > int32max {
+		panic("invalid argument to SkipIntn")
+	}
+	if count <= 0 {
+		return
+	}
+	if n&(n-1) == 0 { // a power of two: one draw per call
+		s.Skip(uint64(count))
+		return
+	}
+	// Intn draws again while Int63()>>32, bits 62..32, exceeds bound.
+	bound := uint64(1<<31 - 1 - (1<<31)%uint32(n))
+	for ; s.reg == nil; count-- { // lazy: until draw 274 builds the register
+		if count == 0 {
+			return
+		}
+		for s.Uint64()<<1>>33 > bound {
+		}
+	}
+	r := s.reg
+	tap, feed, drawn := r.tap, r.feed, uint64(0)
+	for count > 0 {
+		if tap--; tap < 0 {
+			tap += rngLen
+		}
+		if feed--; feed < 0 {
+			feed += rngLen
+		}
+		x := r.vec[feed] + r.vec[tap]
+		r.vec[feed] = x
+		drawn++
+		if uint64(x)<<1>>33 <= bound {
+			count--
+		}
+	}
+	r.tap, r.feed = tap, feed
+	s.n += drawn
+}
+
 // Read is rand.(*Rand).Read: the little-endian bytes of successive
 // draws, seven per draw, with the unused rest of the last draw carried
 // to the next call. It always returns len(p), nil.
+//
+//sslab:hotpath
 func (s *Source) Read(p []byte) (int, error) {
 	pos, val := s.readPos, s.readVal
-	for i := range p {
+	i := 0
+	for ; i < len(p) && pos > 0; i++ {
+		p[i] = byte(val)
+		val >>= 8
+		pos--
+	}
+	// Whole draws: store all eight bytes at once; the next store, or
+	// the tail below, overwrites the eighth. Once this loop has run,
+	// 1 to 7 bytes are left, so the tail draws the value it carries.
+	for ; i+8 <= len(p); i += 7 {
+		binary.LittleEndian.PutUint64(p[i:], s.Uint64())
+	}
+	for ; i < len(p); i++ {
 		if pos == 0 {
 			val, pos = s.Uint64(), 7
 		}

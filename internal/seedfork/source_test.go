@@ -27,12 +27,13 @@ func identitySeeds() []int64 {
 // drawBoth applies one randomly chosen method, with a randomly chosen
 // argument, to a Source and to the math/rand reference, and fails on
 // any difference. The mix covers Intn at powers of two, at odd n and
-// above 2³¹−1, Int63n likewise, and Read calls of uneven length so the
-// carry crosses calls.
+// above 2³¹−1, Int63n likewise, Read calls of uneven length — up to
+// several whole draws — so the carry crosses calls, and SkipIntn
+// against as many Intn calls, at n where half the draws are rejected.
 func drawBoth(t *testing.T, seed int64, step int, op *rand.Rand, s *Source, ref *rand.Rand) {
 	t.Helper()
 	var got, want any
-	switch k := op.Intn(9); k {
+	switch k := op.Intn(10); k {
 	case 0:
 		got, want = s.Uint64(), ref.Uint64()
 	case 1:
@@ -55,13 +56,21 @@ func drawBoth(t *testing.T, seed int64, step int, op *rand.Rand, s *Source, ref 
 		}
 		got, want = s.Int63n(n), ref.Int63n(n)
 	case 7:
-		n := op.Intn(20)
+		n := op.Intn(40)
 		a, b := make([]byte, n), make([]byte, n)
 		s.Read(a)
 		ref.Read(b)
 		got, want = string(a), string(b)
 	case 8:
 		got, want = rand.New(s).NormFloat64(), ref.NormFloat64()
+	case 9:
+		n := []int{1 << op.Intn(31), 1 + 2*op.Intn(1<<20), 1<<30 + 1 + op.Intn(1<<30)}[op.Intn(3)]
+		count := op.Intn(40)
+		s.SkipIntn(n, count)
+		for range count {
+			ref.Intn(n)
+		}
+		got, want = s.Uint64(), ref.Uint64()
 	}
 	if got != want {
 		t.Fatalf("seed %d, step %d: Source drew %v, math/rand %v", seed, step, got, want)
@@ -79,6 +88,39 @@ func TestSourceMatchesMathRand(t *testing.T) {
 		ref := rand.New(rand.NewSource(seed))
 		for step := 0; s.n < 2000; step++ {
 			drawBoth(t, seed, step, op, &s, ref)
+		}
+	}
+}
+
+// readBytewise is Read as math/rand writes it, one byte at a time.
+func readBytewise(s *Source, p []byte) {
+	for i := range p {
+		if s.readPos == 0 {
+			s.readVal, s.readPos = s.Uint64(), 7
+		}
+		p[i] = byte(s.readVal)
+		s.readVal >>= 8
+		s.readPos--
+	}
+}
+
+// TestSourceReadState runs two sources of one seed in lockstep, one
+// through Read's whole-draw stores, the other through a bytewise Read,
+// across draws 273, 274 and 607, and requires equal bytes and equal
+// State — the carry that math/rand keeps private — after every call.
+func TestSourceReadState(t *testing.T) {
+	op := rand.New(rand.NewSource(2))
+	for _, seed := range identitySeeds()[:40] {
+		fast, ref := NewSource(seed), NewSource(seed)
+		for step := 0; ref.n < 1500; step++ {
+			n := op.Intn(60)
+			a, b := make([]byte, n), make([]byte, n)
+			fast.Read(a)
+			readBytewise(&ref, b)
+			if !bytes.Equal(a, b) || fast.State() != ref.State() {
+				t.Fatalf("seed %d, step %d: Read wrote %x, state %+v; bytewise %x, %+v",
+					seed, step, a, fast.State(), b, ref.State())
+			}
 		}
 	}
 }

@@ -2,15 +2,19 @@
 // experiments: curl-style HTTP/HTTPS fetch loops (§3.1's Shadowsocks-libev
 // setup) and Firefox-style browsing of Alexa-ranked sites (§3.1's
 // OutlineVPN setup). What the GFW's detector sees is the length and
-// entropy of the first data-carrying wire packet, so the generator
-// produces realistic plaintext first flights and converts them to wire
-// form for a given cipher spec.
+// entropy of the first data-carrying wire packet.
+//
+// A Shadowsocks wire packet is random bytes of the ciphertext's length,
+// so AppendFirstWirePacket computes only the plaintext first flight's
+// length, making exactly the random draws building it would make. Real
+// plaintext comes from the reference forms (PlaintextFirstFlight,
+// WireFirstPacket), the direct web packets and the protocol-native
+// packets, whose bytes the detectors read.
 package trafficgen
 
 import (
-	"fmt"
 	"slices"
-	"strings"
+	"strconv"
 
 	"sslab/internal/seedfork"
 	"sslab/internal/socks"
@@ -49,6 +53,12 @@ const (
 	WebDirect
 )
 
+// target is a host and port a client visits.
+type target struct {
+	host string
+	port uint16
+}
+
 // sites is a stand-in for the Alexa-subset target list.
 var sites = []string{
 	"www.wikipedia.org", "example.com", "gfw.report", "www.google.com",
@@ -57,14 +67,18 @@ var sites = []string{
 	"en.wikipedia.org", "www.reddit.com", "duckduckgo.com",
 }
 
+// curlSites are the three targets §3.1's curl loops fetched:
+// https://www.wikipedia.org, http://example.com and https://gfw.report.
+var curlSites = []target{{"www.wikipedia.org", 443}, {"example.com", 80}, {"gfw.report", 443}}
+
 // Generator produces first flights deterministically from a seed.
 type Generator struct {
 	// rng's stream position — draw count plus Read's leftover —
 	// serializes into RNGState for engine snapshots.
 	rng seedfork.Source
-	// scratch holds the intermediate plaintext of AppendFirstWirePacket
-	// so the population-scale hot path reuses one buffer per generator.
-	scratch []byte
+	// scratch receives the random ClientHello bytes whose draws
+	// plaintextLen makes but whose values it discards.
+	scratch [helloMaxBody / 3]byte
 }
 
 // New returns a Generator.
@@ -87,23 +101,15 @@ func (g *Generator) CaptureRNG() RNGState { return RNGState(g.rng.State()) }
 // leaves behind.
 func (g *Generator) RestoreRNG(st RNGState) error { return g.rng.Restore(seedfork.State(st)) }
 
-// curlSites are the three targets §3.1's curl loops fetched.
-var curlSites = []string{"https://www.wikipedia.org", "http://example.com", "https://gfw.report"}
-
-// Target returns a host:port a client would visit under the workload.
-func (g *Generator) Target(w Workload) string {
+// pick draws the target a client visits under the workload.
+func (g *Generator) pick(w Workload) target {
 	switch w {
 	case CurlHTTP:
-		return sites[g.rng.Intn(len(sites))] + ":80"
+		return target{sites[g.rng.Intn(len(sites))], 80}
 	case CurlLoop:
-		site := curlSites[g.rng.Intn(len(curlSites))]
-		if scheme, rest, _ := strings.Cut(site, "://"); scheme == "http" {
-			return rest + ":80"
-		} else {
-			return rest + ":443"
-		}
+		return curlSites[g.rng.Intn(len(curlSites))]
 	default:
-		return sites[g.rng.Intn(len(sites))] + ":443"
+		return target{sites[g.rng.Intn(len(sites))], 443}
 	}
 }
 
@@ -111,35 +117,68 @@ func (g *Generator) Target(w Workload) string {
 // its first packet: the SOCKS-style target specification followed by the
 // first application bytes (an HTTP request or a TLS ClientHello).
 func (g *Generator) PlaintextFirstFlight(w Workload) []byte {
-	return g.AppendPlaintextFirstFlight(nil, w)
+	t := g.pick(w)
+	dst := socks.Addr{Type: socks.AtypDomain, Host: t.host, Port: t.port}.Append(nil)
+	return g.appendWeb(dst, t)
 }
 
-// AppendPlaintextFirstFlight appends the plaintext first flight to dst
-// and returns the extended slice. It draws exactly the random values
-// PlaintextFirstFlight draws, so the two forms are interchangeable
-// mid-stream; the append form exists for population-scale callers that
-// amortize one buffer over millions of flows.
-func (g *Generator) AppendPlaintextFirstFlight(dst []byte, w Workload) []byte {
-	target := g.Target(w)
-	addr, err := socks.ParseAddr(target)
-	if err != nil {
-		panic(err) // targets above are all well-formed
+// appendWeb appends the first application bytes for t: an HTTP GET on
+// port 80, a TLS ClientHello otherwise.
+func (g *Generator) appendWeb(dst []byte, t target) []byte {
+	if t.port == 80 {
+		return g.appendHTTPGET(dst, t.host)
 	}
-	dst = addr.Append(dst)
-	if addr.Port == 80 {
-		return g.appendHTTPGET(dst, addr.Host)
+	return g.appendClientHello(dst, t.host)
+}
+
+// plaintextLen returns the length of the plaintext first flight
+// PlaintextFirstFlight would build for w, making exactly the draws it
+// makes, in the same order: the target; then the path and curl
+// version of a GET, or the body length, random bytes and structural
+// bytes of a ClientHello.
+//
+//sslab:hotpath
+func (g *Generator) plaintextLen(w Workload) int {
+	t := g.pick(w)
+	n := 1 + 1 + len(t.host) + 2 // SOCKS domain spec
+	if t.port == 80 {
+		path := getPaths[g.rng.Intn(len(getPaths))]
+		g.rng.SkipIntn(curlMinors, 1)
+		return n + len(getText) + len(path) + len(t.host) + 2
 	}
-	return g.appendClientHello(dst, addr.Host)
+	body := helloMinBody + g.rng.Intn(helloMaxBody-helloMinBody+1)
+	nRand := body / 3
+	g.rng.Read(g.scratch[:nRand])
+	g.rng.SkipIntn(len(helloStructural), body-nRand)
+	return n + 5 + body
 }
 
 // getPaths are the request paths the curl-like workload cycles over.
 var getPaths = []string{"/", "/index.html", "/wiki/Main_Page", "/search?q=weather", "/static/app.js"}
 
+// curlMinors is how many curl versions a GET names: 7.50.0 to 7.69.0,
+// so the minor version always has two digits.
+const curlMinors = 20
+
+// The fixed text of a curl-like GET, around its path, host and the
+// two-digit curl minor version.
+const (
+	getMethod = "GET "
+	getHost   = " HTTP/1.1\r\nHost: "
+	getAgent  = "\r\nUser-Agent: curl/7."
+	getEnd    = ".0\r\nAccept: */*\r\n\r\n"
+	getText   = getMethod + getHost + getAgent + getEnd
+)
+
 // appendHTTPGET appends a curl-like request.
 func (g *Generator) appendHTTPGET(dst []byte, host string) []byte {
-	return fmt.Appendf(dst,
-		"GET %s HTTP/1.1\r\nHost: %s\r\nUser-Agent: curl/7.%d.0\r\nAccept: */*\r\n\r\n",
-		getPaths[g.rng.Intn(len(getPaths))], host, 50+g.rng.Intn(20))
+	dst = append(dst, getMethod...)
+	dst = append(dst, getPaths[g.rng.Intn(len(getPaths))]...)
+	dst = append(dst, getHost...)
+	dst = append(dst, host...)
+	dst = append(dst, getAgent...)
+	dst = strconv.AppendInt(dst, int64(50+g.rng.Intn(curlMinors)), 10)
+	return append(dst, getEnd...)
 }
 
 // clientHello builds a TLS-ClientHello-shaped first flight: a 5-byte
@@ -151,7 +190,7 @@ func (g *Generator) appendHTTPGET(dst []byte, host string) []byte {
 // SNI. The resulting per-byte entropy of ≈5–6 bits is what lets the GFW's
 // entropy feature keep direct TLS below fully encrypted protocols.
 func (g *Generator) appendClientHello(dst []byte, host string) []byte {
-	body := 220 + g.rng.Intn(360)
+	body := helloMinBody + g.rng.Intn(helloMaxBody-helloMinBody+1)
 	start := len(dst)
 	dst = append(slices.Grow(dst, 5+body), zeros[:5+body]...)
 	rec := dst[start:]
@@ -176,26 +215,32 @@ var helloStructural = []byte{
 	0x2f, 0x30, 0xff, 0x01, 0x0a, 0x16, 0x17, 0x18, 0x00, 0x1d,
 }
 
-// zeros seeds fresh record bytes before they are overwritten; 5+579 is
-// the largest ClientHello appendClientHello produces.
-var zeros [5 + 579]byte
+// A ClientHello body is 220 to 579 bytes long.
+const helloMinBody, helloMaxBody = 220, 579
+
+// zeros seeds fresh record bytes before they are overwritten: 5 bytes
+// of record header and the longest body.
+var zeros [5 + helloMaxBody]byte
 
 // WireFirstPacket converts a plaintext first flight to the wire bytes a
 // Shadowsocks connection of the given cipher would produce. Because
 // Shadowsocks ciphertext is computationally indistinguishable from random
 // bytes, the simulator represents it as random bytes of the correct
-// length: IV + payload for stream ciphers, salt + sealed length + sealed
-// payload for AEAD.
+// length (see wireLen).
 func (g *Generator) WireFirstPacket(spec sscrypto.Spec, plaintext []byte) []byte {
-	var n int
-	if spec.Kind == sscrypto.Stream {
-		n = spec.IVSize + len(plaintext)
-	} else {
-		n = spec.SaltSize() + 2 + 16 + len(plaintext) + 16
-	}
-	out := make([]byte, n)
+	out := make([]byte, wireLen(spec, len(plaintext)))
 	g.rng.Read(out)
 	return out
+}
+
+// wireLen is the length of a first wire packet carrying n plaintext
+// bytes: IV + payload for stream ciphers, salt + sealed length + sealed
+// payload for AEAD.
+func wireLen(spec sscrypto.Spec, n int) int {
+	if spec.Kind == sscrypto.Stream {
+		return spec.IVSize + n
+	}
+	return spec.SaltSize() + 2 + 16 + n + 16
 }
 
 // FirstWirePacket is a convenience combining the two steps.
@@ -259,15 +304,7 @@ func (g *Generator) AppendObfsFirstPacket(dst []byte) []byte {
 // innocuous-traffic baseline detector chains are scored against for
 // false positives.
 func (g *Generator) AppendWebFirstPacket(dst []byte) []byte {
-	target := g.Target(CurlLoop)
-	addr, err := socks.ParseAddr(target)
-	if err != nil {
-		panic(err)
-	}
-	if addr.Port == 80 {
-		return g.appendHTTPGET(dst, addr.Host)
-	}
-	return g.appendClientHello(dst, addr.Host)
+	return g.appendWeb(dst, g.pick(CurlLoop))
 }
 
 // AppendProtocolFirstPacket appends the first wire packet for any
@@ -290,19 +327,15 @@ func (g *Generator) AppendProtocolFirstPacket(dst []byte, spec sscrypto.Spec, w 
 }
 
 // AppendFirstWirePacket appends a complete first wire packet to dst and
-// returns the extended slice. Random draws match FirstWirePacket
-// exactly (plaintext first, then one wire-length Read), so mixing the
-// two forms on one Generator keeps the stream aligned. The plaintext
-// intermediate lives in a per-Generator scratch buffer; in steady state
-// the call allocates nothing once dst's capacity suffices.
+// returns the extended slice. It builds no plaintext, only its length,
+// but its bytes and draws match WireFirstPacket(spec,
+// PlaintextFirstFlight(w)) exactly (the plaintext's draws first, then
+// one wire-length Read), so mixing the forms on one Generator keeps the
+// stream aligned. It allocates nothing once dst's capacity suffices.
+//
+//sslab:hotpath
 func (g *Generator) AppendFirstWirePacket(dst []byte, spec sscrypto.Spec, w Workload) []byte {
-	g.scratch = g.AppendPlaintextFirstFlight(g.scratch[:0], w)
-	var n int
-	if spec.Kind == sscrypto.Stream {
-		n = spec.IVSize + len(g.scratch)
-	} else {
-		n = spec.SaltSize() + 2 + 16 + len(g.scratch) + 16
-	}
+	n := wireLen(spec, g.plaintextLen(w))
 	start := len(dst)
 	dst = slices.Grow(dst, n)[:start+n]
 	g.rng.Read(dst[start:])

@@ -9,16 +9,20 @@ import (
 	"sslab/internal/sscrypto"
 )
 
+// TestTargetsWellFormed: every target a workload picks is a hostname a
+// SOCKS domain spec can carry, on port 80 for CurlHTTP and on 80 or 443
+// otherwise.
 func TestTargetsWellFormed(t *testing.T) {
 	g := New(1)
 	for i := 0; i < 100; i++ {
-		for _, w := range []Workload{CurlHTTP, CurlHTTPS, BrowseAlexa} {
-			target := g.Target(w)
-			if _, err := socks.ParseAddr(target); err != nil {
-				t.Fatalf("bad target %q: %v", target, err)
+		for _, w := range []Workload{CurlHTTP, CurlHTTPS, BrowseAlexa, CurlLoop} {
+			tg := g.pick(w)
+			addr := socks.Addr{Type: socks.AtypDomain, Host: tg.host, Port: tg.port}
+			if got, err := socks.ParseAddr(addr.String()); err != nil || got.Type != socks.AtypDomain || got.Host != tg.host {
+				t.Fatalf("bad target %v: parses as %+v, %v", addr, got, err)
 			}
-			if w == CurlHTTP && !strings.HasSuffix(target, ":80") {
-				t.Errorf("HTTP target %q not on :80", target)
+			if (w == CurlHTTP && tg.port != 80) || (tg.port != 80 && tg.port != 443) {
+				t.Errorf("%v target %v on an unexpected port", w, addr)
 			}
 		}
 	}
