@@ -1,7 +1,9 @@
 // Command fingerprint analyzes a probe capture (as written by
-// gfwsim -dump) the way §3.3–§3.5 of the paper analyzes real packet
-// captures: per-IP reuse, AS attribution, source-port distribution, TCP
-// timestamp process clustering, and replay-delay statistics.
+// gfwsim -dump) the way §3.3–§3.5 of the paper analyze real packet
+// captures. It prints the §3.1 report's Figure 2–7 block for the
+// capture — NR1 lengths, per-IP reuse, AS attribution, source ports,
+// TCP timestamp processes and replay delays, computed by
+// capture.Summarize — followed by the probe-type counts.
 //
 // Usage:
 //
@@ -9,13 +11,14 @@
 package main
 
 import (
+	"bufio"
 	"fmt"
 	"log"
 	"os"
 	"sort"
 
 	"sslab/internal/capture"
-	"sslab/internal/stats"
+	"sslab/internal/probe"
 )
 
 func main() {
@@ -34,75 +37,28 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%d probes\n\n", l.Len())
 
-	per := l.ProbesPerIP()
-	maxPer := 0
-	for _, c := range per {
-		if c > maxPer {
-			maxPer = c
+	w := bufio.NewWriter(os.Stdout)
+	fmt.Fprintf(w, "%d probes\n\n", l.Len())
+	s := capture.Summarize(l)
+	s.WriteFigures(w)
+
+	fmt.Fprintln(w, "\nprobe types:")
+	counts := l.TypeCounts()
+	types := make([]probe.Type, 0, len(counts))
+	for t := range counts {
+		types = append(types, t)
+	}
+	sort.Slice(types, func(i, j int) bool {
+		if counts[types[i]] != counts[types[j]] {
+			return counts[types[i]] > counts[types[j]]
 		}
+		return types[i] < types[j]
+	})
+	for _, t := range types {
+		fmt.Fprintf(w, "  %-8s %d\n", t, counts[t])
 	}
-	fmt.Printf("prober IPs: %d unique, %.0f%% used more than once, max %d probes from one IP\n",
-		len(per), l.MultiUseFraction()*100, maxPer)
-	fmt.Println("top prober IPs:")
-	for _, ip := range l.TopIPs(10) {
-		fmt.Printf("  %-18s %d\n", ip.IP, ip.Count)
-	}
-
-	fmt.Println("\nunique prober IPs per AS:")
-	as := l.ASCounts()
-	type kv struct{ asn, n int }
-	var rows []kv
-	for a, n := range as {
-		rows = append(rows, kv{a, n})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].n > rows[j].n })
-	for _, r := range rows {
-		fmt.Printf("  AS%-6d %d\n", r.asn, r.n)
-	}
-
-	ports := l.SourcePorts()
-	if ports.Len() > 0 {
-		fmt.Printf("\nsource ports: %.1f%% in 32768–60999, min %.0f, max %.0f\n",
-			(ports.P(60999)-ports.P(32767))*100, ports.Min(), ports.Max())
-	}
-
-	clusters := stats.ClusterTSvals(l.TSPoints(), []float64{250, 1000}, 100000)
-	substantial := 0
-	for i := range clusters {
-		if len(clusters[i].Points) >= 10 {
-			substantial++
-		}
-	}
-	fmt.Printf("TCP timestamp processes: %d substantial clusters", substantial)
-	if substantial > 0 {
-		if rate, err := clusters[0].MeasuredRate(); err == nil {
-			fmt.Printf(" (dominant rate %.1f Hz)", rate)
-		}
-	}
-	fmt.Println()
-
-	all, first := l.ReplayDelays()
-	if all.Len() > 0 {
-		fmt.Printf("replay delays (%d total, %d distinct payloads):\n", all.Len(), first.Len())
-		fmt.Printf("  first occurrences: P(1s)=%.0f%% P(1min)=%.0f%% P(15min)=%.0f%%\n",
-			first.P(1)*100, first.P(60)*100, first.P(900)*100)
-		fmt.Printf("  min %.2fs, max %.1fh\n", all.Min(), all.Max()/3600)
-	}
-
-	fmt.Println("\nprobe types:")
-	tc := l.TypeCounts()
-	type tkv struct {
-		name string
-		n    int
-	}
-	var trows []tkv
-	for t, n := range tc {
-		trows = append(trows, tkv{t.String(), n})
-	}
-	sort.Slice(trows, func(i, j int) bool { return trows[i].n > trows[j].n })
-	for _, r := range trows {
-		fmt.Printf("  %-8s %d\n", r.name, r.n)
+	if err := w.Flush(); err != nil {
+		log.Fatal(err)
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"strings"
@@ -62,7 +61,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		listExperiments(os.Stdout)
+		experiment.List(os.Stdout)
 		return
 	}
 
@@ -207,18 +206,4 @@ func fleetStaged(cfg *fleet.Config, workers int, snapAt float64, snapOut, resume
 		return nil, err
 	}
 	return e.Report()
-}
-
-// listExperiments prints the registry in presentation order, aligned.
-func listExperiments(w io.Writer) {
-	rs := experiment.Runners()
-	width := 0
-	for _, r := range rs {
-		if len(r.Name()) > width {
-			width = len(r.Name())
-		}
-	}
-	for _, r := range rs {
-		fmt.Fprintf(w, "%-*s  %s\n", width, r.Name(), r.Description())
-	}
 }

@@ -72,16 +72,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		rs := experiment.Runners()
-		width := 0
-		for _, r := range rs {
-			if len(r.Name()) > width {
-				width = len(r.Name())
-			}
-		}
-		for _, r := range rs {
-			fmt.Printf("%-*s  %s\n", width, r.Name(), r.Description())
-		}
+		experiment.List(os.Stdout)
 		return
 	}
 

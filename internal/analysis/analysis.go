@@ -26,6 +26,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -48,6 +49,66 @@ type Analyzer struct {
 	IncludeTests bool
 	// Run inspects one package and reports findings via pass.Reportf.
 	Run func(pass *Pass) error
+}
+
+// SimPackages and WirePackages are the two package lists every
+// analyzer's Scope is built from. A new package goes into exactly one of
+// them, and an analyzer that must skip a listed package drops it with
+// Without, next to the reason.
+var (
+	// SimPackages is the simulator side: the root facade, every command
+	// and every internal package outside the wire stack — the code whose
+	// output must be a function of its seed. Only the tooling stays out
+	// of both lists: this analysis framework and internal/prof, the
+	// commands' profiling flags.
+	SimPackages = []string{
+		"sslab",
+		"sslab/cmd/...",
+		"sslab/internal/bloom",
+		"sslab/internal/campaign",
+		"sslab/internal/capture",
+		"sslab/internal/defense",
+		"sslab/internal/detector",
+		"sslab/internal/entropy",
+		"sslab/internal/experiment",
+		"sslab/internal/fleet",
+		"sslab/internal/gfw",
+		"sslab/internal/metrics",
+		"sslab/internal/netsim",
+		"sslab/internal/probe",
+		"sslab/internal/probesim",
+		"sslab/internal/reaction",
+		"sslab/internal/region",
+		"sslab/internal/replay",
+		"sslab/internal/seedfork",
+		"sslab/internal/stats",
+		"sslab/internal/trafficgen",
+	}
+	// WirePackages is the live Shadowsocks stack, which talks to real
+	// sockets: the SOCKS front end, client, ciphers, framing and server.
+	WirePackages = []string{
+		"sslab/internal/socks",
+		"sslab/internal/ssclient",
+		"sslab/internal/sscrypto",
+		"sslab/internal/ssproto",
+		"sslab/internal/ssserver",
+	}
+)
+
+// Without returns a copy of list minus the named entries. Each name must
+// be in list; an exception that names no listed package panics, so a
+// stale one cannot outlive the package it was written for.
+func Without(list []string, drop ...string) []string {
+	out := make([]string, 0, len(list))
+	for _, entry := range list {
+		if !slices.Contains(drop, entry) {
+			out = append(out, entry)
+		}
+	}
+	if len(out) != len(list)-len(drop) {
+		panic(fmt.Sprintf("analysis.Without: %q is not a subset of the list", drop))
+	}
+	return out
 }
 
 // AppliesTo reports whether pkgPath falls under the analyzer's scope.

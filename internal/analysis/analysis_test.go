@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -140,6 +141,50 @@ func TestScope(t *testing.T) {
 	if !unscoped.AppliesTo("anything/at/all") {
 		t.Error("empty scope must match every package")
 	}
+}
+
+// TestPackageListsCoverModule: every internal package of this module is
+// in exactly one of SimPackages and WirePackages, or is tooling, and
+// every list entry names a package that exists — so a new package
+// cannot fall outside every scope unnoticed.
+func TestPackageListsCoverModule(t *testing.T) {
+	tooling := map[string]bool{"sslab/internal/analysis": true, "sslab/internal/prof": true}
+	listed := map[string]int{}
+	for _, entry := range append(append([]string(nil), SimPackages...), WirePackages...) {
+		listed[entry]++
+		dir, _ := strings.CutSuffix(strings.TrimPrefix(entry, "sslab"), "/...")
+		if _, err := os.Stat(filepath.Join("..", "..", filepath.FromSlash(dir))); err != nil {
+			t.Errorf("listed package %s: %v", entry, err)
+		}
+	}
+	internal, err := os.ReadDir(filepath.Join("..", "..", "internal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs := []string{"sslab", "sslab/cmd/..."}
+	for _, d := range internal {
+		if d.IsDir() {
+			pkgs = append(pkgs, "sslab/internal/"+d.Name())
+		}
+	}
+	for _, pkg := range pkgs {
+		if n := listed[pkg]; n != 1 && !tooling[pkg] {
+			t.Errorf("%s is in %d package lists, want exactly one (analysis.SimPackages or WirePackages)", pkg, n)
+		}
+	}
+}
+
+func TestWithout(t *testing.T) {
+	got := Without([]string{"a", "b", "c"}, "c", "a")
+	if strings.Join(got, ",") != "b" {
+		t.Errorf("Without = %v, want [b]", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Without accepted an exception that names no listed entry")
+		}
+	}()
+	Without([]string{"a"}, "z")
 }
 
 func TestExternalTestPackage(t *testing.T) {

@@ -20,11 +20,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "require crypto/rand (never math/rand) in the Shadowsocks " +
 		"implementation packages: salts, IVs and keys must be " +
 		"cryptographically random",
-	Scope: []string{
-		"sslab/internal/sscrypto",
-		"sslab/internal/ssproto",
-		"sslab/internal/ssserver",
-	},
+	Scope:        analysis.WirePackages,
 	IncludeTests: false,
 	Run:          run,
 }

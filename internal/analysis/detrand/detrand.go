@@ -21,34 +21,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "forbid global math/rand functions and wall-clock PRNG seeds in " +
 		"simulator/experiment packages; randomness must come from an " +
 		"injected, seeded *rand.Rand",
-	Scope: []string{
-		// The root facade (and its examples/benchmarks, which exercise
-		// the impairment API): nothing there may draw nondeterministic
-		// randomness either. Note the root is deliberately NOT in
-		// simclock's scope — its tests drive real sockets, where
-		// wall-clock deadlines are legitimate.
-		"sslab",
-		"sslab/cmd/...",
-		"sslab/internal/bloom",
-		"sslab/internal/campaign",
-		"sslab/internal/capture",
-		"sslab/internal/defense",
-		"sslab/internal/detector",
-		"sslab/internal/entropy",
-		"sslab/internal/experiment",
-		"sslab/internal/fleet",
-		"sslab/internal/gfw",
-		"sslab/internal/metrics",
-		"sslab/internal/netsim",
-		"sslab/internal/probe",
-		"sslab/internal/probesim",
-		"sslab/internal/reaction",
-		"sslab/internal/region",
-		"sslab/internal/replay",
-		"sslab/internal/seedfork",
-		"sslab/internal/stats",
-		"sslab/internal/trafficgen",
-	},
+	Scope:        analysis.SimPackages,
 	IncludeTests: true,
 	Run:          run,
 }

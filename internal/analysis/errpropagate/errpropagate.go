@@ -29,12 +29,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "flag dropped errors from Write/WriteTo-style calls on the " +
 		"packet path; a failed relay write must be handled or " +
 		"explicitly waived",
-	Scope: []string{
-		"sslab/internal/socks",
-		"sslab/internal/ssclient",
-		"sslab/internal/ssproto",
-		"sslab/internal/ssserver",
-	},
+	Scope:        analysis.WirePackages,
 	IncludeTests: false,
 	Run:          run,
 }

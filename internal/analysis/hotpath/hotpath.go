@@ -38,24 +38,8 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "forbid closures, fmt calls, map iteration, non-scratch appends " +
 		"and interface boxing inside functions annotated //sslab:hotpath; " +
 		"these paths carry hard allocs/op budgets",
-	Scope: []string{
-		"sslab",
-		"sslab/internal/bloom",
-		"sslab/internal/capture",
-		"sslab/internal/defense",
-		"sslab/internal/detector",
-		"sslab/internal/entropy",
-		"sslab/internal/fleet",
-		"sslab/internal/gfw",
-		"sslab/internal/metrics",
-		"sslab/internal/netsim",
-		"sslab/internal/probesim",
-		"sslab/internal/seedfork",
-		"sslab/internal/sscrypto",
-		"sslab/internal/ssproto",
-		"sslab/internal/stats",
-		"sslab/internal/trafficgen",
-	},
+	// No Scope, so every package: only annotated functions are read,
+	// and the annotation goes wherever an allocs/op budget does.
 	Run: run,
 }
 

@@ -32,23 +32,8 @@ var Analyzer = &analysis.Analyzer{
 		"(unless it is sorted afterwards), printing, JSON-encoding, or " +
 		"feeding order-sensitive sinks: map order is randomized and would " +
 		"break report byte-identity",
-	Scope: []string{
-		"sslab",
-		"sslab/cmd/...",
-		"sslab/internal/campaign",
-		"sslab/internal/capture",
-		"sslab/internal/detector",
-		"sslab/internal/experiment",
-		"sslab/internal/fleet",
-		"sslab/internal/gfw",
-		"sslab/internal/metrics",
-		"sslab/internal/netsim",
-		"sslab/internal/probesim",
-		"sslab/internal/reaction",
-		"sslab/internal/replay",
-		"sslab/internal/stats",
-	},
-	Run: run,
+	Scope: analysis.SimPackages,
+	Run:   run,
 }
 
 // printFuncs are the fmt functions that emit output (Sprint* only build

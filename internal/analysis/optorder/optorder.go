@@ -33,24 +33,8 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "constructors taking ...Option must apply options before reading " +
 		"config; exported With* helpers must return the package Option type; " +
 		"constructors must not zero-default positional knobs",
-	Scope: []string{
-		"sslab",
-		"sslab/internal/campaign",
-		"sslab/internal/capture",
-		"sslab/internal/defense",
-		"sslab/internal/detector",
-		"sslab/internal/entropy",
-		"sslab/internal/experiment",
-		"sslab/internal/fleet",
-		"sslab/internal/gfw",
-		"sslab/internal/metrics",
-		"sslab/internal/netsim",
-		"sslab/internal/probesim",
-		"sslab/internal/reaction",
-		"sslab/internal/replay",
-		"sslab/internal/trafficgen",
-	},
-	Run: run,
+	Scope: analysis.SimPackages,
+	Run:   run,
 }
 
 func run(pass *analysis.Pass) error {

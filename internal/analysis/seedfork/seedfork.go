@@ -25,32 +25,11 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "forbid deriving child seeds by arithmetic on a parent seed; " +
 		"derive them with seedfork.Fork(parent, label, idx...) so streams " +
 		"never collide across components, grid cells and shards",
-	Scope: []string{
-		// The deterministic packages of the detrand scope, except
-		// internal/seedfork itself (the one place allowed to mix seed
-		// bits — that is its job). The crypto packages stay out too:
-		// their test-vector key/nonce "seeds" are fixtures, not PRNG
-		// stream identities.
-		"sslab",
-		"sslab/cmd/...",
-		"sslab/internal/bloom",
-		"sslab/internal/campaign",
-		"sslab/internal/capture",
-		"sslab/internal/defense",
-		"sslab/internal/detector",
-		"sslab/internal/entropy",
-		"sslab/internal/experiment",
-		"sslab/internal/fleet",
-		"sslab/internal/gfw",
-		"sslab/internal/metrics",
-		"sslab/internal/netsim",
-		"sslab/internal/probe",
-		"sslab/internal/probesim",
-		"sslab/internal/reaction",
-		"sslab/internal/replay",
-		"sslab/internal/stats",
-		"sslab/internal/trafficgen",
-	},
+	// internal/seedfork itself is the one place allowed to mix seed
+	// bits — that is its job. The wire packages stay out: their
+	// test-vector key/nonce "seeds" are fixtures, not PRNG stream
+	// identities.
+	Scope:        analysis.Without(analysis.SimPackages, "sslab/internal/seedfork"),
 	IncludeTests: true,
 	Run:          run,
 }

@@ -3,7 +3,7 @@
 // internal/netsim.Sim is what lets four-month probing campaigns replay
 // in seconds, bit-for-bit; a single time.Now or time.Sleep smuggled into
 // the event loop silently couples results to the host's scheduler.
-// Packages that talk to real sockets (ssserver, ssclient, probesim) are
+// Packages that talk to real sockets (the wire stack, probesim) are
 // deliberately out of scope — deadlines there are genuine wall-clock
 // concerns.
 package simclock
@@ -36,18 +36,14 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "forbid time.Now/Sleep/After (and friends) in discrete-event " +
 		"simulator packages; use the injected netsim.Sim virtual clock " +
 		"(sim.Now, sim.After, sim.At)",
-	Scope: []string{
-		"sslab/internal/campaign",
-		"sslab/internal/detector",
-		"sslab/internal/experiment",
-		"sslab/internal/fleet",
-		"sslab/internal/gfw",
-		"sslab/internal/metrics",
-		"sslab/internal/netsim",
-		"sslab/internal/probe",
-		"sslab/internal/reaction",
-		"sslab/internal/region",
-	},
+	// Code that legitimately reads the wall clock stays out: the root
+	// facade's tests and benchmarks drive real sockets and time runs;
+	// the commands time themselves (sslab-sweep's progress and ETA,
+	// sslab-vet) or set deadlines on live connections (probesim,
+	// sslab-client); and probesim's TCPProber sets deadlines on real
+	// connections.
+	Scope: analysis.Without(analysis.SimPackages,
+		"sslab", "sslab/cmd/...", "sslab/internal/probesim"),
 	IncludeTests: true,
 	Run:          run,
 }

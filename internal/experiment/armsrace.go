@@ -197,23 +197,9 @@ func (r *ArmsRaceReport) Render() string {
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "  %-45s blocked %5.2f%% of users, FP %5.2f%%, probes %d, median latency %s\n",
 			row.Name, 100*row.BlockedUserFraction, 100*row.FalsePositiveFraction,
-			row.ProbesSent, fmtDurS(row.DetectionLatency.P50))
+			row.ProbesSent, stats.FormatSeconds(row.DetectionLatency.P50))
 	}
 	return b.String()
-}
-
-// fmtDurS renders seconds compactly for the arms-race table.
-func fmtDurS(sec float64) string {
-	switch {
-	case sec <= 0:
-		return "-"
-	case sec < 90:
-		return fmt.Sprintf("%.0fs", sec)
-	case sec < 2*3600:
-		return fmt.Sprintf("%.1fm", sec/60)
-	default:
-		return fmt.Sprintf("%.1fh", sec/3600)
-	}
 }
 
 // armsraceRunner registers the sweep under the "armsrace" name. Fast

@@ -7,7 +7,6 @@ import (
 	"sslab/internal/gfw"
 	"sslab/internal/probe"
 	"sslab/internal/reaction"
-	"sslab/internal/stats"
 )
 
 func TestTable1(t *testing.T) {
@@ -120,26 +119,6 @@ func TestShadowsocksExperiment(t *testing.T) {
 	for _, want := range []string{"Figure 2", "Figure 3", "Table 2", "Table 3", "Figure 5", "Figure 6", "Figure 7", "Figure 4"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
-		}
-	}
-}
-
-// TestShadowsocksRenderTable3Deterministic: Table 3's AS rows come from
-// a map; rows with equal counts must still render in one order (by AS
-// number), so the text report is a function of the report alone.
-func TestShadowsocksRenderTable3Deterministic(t *testing.T) {
-	r := &ShadowsocksReport{
-		NR1Lengths: stats.NewHistogram(),
-		DelayFirst: stats.NewCDF(nil),
-		DelayAll:   stats.NewCDF(nil),
-		ASCounts:   map[int]int{4837: 9, 56047: 1, 24400: 1, 17816: 1, 4134: 9},
-	}
-	want := "  AS4134   9\n  AS4837   9\n  AS17816  1\n  AS24400  1\n  AS56047  1\n"
-	for i := 0; i < 20; i++ {
-		out := r.Render()
-		_, table, _ := strings.Cut(out, "Table 3: unique prober IPs per AS:\n")
-		if !strings.HasPrefix(table, want) {
-			t.Fatalf("render %d: Table 3 rows\n%s\nwant\n%s", i, table[:min(len(table), len(want))], want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"io"
 	"sort"
 
 	"sslab/internal/gfw"
@@ -228,6 +229,18 @@ var runners = []Runner{
 // Runners returns the registry in presentation order.
 func Runners() []Runner {
 	return append([]Runner(nil), runners...)
+}
+
+// List prints the registry in presentation order, one aligned
+// "name  description" line per experiment (the CLIs' -list output).
+func List(w io.Writer) {
+	width := 0
+	for _, r := range runners {
+		width = max(width, len(r.Name()))
+	}
+	for _, r := range runners {
+		fmt.Fprintf(w, "%-*s  %s\n", width, r.Name(), r.Description())
+	}
 }
 
 // Lookup returns the runner registered under name.

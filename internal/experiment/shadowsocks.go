@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 	"time"
 
@@ -15,7 +14,6 @@ import (
 	"sslab/internal/reaction"
 	"sslab/internal/seedfork"
 	"sslab/internal/sscrypto"
-	"sslab/internal/stats"
 	"sslab/internal/trafficgen"
 )
 
@@ -67,31 +65,9 @@ type ShadowsocksReport struct {
 	// no probes is what rules out proactive scanning (§4).
 	ControlProbes int
 
-	// Figure 2.
-	NR1Lengths *stats.Histogram
-	NR1Total   int
-	NR2Count   int
-
-	// Figure 3 / Table 2.
-	UniqueIPs        int
-	MultiUseFraction float64
-	MaxPerIP         int
-	TopIPs           []capture.IPCount
-
-	// Table 3.
-	ASCounts map[int]int
-
-	// Figure 5.
-	EphemeralPortShare float64
-	MinPort, MaxPort   int
-
-	// Figure 6.
-	TSClusters    int
-	DominantRate  float64
-	Cluster1000Hz int
-
-	// Figure 7 (seconds).
-	DelayFirst, DelayAll *stats.CDF
+	// Figures 2, 3 and 5–7 and Tables 2 and 3: the capture's own
+	// analysis, marshalled in place.
+	capture.Summary
 
 	// Figure 4.
 	Overlap capture.Overlap
@@ -161,7 +137,7 @@ func ShadowsocksExperiment(cfg ShadowsocksConfig) (*ShadowsocksReport, error) {
 	}
 	b.sim.Run()
 
-	r := &ShadowsocksReport{Config: cfg, Log: g.Log, transport: b.transport()}
+	r := &ShadowsocksReport{Config: cfg, Summary: capture.Summarize(g.Log), Log: g.Log, transport: b.transport()}
 	r.Triggers = g.Triggers
 	r.Probes = g.Log.Len()
 	r.ControlProbes = control.ProbesSeen
@@ -184,56 +160,6 @@ func ShadowsocksExperiment(cfg ShadowsocksConfig) (*ShadowsocksReport, error) {
 			Probes: total(tc), TypeCounts: tc, Stage: g.Stage(servers[i]),
 		})
 	}
-
-	// Figure 2: NR1 length histogram and NR2 count.
-	r.NR1Lengths = g.Log.LengthHistogram(func(rec *capture.Record) bool { return rec.Type == probe.NR1 })
-	r.NR1Total = r.NR1Lengths.Total
-	for i := range g.Log.Records {
-		if g.Log.Records[i].Type == probe.NR2 {
-			r.NR2Count++
-		}
-	}
-
-	// Figure 3 / Table 2.
-	per := g.Log.ProbesPerIP()
-	r.UniqueIPs = len(per)
-	r.MultiUseFraction = g.Log.MultiUseFraction()
-	for _, c := range per {
-		if c > r.MaxPerIP {
-			r.MaxPerIP = c
-		}
-	}
-	r.TopIPs = g.Log.TopIPs(10)
-
-	// Table 3.
-	r.ASCounts = g.Log.ASCounts()
-
-	// Figure 5.
-	ports := g.Log.SourcePorts()
-	if ports.Len() > 0 {
-		r.EphemeralPortShare = ports.P(60999) - ports.P(32767)
-		r.MinPort = int(ports.Min())
-		r.MaxPort = int(ports.Max())
-	}
-
-	// Figure 6.
-	clusters := stats.ClusterTSvals(g.Log.TSPoints(), []float64{250, 1000}, 100000)
-	for i := range clusters {
-		if len(clusters[i].Points) >= 10 {
-			r.TSClusters++
-			if clusters[i].Rate == 1000 {
-				r.Cluster1000Hz = len(clusters[i].Points)
-			}
-		}
-	}
-	if len(clusters) > 0 && len(clusters[0].Points) >= 2 {
-		if rate, err := clusters[0].MeasuredRate(); err == nil {
-			r.DominantRate = rate
-		}
-	}
-
-	// Figure 7.
-	r.DelayAll, r.DelayFirst = g.Log.ReplayDelays()
 
 	// Figure 4: overlap with synthetic Ensafi/Dunna prober sets, built to
 	// the region cardinalities documented in DESIGN.md.
@@ -297,45 +223,8 @@ func (r *ShadowsocksReport) Render() string {
 			p.TypeCounts[probe.NR1], p.TypeCounts[probe.NR2], p.Stage)
 	}
 
-	fmt.Fprintf(&b, "\nFigure 2: NR1 lengths (trios around 8,12,16,22,33,41,49); NR2(221B)=%d ≈ %.1f× all NR1 (%d)\n",
-		r.NR2Count, float64(r.NR2Count)/math.Max(1, float64(r.NR1Total)), r.NR1Total)
-	keys := r.NR1Lengths.Keys()
-	for _, k := range keys {
-		fmt.Fprintf(&b, "  len %2d: %d\n", k, r.NR1Lengths.Count(k))
-	}
-
-	fmt.Fprintf(&b, "\nFigure 3: %d unique prober IPs, %.0f%% used more than once, max %d probes from one IP\n",
-		r.UniqueIPs, r.MultiUseFraction*100, r.MaxPerIP)
-	fmt.Fprintf(&b, "Table 2: most common prober IPs:\n")
-	for _, ip := range r.TopIPs {
-		fmt.Fprintf(&b, "  %-18s %d\n", ip.IP, ip.Count)
-	}
-
-	fmt.Fprintf(&b, "Table 3: unique prober IPs per AS:\n")
-	type asn struct{ id, n int }
-	var asns []asn
-	for id, n := range r.ASCounts {
-		asns = append(asns, asn{id, n})
-	}
-	sort.Slice(asns, func(i, j int) bool {
-		if asns[i].n != asns[j].n {
-			return asns[i].n > asns[j].n
-		}
-		return asns[i].id < asns[j].id
-	})
-	for _, a := range asns {
-		fmt.Fprintf(&b, "  AS%-6d %d\n", a.id, a.n)
-	}
-
-	fmt.Fprintf(&b, "\nFigure 5: %.1f%% of source ports in 32768–60999; min %d, max %d\n",
-		r.EphemeralPortShare*100, r.MinPort, r.MaxPort)
-	fmt.Fprintf(&b, "Figure 6: %d shared TSval processes (dominant ≈ %.1f Hz; 1000 Hz cluster has %d probes)\n",
-		r.TSClusters, r.DominantRate, r.Cluster1000Hz)
-	if r.DelayAll.Len() > 0 {
-		fmt.Fprintf(&b, "Figure 7: replay delays — first: P(1s)=%.0f%% P(1min)=%.0f%% P(15min)=%.0f%%; min %.2fs max %.1fh\n",
-			r.DelayFirst.P(1)*100, r.DelayFirst.P(60)*100, r.DelayFirst.P(900)*100,
-			r.DelayAll.Min(), r.DelayAll.Max()/3600)
-	}
+	b.WriteString("\n")
+	r.WriteFigures(&b)
 	fmt.Fprintf(&b, "Figure 4: overlap — ours-only=%d ensafi-only=%d dunna-only=%d ours∩ensafi=%d ours∩dunna=%d ensafi∩dunna=%d\n",
 		r.Overlap.AOnly, r.Overlap.BOnly, r.Overlap.COnly, r.Overlap.AB, r.Overlap.AC, r.Overlap.BC)
 	return b.String()

@@ -248,7 +248,7 @@ func (r *SpatioReport) Render() string {
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "  %-10s blocked %5.2f%% of users, %d blocks, probes %d, median latency %s, median lifetime %s\n",
 			row.Name, 100*row.BlockedUserFraction, row.Blocks, row.ProbesSent,
-			fmtDurS(row.DetectionLatency.P50), fmtDurS(row.ServerLifetime.P50))
+			stats.FormatSeconds(row.DetectionLatency.P50), stats.FormatSeconds(row.ServerLifetime.P50))
 	}
 	return b.String()
 }

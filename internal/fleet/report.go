@@ -297,26 +297,13 @@ func ints(v []int64) []int {
 	return out
 }
 
-func fmtDur(sec float64) string {
-	switch {
-	case sec <= 0:
-		return "-"
-	case sec < 90:
-		return fmt.Sprintf("%.0fs", sec)
-	case sec < 2*3600:
-		return fmt.Sprintf("%.1fm", sec/60)
-	default:
-		return fmt.Sprintf("%.1fh", sec/3600)
-	}
-}
-
 // Render implements experiment.Report.
 func (r *Report) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fleet: %d users on %d servers, %dh virtual (seed %d)\n",
 		r.Users, r.Servers, r.Config.Hours, r.Config.Seed)
 	fmt.Fprintf(&b, "  wake-ups %d, flows %d (median gap %s)\n",
-		r.Wakeups, r.Flows, fmtDur(r.MedianWakeGapS))
+		r.Wakeups, r.Flows, stats.FormatSeconds(r.MedianWakeGapS))
 	fmt.Fprintf(&b, "  censor: triggers %d, recorded %d, probes %d, block events %d\n",
 		r.Triggers, r.PayloadsRecorded, r.ProbesSent, r.Blocks)
 	fmt.Fprintf(&b, "  users ever blocked: %d (%.2f%%), still cut off at end: %d\n",
@@ -332,16 +319,16 @@ func (r *Report) Render() string {
 	for _, rg := range r.PerRegion {
 		fmt.Fprintf(&b, "  region %-10s %6d users / %4d servers: %5.2f%% ever blocked, %d blocks, median latency %s\n",
 			rg.Name, rg.Users, rg.Servers, 100*rg.BlockedUserFraction, rg.Blocks,
-			fmtDur(rg.DetectionLatency.P50))
+			stats.FormatSeconds(rg.DetectionLatency.P50))
 	}
 	if r.DetectionLatency.N > 0 {
 		fmt.Fprintf(&b, "  detection latency: p25 %s, median %s, p90 %s (n=%d)\n",
-			fmtDur(r.DetectionLatency.P25), fmtDur(r.DetectionLatency.P50),
-			fmtDur(r.DetectionLatency.P90), r.DetectionLatency.N)
+			stats.FormatSeconds(r.DetectionLatency.P25), stats.FormatSeconds(r.DetectionLatency.P50),
+			stats.FormatSeconds(r.DetectionLatency.P90), r.DetectionLatency.N)
 	}
 	if r.ServerLifetime.N > 0 {
 		fmt.Fprintf(&b, "  server lifetime (replaced epochs): median %s, p90 %s (n=%d)\n",
-			fmtDur(r.ServerLifetime.P50), fmtDur(r.ServerLifetime.P90), r.ServerLifetime.N)
+			stats.FormatSeconds(r.ServerLifetime.P50), stats.FormatSeconds(r.ServerLifetime.P90), r.ServerLifetime.N)
 	}
 	if len(r.BlockedCurve) > 0 {
 		fmt.Fprintf(&b, "  blocked users over time:  %s\n", stats.Sparkline(ints(r.BlockedCurve), 1))

@@ -612,11 +612,6 @@ func runProbeTask(x any) {
 	}
 }
 
-// OnOutcome implements netsim.Middlebox. Outcomes of the GFW's own probes
-// drive the staged state machine and the blocking score; outcomes of
-// legitimate flows are not used (the passive stage already saw the flow).
-func (g *GFW) OnOutcome(f *netsim.Flow, o netsim.Outcome) {}
-
 // chooseType picks a probe type for the server's current stage. The
 // weights reproduce the observed type mix: in stage 1 only identical
 // replays, byte-0-changed replays and 221-byte random probes appear; once

@@ -1,10 +1,10 @@
 package gfw
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"time"
 
 	"sslab/internal/netsim"
@@ -98,12 +98,15 @@ func NewPool(rng seedfork.Source, size int, start time.Time) *Pool {
 	}
 	type asn struct{ id, want int }
 	var asns []asn
+	total, maxPrefixes := 0, 0
 	for id, w := range ASWeights {
 		n := w * size / totalW
 		if n == 0 {
 			n = 1
 		}
 		asns = append(asns, asn{id, n})
+		total += n
+		maxPrefixes = max(maxPrefixes, len(asPrefixes[id]))
 	}
 	// Deterministic order for reproducibility: want descending, id
 	// ascending. The comparison is total (ids are unique), so the final
@@ -116,21 +119,42 @@ func NewPool(rng seedfork.Source, size int, start time.Time) *Pool {
 		return asns[i].id < asns[j].id
 	})
 
-	seen := map[string]bool{}
+	// Prefixes are distinct across ASes, so an address can only repeat
+	// within its own AS: dedup per AS on a (prefix, third octet, fourth
+	// octet) bit set, and write every address once into one backing
+	// string that the table slices.
+	seen := make([]uint64, maxPrefixes<<16/64)
+	buf := make([]byte, 0, total*len("255.255.255.255"))
+	ends := make([]int, 0, total)
+	p.ips = make([]poolIP, 0, total)
 	for _, a := range asns {
 		prefixes := asPrefixes[a.id]
+		clear(seen)
 		for n := 0; n < a.want; n++ {
-			var addr string
+			var pfx, o3, o4 int
 			for {
-				pfx := prefixes[p.rng.Intn(len(prefixes))]
-				addr = fmt.Sprintf("%s.%d.%d", pfx, p.rng.Intn(256), 1+p.rng.Intn(254))
-				if !seen[addr] {
-					seen[addr] = true
+				pfx = p.rng.Intn(len(prefixes))
+				o3 = p.rng.Intn(256)
+				o4 = 1 + p.rng.Intn(254)
+				k := pfx<<16 | o3<<8 | o4
+				if seen[k/64]&(1<<(k%64)) == 0 {
+					seen[k/64] |= 1 << (k % 64)
 					break
 				}
 			}
-			p.ips = append(p.ips, poolIP{addr: addr, asn: a.id})
+			buf = append(buf, prefixes[pfx]...)
+			buf = append(buf, '.')
+			buf = strconv.AppendInt(buf, int64(o3), 10)
+			buf = append(buf, '.')
+			buf = strconv.AppendInt(buf, int64(o4), 10)
+			ends = append(ends, len(buf))
+			p.ips = append(p.ips, poolIP{asn: a.id})
 		}
+	}
+	addrs, from := string(buf), 0
+	for i, end := range ends {
+		p.ips[i].addr = addrs[from:end]
+		from = end
 	}
 
 	// Heavy-tailed reuse weights (log-normal), so some addresses probe

@@ -13,12 +13,10 @@ import (
 // valid only until Connect returns, so retaining the pointer would be a
 // bug.
 type copyBox struct {
-	flows    []Flow
-	outcomes []Outcome
+	flows []Flow
 }
 
-func (b *copyBox) OnFlow(f *Flow)               { b.flows = append(b.flows, *f) }
-func (b *copyBox) OnOutcome(f *Flow, o Outcome) { b.outcomes = append(b.outcomes, o) }
+func (b *copyBox) OnFlow(f *Flow) { b.flows = append(b.flows, *f) }
 
 // connEnv is one world for the Connect tests: a network with one
 // responding host, one absent endpoint, one blocked server, and a
@@ -120,9 +118,6 @@ func TestConnectBatchMatchesConnect(t *testing.T) {
 	}
 	sameFlows(t, "middlebox", ref.box.flows, e.box.flows)
 	sameFlows(t, "silenced host flows", ref.silent, e.silent)
-	if len(e.box.outcomes) != len(ref.box.outcomes) {
-		t.Errorf("OnOutcome calls: %d vs %d", len(e.box.outcomes), len(ref.box.outcomes))
-	}
 }
 
 // TestConnectBatchImpairedEquivalence: over impaired links batch and
@@ -207,7 +202,7 @@ func TestConnectBatchReusesArena(t *testing.T) {
 func requireAllocFree(t *testing.T, name string, e *connEnv, fn func()) {
 	t.Helper()
 	run := func() {
-		e.box.flows, e.box.outcomes, e.silent = e.box.flows[:0], e.box.outcomes[:0], e.silent[:0]
+		e.box.flows, e.silent = e.box.flows[:0], e.silent[:0]
 		fn()
 	}
 	for i := 0; i < 8; i++ {

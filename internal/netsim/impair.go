@@ -337,16 +337,12 @@ func (n *Network) connectImpaired(f *Flow, fwd, rev *linkState) Outcome {
 
 	// Response: server → client. A lost response (after the sender's
 	// retries) leaves the client staring at an open-but-silent
-	// connection — indistinguishable from a timeout-profile server —
-	// and the middleboxes never see the return packets.
+	// connection — indistinguishable from a timeout-profile server.
 	respAt, ok := n.transmit(rev, payAt, ipHeaderBytes+o.ResponseLen)
 	if !ok {
 		n.mImpDroppedResponses.Inc()
 		return Outcome{Reaction: reaction.Timeout, Elapsed: respAt.Sub(start)}
 	}
 	o.Elapsed = respAt.Sub(start)
-	for _, b := range n.boxes {
-		b.OnOutcome(f, o)
-	}
 	return o
 }

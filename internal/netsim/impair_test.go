@@ -24,11 +24,10 @@ func (h *impairTestHost) HandleFlow(f *Flow) Outcome {
 
 // countingBox counts middlebox observations.
 type countingBox struct {
-	flows, outcomes int
+	flows int
 }
 
-func (b *countingBox) OnFlow(f *Flow)               { b.flows++ }
-func (b *countingBox) OnOutcome(f *Flow, o Outcome) { b.outcomes++ }
+func (b *countingBox) OnFlow(f *Flow) { b.flows++ }
 
 var (
 	impairClient = Endpoint{IP: "150.109.1.1", Port: 40000}
@@ -111,8 +110,8 @@ func TestImpairTotalLoss(t *testing.T) {
 	if host.handled != 0 {
 		t.Errorf("host handled %d flows, want 0", host.handled)
 	}
-	if box.flows != 0 || box.outcomes != 0 {
-		t.Errorf("middlebox saw %d flows / %d outcomes, want 0/0", box.flows, box.outcomes)
+	if box.flows != 0 {
+		t.Errorf("middlebox saw %d flows, want 0", box.flows)
 	}
 	if got := net.mImpDroppedFlows.Value(); got != flows {
 		t.Errorf("impair_dropped_flows = %d, want %d", got, flows)
@@ -294,8 +293,7 @@ func TestImpairLatencyRecorded(t *testing.T) {
 // duplicates included.
 type transcriptBox struct{ h io.Writer }
 
-func (b *transcriptBox) OnFlow(f *Flow)               { fmt.Fprintf(b.h, "flow %d %d\n", f.ID, f.Start.UnixNano()) }
-func (b *transcriptBox) OnOutcome(f *Flow, o Outcome) {}
+func (b *transcriptBox) OnFlow(f *Flow) { fmt.Fprintf(b.h, "flow %d %d\n", f.ID, f.Start.UnixNano()) }
 
 // TestGoldenImpairedTranscript pins the values of every per-link draw
 // site — Gilbert–Elliott steps and losses, jitter, reordering holds,

@@ -1,8 +1,8 @@
 // Package netsim is a deterministic discrete-event network simulator at
 // flow granularity. It provides the substrate on which the paper's
 // measurement experiments are re-run: hosts exchange connections carrying
-// a first data payload, middleboxes on the path (the GFW) observe flows
-// and their outcomes, and directional null-routing implements the blocking
+// a first data payload, middleboxes on the path (the GFW) observe the
+// flows, and directional null-routing implements the blocking
 // behaviour of §6 (dropping only the server-to-client direction).
 //
 // A virtual clock makes four-month experiments run in milliseconds and
@@ -329,9 +329,6 @@ func (fn HostFunc) HandleFlow(f *Flow) Outcome { return fn(f) }
 type Middlebox interface {
 	// OnFlow sees every border-crossing flow with its first payload.
 	OnFlow(f *Flow)
-	// OnOutcome sees the server's reaction on the return path (unless the
-	// return path is blocked).
-	OnOutcome(f *Flow, o Outcome)
 }
 
 // FlowSpec describes one flow to ConnectBatch — the same parameters as
@@ -465,14 +462,6 @@ func (n *Network) BlockPort(ep Endpoint) uint64 {
 	return n.blockGen
 }
 
-// Unblock unconditionally removes both kinds of rules for the endpoint.
-// Schedulers that may race a newer block should prefer the generation-
-// checked UnblockIPIf/UnblockPortIf.
-func (n *Network) Unblock(ep Endpoint) {
-	delete(n.blockedIP, ep.IP)
-	delete(n.blockedPort, ep)
-}
-
 // UnblockIPIf removes the IP rule only if it is still the one installed
 // by the BlockIP call that returned gen. It reports whether a rule was
 // removed.
@@ -546,7 +535,7 @@ func (n *Network) Connect(client, server Endpoint, firstPayload []byte, probe bo
 }
 
 // connect delivers one flow: impaired links first (impair.go), then the
-// null-route diversion, then middleboxes → host → outcomes. With no
+// null-route diversion, then middleboxes → host. With no
 // link profiles configured — or all profiles zero — the flow takes the
 // ideal path with no extra RNG draws.
 //
@@ -569,9 +558,6 @@ func (n *Network) connect(f *Flow) Outcome {
 	o := Outcome{Reaction: reaction.RST}
 	if h, ok := n.hosts[f.Server]; ok {
 		o = h.HandleFlow(f)
-	}
-	for _, b := range n.boxes {
-		b.OnOutcome(f, o)
 	}
 	return o
 }

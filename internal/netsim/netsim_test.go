@@ -193,7 +193,7 @@ func TestNetworkDelivery(t *testing.T) {
 	if string(seen) != "hello" {
 		t.Error("host did not receive payload")
 	}
-	if len(box.flows) != 1 || len(box.outcomes) != 1 {
+	if len(box.flows) != 1 {
 		t.Error("middlebox missed the flow")
 	}
 	if box.flows[0].GeneratedAt != s.Now() {
@@ -225,7 +225,7 @@ func TestBlocking(t *testing.T) {
 
 	// Block by port: only srv1 affected. The SYN still reaches the host
 	// (only the return path is dropped, §6), but carries no payload.
-	n.BlockPort(srv1)
+	portGen := n.BlockPort(srv1)
 	if o := n.Connect(client, srv1, []byte("x"), false, time.Time{}); !o.Blocked {
 		t.Error("port-blocked flow not blocked")
 	}
@@ -240,14 +240,18 @@ func TestBlocking(t *testing.T) {
 	}
 
 	// Block by IP: both endpoints affected.
-	n.Unblock(srv1)
-	n.BlockIP("10.0.0.1")
+	if !n.UnblockPortIf(srv1, portGen) {
+		t.Error("UnblockPortIf did not remove the port rule it installed")
+	}
+	ipGen := n.BlockIP("10.0.0.1")
 	if o := n.Connect(client, srv2, []byte("x"), false, time.Time{}); !o.Blocked {
 		t.Error("IP-blocked flow not blocked")
 	}
-	n.Unblock(srv2)
+	if !n.UnblockIPIf(srv2.IP, ipGen) {
+		t.Error("UnblockIPIf did not remove the IP rule it installed")
+	}
 	if o := n.Connect(client, srv2, []byte("x"), false, time.Time{}); o.Blocked {
-		t.Error("unblock by endpoint did not clear the IP rule")
+		t.Error("unblocking the IP did not clear the IP rule")
 	}
 	if n.Flows != 4 {
 		t.Errorf("Flows = %d, want 4 (blocked attempts count)", n.Flows)

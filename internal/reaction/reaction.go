@@ -428,9 +428,5 @@ func (s *Server) RegisterNonce(payload []byte, now time.Time) {
 	if len(payload) < n {
 		return
 	}
-	if tf, ok := s.filter.(*replay.TimedFilter); ok {
-		tf.ReplayAt(payload[:n], now, now)
-		return
-	}
 	s.filter.Replay(payload[:n], now)
 }

@@ -280,6 +280,21 @@ func Sparkline(values []int, bucket int) string {
 	return string(out)
 }
 
+// FormatSeconds renders a duration given in seconds compactly for
+// report tables: "-" for none, then whole seconds, minutes or hours.
+func FormatSeconds(sec float64) string {
+	switch {
+	case sec <= 0:
+		return "-"
+	case sec < 90:
+		return fmt.Sprintf("%.0fs", sec)
+	case sec < 2*3600:
+		return fmt.Sprintf("%.1fm", sec/60)
+	default:
+		return fmt.Sprintf("%.1fh", sec/3600)
+	}
+}
+
 // SPRT is Wald's sequential probability ratio test over categorical
 // observations: after each observation the accumulated log-likelihood
 // ratio is compared against thresholds derived from the desired error
