@@ -521,14 +521,14 @@ func benchFilterAblation(b *testing.B, timed bool) float64 {
 		var isReplay bool
 		if timed {
 			tf := replay.NewTimedFilter(2 * time.Minute)
-			tf.ReplayAt(nonce, t0, t0) // genuine connection
+			tf.Replay(nonce, t0, t0) // genuine connection
 			// A restart loses nothing the timed filter depends on.
-			isReplay = tf.ReplayAt(nonce, t0, later)
+			isReplay = tf.Replay(nonce, t0, later)
 		} else {
 			nf := replay.NewNonceFilter(1024)
-			nf.Replay(nonce, t0) // genuine connection
-			nf.Forget()          // server restart before the delayed replay
-			isReplay = nf.Replay(nonce, later)
+			nf.Replay(nonce, t0, t0) // genuine connection
+			nf.Forget()              // server restart before the delayed replay
+			isReplay = nf.Replay(nonce, later, later)
 		}
 		trials++
 		if !isReplay {

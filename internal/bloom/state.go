@@ -2,8 +2,8 @@ package bloom
 
 // FilterState is a Filter's serializable state. The bit array is
 // stored sparsely — (word index, word value) pairs for nonzero words —
-// because snapshot-scale filters are mostly empty: a fleet server's
-// replay filter is sized for a whole epoch's traffic, so dense
+// because snapshot-scale filters are mostly empty: a server's nonce
+// filter is sized for 65,536 nonces per generation, so dense
 // serialization would cost hundreds of kilobytes per server while the
 // occupied words fit in a few.
 type FilterState struct {

@@ -52,7 +52,9 @@ func (l *Log) WriteJSON(w io.Writer) error {
 }
 
 // ReadJSON loads a log written by WriteJSON. Probe types are re-derived
-// from the stored names; unknown names map to the Unknown type.
+// from the stored names; unknown names map to the Unknown type. The
+// header's record count must match the records that follow, so a
+// truncated or overlong capture is an error, not a smaller analysis.
 func ReadJSON(r io.Reader) (*Log, error) {
 	dec := json.NewDecoder(r)
 	var hdr struct {
@@ -70,12 +72,18 @@ func ReadJSON(r io.Reader) (*Log, error) {
 		} else if err != nil {
 			return nil, fmt.Errorf("capture: reading record %d: %w", len(l.Records), err)
 		}
+		if len(l.Records) == hdr.Records {
+			return nil, fmt.Errorf("capture: record %d follows a header that declares %d records", len(l.Records)+1, hdr.Records)
+		}
 		l.Add(Record{
 			Time: jr.Time, SrcIP: jr.SrcIP, SrcPort: jr.SrcPort,
 			DstIP: jr.DstIP, DstPort: jr.DstPort, ASN: jr.ASN,
 			TTL: jr.TTL, IPID: jr.IPID, TSval: jr.TSval,
 			Payload: jr.Payload, Type: typeFromName(jr.Type), ReplayOf: jr.ReplayOf,
 		})
+	}
+	if len(l.Records) != hdr.Records {
+		return nil, fmt.Errorf("capture: read %d records, header declares %d", len(l.Records), hdr.Records)
 	}
 	return l, nil
 }

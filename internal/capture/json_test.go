@@ -2,6 +2,7 @@ package capture
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -55,11 +56,29 @@ func TestJSONRoundTrip(t *testing.T) {
 }
 
 func TestReadJSONErrors(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("")); err == nil {
-		t.Error("empty input accepted")
+	const hdr = `{"start":"2019-09-29T00:00:00Z","records":%d}` + "\n"
+	const rec = `{"src_ip":"175.42.1.21","type":"R1"}` + "\n"
+	for _, c := range []struct {
+		name, in string
+		want     string // substring of the error
+	}{
+		{"empty input", "", "header"},
+		{"garbage record", fmt.Sprintf(hdr, 1) + "garbage\n", "record 0"},
+		{"truncated", fmt.Sprintf(hdr, 3) + rec + rec, "read 2 records, header declares 3"},
+		{"header only", fmt.Sprintf(hdr, 1), "read 0 records, header declares 1"},
+		{"record past the count", fmt.Sprintf(hdr, 1) + rec + rec, "record 2 follows a header that declares 1"},
+		{"negative count", fmt.Sprintf(hdr, -5), "read 0 records, header declares -5"},
+		{"negative count with records", fmt.Sprintf(hdr, -1) + rec, "read 1 records, header declares -1"},
+	} {
+		_, err := ReadJSON(strings.NewReader(c.in))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
+		}
 	}
-	if _, err := ReadJSON(strings.NewReader(`{"start":"2019-09-29T00:00:00Z","records":1}` + "\ngarbage\n")); err == nil {
-		t.Error("garbage record accepted")
+	if l, err := ReadJSON(strings.NewReader(fmt.Sprintf(hdr, 2) + rec + rec)); err != nil {
+		t.Errorf("a complete capture: %v", err)
+	} else if l.Len() != 2 {
+		t.Errorf("a complete capture read %d records, want 2", l.Len())
 	}
 }
 

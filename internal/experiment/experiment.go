@@ -14,7 +14,6 @@ package experiment
 
 import (
 	"fmt"
-	"hash/fnv"
 	"time"
 
 	"sslab/internal/netsim"
@@ -58,9 +57,9 @@ func (t Timeline) Render() string {
 
 // ServerHost adapts a reaction.Server into a netsim.Host. Genuine client
 // flows are served (and their IV/salt registered in the replay filter);
-// probe flows get the reaction engine's verdict. Identical replays of a
-// genuine payload against a server without replay defense are served with
-// data — the behaviour that drives the GFW's staged escalation.
+// probe flows get the reaction engine's verdict. Identical replays
+// (netsim.Flow.Replayed) against a server without replay defense are
+// served with data — the behaviour that drives the GFW's escalation.
 type ServerHost struct {
 	Server *reaction.Server
 	Sim    *netsim.Sim
@@ -71,8 +70,6 @@ type ServerHost struct {
 	// RespondAll turns the host into §4.1's responding server: 1–1000
 	// random bytes to every prober.
 	RespondAll bool
-
-	seen map[uint64]struct{}
 
 	// ProbesSeen counts probe flows delivered to this host.
 	ProbesSeen int
@@ -88,13 +85,7 @@ func NewServerHost(sim *netsim.Sim, p reaction.Profile, method, password string)
 	if err != nil {
 		return nil, err
 	}
-	return &ServerHost{Server: srv, Sim: sim, seen: map[uint64]struct{}{}}, nil
-}
-
-func payloadKey(p []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(p)
-	return h.Sum64()
+	return &ServerHost{Server: srv, Sim: sim}, nil
 }
 
 // HandleFlow implements netsim.Host.
@@ -103,12 +94,11 @@ func (h *ServerHost) HandleFlow(f *netsim.Flow) netsim.Outcome {
 	if !f.Probe {
 		// A genuine client: the proxy serves it. Its nonce enters the
 		// replay filter exactly as real processing would record it.
-		if !h.Sink && h.Server != nil {
-			h.Server.RegisterNonce(f.FirstPayload, now)
-		}
-		h.seen[payloadKey(f.FirstPayload)] = struct{}{}
 		if h.Sink {
 			return netsim.Outcome{Reaction: reaction.Timeout}
+		}
+		if h.Server != nil {
+			h.Server.RegisterNonce(f.FirstPayload, now)
 		}
 		return netsim.Outcome{Reaction: reaction.Data, ResponseLen: 1200}
 	}
@@ -125,7 +115,7 @@ func (h *ServerHost) HandleFlow(f *netsim.Flow) netsim.Outcome {
 	// fresh client (Table 5's "D"); everything else gets the reaction
 	// engine's verdict (the payload entropy makes it equivalent to a
 	// random probe whenever it is not an exact replay).
-	if _, ok := h.seen[payloadKey(f.FirstPayload)]; ok && !h.Server.Profile.ReplayDefense {
+	if f.Replayed && !h.Server.Profile.ReplayDefense {
 		return netsim.Outcome{Reaction: reaction.Data, ResponseLen: 800}
 	}
 	r := h.Server.ReactAt(f.FirstPayload, f.GeneratedAt, now)

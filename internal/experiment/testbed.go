@@ -38,7 +38,7 @@ func newTestbed(seed int64, impair *netsim.LinkProfile, gcfg gfw.Config, label s
 // sink adds a §4.1 sink server at ep: it accepts every connection and
 // never answers.
 func (b *testbed) sink(ep netsim.Endpoint) *ServerHost {
-	h := &ServerHost{Sim: b.sim, Sink: true, seen: map[uint64]struct{}{}}
+	h := &ServerHost{Sim: b.sim, Sink: true}
 	b.net.AddHost(ep, h)
 	return h
 }

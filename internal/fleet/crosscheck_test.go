@@ -64,7 +64,7 @@ func TestGoldenCrossCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	host := newServerHost(&Fleet{sim: sim}, srv, protoSS, false, c.UsersPerServer, c.Hours, c.PeakFlowsPerHour)
+	host := newServerHost(&Fleet{sim: sim}, srv, protoSS, false)
 	serverEP := netsim.Endpoint{IP: "198.51.0.1", Port: 8388}
 	net.AddHost(serverEP, host)
 	clientEP := netsim.Endpoint{IP: "100.64.0.1", Port: 40000}

@@ -648,7 +648,7 @@ func (f *Fleet) build(plan runPlan) {
 		}
 		ep := f.serverEndpoint()
 		f.servers[j] = serverRec{
-			host:      newServerHost(f, srv, im.proto, im.silent, cfg.UsersPerServer, cfg.Hours, cfg.PeakFlowsPerHour),
+			host:      newServerHost(f, srv, im.proto, im.silent),
 			ep:        ep,
 			spec:      spec,
 			wl:        uint8(im.wl),

@@ -2,9 +2,7 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/binary"
 
-	"sslab/internal/bloom"
 	"sslab/internal/defense"
 	"sslab/internal/detector"
 	"sslab/internal/netsim"
@@ -13,16 +11,13 @@ import (
 
 // serverHost is the fleet's server endpoint for all protocol families.
 //
-// For Shadowsocks it keeps the experiment package's ServerHost semantics
-// — genuine clients are served and their nonces enter the replay filter;
-// identical replays against a server without replay defense are served
-// with data; everything else gets the reaction engine's verdict — but
-// with O(1) memory. Where ServerHost keys every payload ever seen in an
-// unbounded map, the fleet host remembers payload hashes in a fixed-size
-// Bloom filter sized for the epoch's expected flow count: a false
-// positive (mistaking a fresh probe payload for a replay) is ≪0.1% and
-// only matters for undefended servers, whose genuine replays dominate
-// their evidence anyway.
+// For Shadowsocks it keeps the experiment package's ServerHost
+// semantics: genuine clients are served and their nonces enter the
+// replay filter; identical replays (flows the censor marked
+// netsim.Flow.Replayed) against a server without replay defense are
+// served with data; everything else gets the reaction engine's verdict.
+// The host remembers no payloads: the censor knows which probes it
+// built as identical replays and says so on the flow.
 //
 // The other protocol families model each deployment's probe posture:
 //
@@ -41,37 +36,10 @@ type serverHost struct {
 	srv    *reaction.Server // Shadowsocks only; nil for other protocols
 	proto  protoKind
 	silent bool
-	seen   *bloom.Filter
-	key    [8]byte
 }
 
-// newServerHost sizes the replay-seen filter for the server's expected
-// epoch traffic: users × hours × peak rate, with headroom.
-func newServerHost(f *Fleet, srv *reaction.Server, proto protoKind, silent bool, usersPerServer, hours int, peakRate float64) *serverHost {
-	capacity := int(float64(usersPerServer*hours)*peakRate*1.5) + 64
-	return &serverHost{
-		f:      f,
-		srv:    srv,
-		proto:  proto,
-		silent: silent,
-		seen:   bloom.New(capacity, 1e-3),
-	}
-}
-
-// hashPayload reduces a first payload to the 8-byte key the Bloom
-// filter stores — inline FNV-1a, so the per-flow path stays
-// allocation-free (hash.Hash64 construction would allocate).
-//
-//sslab:hotpath
-func (h *serverHost) hashPayload(p []byte) []byte {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	sum := uint64(offset64)
-	for _, b := range p {
-		sum ^= uint64(b)
-		sum *= prime64
-	}
-	binary.BigEndian.PutUint64(h.key[:], sum)
-	return h.key[:]
+func newServerHost(f *Fleet, srv *reaction.Server, proto protoKind, silent bool) *serverHost {
+	return &serverHost{f: f, srv: srv, proto: proto, silent: silent}
 }
 
 var httpGET = []byte("GET ")
@@ -90,9 +58,6 @@ func (h *serverHost) HandleFlow(fl *netsim.Flow) netsim.Outcome {
 		}
 		if h.proto == protoSS {
 			h.srv.RegisterNonce(fl.FirstPayload, now)
-		}
-		if h.proto == protoSS || h.proto == protoObfs {
-			h.seen.Add(h.hashPayload(fl.FirstPayload))
 		}
 		return netsim.Outcome{Reaction: reaction.Data, ResponseLen: 1200}
 	}
@@ -113,7 +78,7 @@ func (h *serverHost) HandleFlow(fl *netsim.Flow) netsim.Outcome {
 		if h.silent {
 			return netsim.Outcome{Reaction: reaction.Timeout}
 		}
-		if fl.FirstPayload != nil && h.seen.Test(h.hashPayload(fl.FirstPayload)) {
+		if fl.Replayed {
 			// obfs2 has no replay protection: the replayed handshake
 			// completes and the server answers with data.
 			return netsim.Outcome{Reaction: reaction.Data, ResponseLen: 600}
@@ -130,7 +95,7 @@ func (h *serverHost) HandleFlow(fl *netsim.Flow) netsim.Outcome {
 		// error, having read the request.
 		return netsim.Outcome{Reaction: reaction.FINACK}
 	}
-	if fl.FirstPayload != nil && h.seen.Test(h.hashPayload(fl.FirstPayload)) && !h.srv.Profile.ReplayDefense {
+	if fl.Replayed && !h.srv.Profile.ReplayDefense {
 		return netsim.Outcome{Reaction: reaction.Data, ResponseLen: 800}
 	}
 	r := h.srv.ReactAt(fl.FirstPayload, fl.GeneratedAt, now)

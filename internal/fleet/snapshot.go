@@ -8,7 +8,6 @@ import (
 	"sort"
 	"time"
 
-	"sslab/internal/bloom"
 	"sslab/internal/gfw"
 	"sslab/internal/netsim"
 	"sslab/internal/replay"
@@ -89,13 +88,13 @@ type unitSnap struct {
 }
 
 // serverSnap is one server's mutable state: its current endpoint epoch
-// and the replay memory of its long-lived host.
+// and the replay filter of its long-lived host. Older snapshots carry a
+// Seen field that gob skips, so no new field may take that name.
 type serverSnap struct {
 	Ep        netsim.Endpoint
 	Activated time.Time
 	FirstFail time.Time
 	Replacing bool
-	Seen      bloom.FilterState
 	// Filter is the reaction engine's replay-defense state (Shadowsocks
 	// servers only; nil otherwise).
 	Filter *replay.State
@@ -224,7 +223,6 @@ func (f *Fleet) capture() (unitSnap, error) {
 			Activated: srv.activated,
 			FirstFail: srv.firstFail,
 			Replacing: srv.replacing,
-			Seen:      srv.host.seen.State(),
 		}
 		if srv.host.srv != nil {
 			st, err := srv.host.srv.FilterState()
@@ -309,7 +307,6 @@ func (f *Fleet) restore(s *unitSnap, now time.Time) error {
 		srv.activated = ss.Activated
 		srv.firstFail = ss.FirstFail
 		srv.replacing = ss.Replacing
-		srv.host.seen = bloom.RestoreFilter(ss.Seen)
 		if srv.host.srv != nil {
 			if ss.Filter == nil {
 				return fmt.Errorf("server %d: snapshot lacks replay filter state", f.serverLo+j)

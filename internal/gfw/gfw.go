@@ -12,6 +12,7 @@
 package gfw
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
@@ -559,7 +560,7 @@ func (g *GFW) OnFlow(f *netsim.Flow) {
 const (
 	kindProbe   = "probe"   // Server, Payload (the recording), RecAt
 	kindDup     = "dup"     // Server, Payload
-	kindRetry   = "retry"   // Server, Payload, Typ, ReplayOf, Attempt
+	kindRetry   = "retry"   // Server, Payload, Typ, ReplayOf, Attempt, Replayed
 	kindUnblock = "unblock" // Server, ByIP, RuleGen, BlockGen
 )
 
@@ -597,9 +598,9 @@ func runProbeTask(x any) {
 	case kindProbe:
 		g.sendProbe(st.Server, st.Payload, st.RecAt)
 	case kindDup:
-		g.emit(st.Server, g.state(st.Server), probe.NR2, st.Payload, time.Time{}, 1)
+		g.emit(st.Server, g.state(st.Server), probe.NR2, st.Payload, time.Time{}, false, 1)
 	case kindRetry:
-		g.emit(st.Server, g.state(st.Server), probe.Type(st.Typ), st.Payload, st.ReplayOf, st.Attempt)
+		g.emit(st.Server, g.state(st.Server), probe.Type(st.Typ), st.Payload, st.ReplayOf, st.Replayed, st.Attempt)
 	case kindUnblock:
 		if st.ByIP {
 			g.net.UnblockIPIf(st.Server.IP, st.RuleGen)
@@ -697,7 +698,8 @@ func (g *GFW) sendProbe(server netsim.Endpoint, rec []byte, recAt time.Time) {
 	if typ.Replay() {
 		replayOf = recAt
 	}
-	g.emit(server, s, typ, payload, replayOf, 1)
+	// Identical replays: every R1, and any replay of a rec too short to mutate.
+	g.emit(server, s, typ, payload, replayOf, typ.Replay() && bytes.Equal(payload, rec), 1)
 
 	// §5.3: around 10% of NR2 probes are sent to the same server more
 	// than once — a replay-filter detection trick.
@@ -709,35 +711,35 @@ func (g *GFW) sendProbe(server netsim.Endpoint, rec []byte, recAt time.Time) {
 }
 
 // emit sends transmission number attempt of one probe and books its
-// outcome.
-func (g *GFW) emit(server netsim.Endpoint, s *serverState, typ probe.Type, payload []byte, replayOf time.Time, attempt int) {
+// outcome. A payload byte-identical to its recording (replayed) goes out
+// through Network.Replay, so the server learns that from the flow.
+func (g *GFW) emit(server netsim.Endpoint, s *serverState, typ probe.Type, payload []byte, replayOf time.Time, replayed bool, attempt int) {
 	if g.paused {
 		return // a retry or NR2 duplicate scheduled before a pause
 	}
 	src := g.Pool.Source(g.sim.Now())
-	genAt := replayOf
-	outcome := g.net.Connect(src.Endpoint(), server, payload, true, genAt)
+	var outcome netsim.Outcome
+	if replayed {
+		outcome = g.net.Replay(src.Endpoint(), server, payload, replayOf)
+	} else {
+		outcome = g.net.Connect(src.Endpoint(), server, payload, true, replayOf)
+	}
 	g.ProbesSent++
 	g.mProbes.Inc()
 	if !g.cfg.NoProbeLog {
 		g.Log.Add(capture.Record{
-			Time:    g.sim.Now(),
-			SrcIP:   src.IP,
-			SrcPort: src.Port,
-			DstIP:   server.IP,
-			DstPort: server.Port,
-			ASN:     src.ASN,
-			TTL:     src.TTL,
-			IPID:    src.IPID,
-			TSval:   src.TSval,
-			Payload: payload,
-			Type:    typ,
-			ReplayOf: func() time.Time {
-				if typ.Replay() {
-					return replayOf
-				}
-				return time.Time{}
-			}(),
+			Time:     g.sim.Now(),
+			SrcIP:    src.IP,
+			SrcPort:  src.Port,
+			DstIP:    server.IP,
+			DstPort:  server.Port,
+			ASN:      src.ASN,
+			TTL:      src.TTL,
+			IPID:     src.IPID,
+			TSval:    src.TSval,
+			Payload:  payload,
+			Type:     typ,
+			ReplayOf: replayOf, // zero unless typ is a replay
 		})
 	}
 	if outcome.Blocked {
@@ -754,7 +756,7 @@ func (g *GFW) emit(server netsim.Endpoint, s *serverState, typ probe.Type, paylo
 			g.ProbeRetries++
 			g.mProbeRetries.Inc()
 			g.sim.AfterCall(g.cfg.Timeouts.Handshake, runProbeTask, g.newTask(TaskState{
-				Kind: kindRetry, Server: server, Payload: payload, Typ: int(typ), ReplayOf: replayOf, Attempt: attempt + 1,
+				Kind: kindRetry, Server: server, Payload: payload, Typ: int(typ), ReplayOf: replayOf, Attempt: attempt + 1, Replayed: replayed,
 			}))
 		}
 		return

@@ -1,6 +1,7 @@
 package gfw
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"time"
@@ -409,9 +410,14 @@ func TestBlockingModule(t *testing.T) {
 // TestOfflineClassificationMatchesGroundTruth validates the full analysis
 // pipeline: classifying captured probe payloads against the recorded
 // legitimate first packets (what the paper's offline analysis did) must
-// recover the generator's ground-truth types.
+// recover the generator's ground-truth types. The same campaign checks
+// the identical-replay mark the censor puts on the flow: the server sees
+// it on exactly the probes whose payload equals a recording — every R1
+// and no NR probe — as it does on a replay whose mutation offsets lie
+// past the end of a short recording, and on the retry of a dropped R1.
 func TestOfflineClassificationMatchesGroundTruth(t *testing.T) {
-	g, _, server := runCampaign(t, respondingHost, 60000, Config{Seed: 12})
+	host := &markHost{}
+	g, _, server := runCampaign(t, host, 60000, Config{Seed: 12})
 	legit := g.RecordedPayloads(server)
 	if len(legit) == 0 {
 		t.Fatal("no recordings")
@@ -434,4 +440,106 @@ func TestOfflineClassificationMatchesGroundTruth(t *testing.T) {
 	if frac := float64(mismatches) / float64(g.Log.Len()); frac > 0.01 {
 		t.Errorf("classification mismatch rate %.3f (%d of %d)", frac, mismatches, g.Log.Len())
 	}
+	marked := host.check(t, "campaign", g, legit)
+	if marked[probe.R1] == 0 || marked[probe.R1] != g.Log.TypeCounts()[probe.R1] {
+		t.Errorf("campaign: %d of %d R1 probes marked, want all of at least one", marked[probe.R1], g.Log.TypeCounts()[probe.R1])
+	}
+	for _, typ := range []probe.Type{probe.NR1, probe.NR2, probe.NR3} {
+		if marked[typ] != 0 {
+			t.Errorf("campaign: %d %v probes marked", marked[typ], typ)
+		}
+	}
+
+	// A 12-byte recording at stage 2: R4 and R6 mutate only offsets
+	// from 16 on, so they replay it byte for byte; R2 and R3 change
+	// byte 0 and stay unmarked.
+	short := []byte("twelve bytes")
+	host = &markHost{}
+	g, _, server = runCampaign(t, host, 0, Config{Seed: 12})
+	g.state(server).stage = 2
+	for i := 0; i < 200; i++ {
+		g.sendProbe(server, short, netsim.Epoch)
+	}
+	marked = host.check(t, "short recording", g, [][]byte{short})
+	if marked[probe.R4] == 0 || marked[probe.R2]+marked[probe.R3] != 0 {
+		t.Errorf("short recording: marked %v, want R4 and neither R2 nor R3", marked)
+	}
+
+	// A link that is down for the first second drops every probe sent
+	// at the epoch; each retry, 10 s later, arrives, and an R1 retry
+	// must still carry the mark.
+	sim := netsim.NewSim()
+	net := netsim.NewNetwork(sim, netsim.WithDefaultLink(netsim.LinkProfile{
+		Outages: []netsim.Outage{{End: time.Second}},
+		Retry:   netsim.RetryPolicy{Attempts: 1},
+	}))
+	g = New(Env{Sim: sim, Net: net}, WithConfig(Config{Seed: 12}))
+	net.AddMiddlebox(g)
+	host = &markHost{}
+	net.AddHost(server, host)
+	rec := entropy.NewGenerator(1).Random(300)
+	for i := 0; i < 20; i++ {
+		g.sendProbe(server, rec, netsim.Epoch)
+	}
+	sim.Run()
+	if g.ProbeDrops < 20 || g.ProbeRetries < 20 {
+		t.Fatalf("outage: %d drops and %d retries, want every first transmission dropped and retried", g.ProbeDrops, g.ProbeRetries)
+	}
+	retriedR1 := 0
+	for _, p := range host.probes {
+		if bytes.Equal(p.payload, rec) {
+			retriedR1++
+		}
+	}
+	host.check(t, "retries", nil, [][]byte{rec})
+	if retriedR1 == 0 {
+		t.Error("outage: no R1 retry reached the server")
+	}
+}
+
+// markHost answers every probe with data, like respondingHost, and keeps
+// each probe's payload and whether its flow carried the replay mark.
+type markHost struct {
+	probes []markedProbe
+}
+
+type markedProbe struct {
+	payload  []byte
+	replayed bool
+}
+
+func (h *markHost) HandleFlow(f *netsim.Flow) netsim.Outcome {
+	if f.Probe {
+		h.probes = append(h.probes, markedProbe{append([]byte(nil), f.FirstPayload...), f.Replayed})
+	}
+	return respondingHost(f)
+}
+
+// check requires the mark on exactly the probes whose payload equals
+// one of recs. With g, whose capture log must list the probes the host
+// saw in order, it returns the marked probes' counts by type.
+func (h *markHost) check(t *testing.T, label string, g *GFW, recs [][]byte) map[probe.Type]int {
+	t.Helper()
+	if g != nil && g.Log.Len() != len(h.probes) {
+		t.Fatalf("%s: host saw %d probes, censor logged %d", label, len(h.probes), g.Log.Len())
+	}
+	marked := map[probe.Type]int{}
+	for i, p := range h.probes {
+		identical := false
+		for _, r := range recs {
+			identical = identical || bytes.Equal(p.payload, r)
+		}
+		if p.replayed != identical {
+			t.Errorf("%s: probe %d (%d bytes) marked %v, identical to a recording %v", label, i, len(p.payload), p.replayed, identical)
+		}
+		if g == nil {
+			continue
+		}
+		if rec := &g.Log.Records[i]; !bytes.Equal(rec.Payload, p.payload) {
+			t.Fatalf("%s: host probe %d is not the censor's record %d", label, i, i)
+		} else if p.replayed {
+			marked[rec.Type]++
+		}
+	}
+	return marked
 }

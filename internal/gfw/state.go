@@ -187,6 +187,9 @@ type TaskState struct {
 	ByIP     bool
 	RuleGen  uint64
 	BlockGen uint64
+	// Replayed is a retry's netsim.Flow.Replayed mark. No snapshot holds
+	// a retry: only impaired links drop probes, and those never snapshot.
+	Replayed bool
 }
 
 // EncodeTask captures a scheduled event argument belonging to this

@@ -81,7 +81,7 @@ func sameFlows(t *testing.T, label string, a, b []Flow) {
 		same := fa.ID == fb.ID && fa.Client == fb.Client && fa.Server == fb.Server &&
 			bytes.Equal(fa.FirstPayload, fb.FirstPayload) &&
 			fa.Start.Equal(fb.Start) && fa.Probe == fb.Probe &&
-			fa.GeneratedAt.Equal(fb.GeneratedAt)
+			fa.GeneratedAt.Equal(fb.GeneratedAt) && fa.Replayed == fb.Replayed
 		if !same {
 			t.Fatalf("%s: flow %d diverges:\n  want %+v\n  got  %+v", label, i, fa, fb)
 		}
@@ -91,7 +91,7 @@ func sameFlows(t *testing.T, label string, a, b []Flow) {
 // TestConnectBatchMatchesConnect: ConnectBatch over a mixed spec
 // sequence — served, probe, blocked, absent-host, empty-payload — is
 // observably identical to the same Connect calls in order: same
-// outcomes, same flow IDs and counters, same middlebox observations,
+// outcomes, same flow IDs and flow count, same middlebox observations,
 // and the same silenced host deliveries for blocked servers.
 func TestConnectBatchMatchesConnect(t *testing.T) {
 	ref := newConnEnv()
@@ -112,9 +112,8 @@ func TestConnectBatchMatchesConnect(t *testing.T) {
 			t.Errorf("outcome %d: batch %+v, scalar %+v", i, got[i], want[i])
 		}
 	}
-	if e.net.Flows != ref.net.Flows || e.net.nextID != ref.net.nextID {
-		t.Errorf("counters: batch Flows=%d nextID=%d, scalar Flows=%d nextID=%d",
-			e.net.Flows, e.net.nextID, ref.net.Flows, ref.net.nextID)
+	if e.net.Flows != ref.net.Flows {
+		t.Errorf("flow count: batch %d, scalar %d", e.net.Flows, ref.net.Flows)
 	}
 	sameFlows(t, "middlebox", ref.box.flows, e.box.flows)
 	sameFlows(t, "silenced host flows", ref.silent, e.silent)
@@ -163,8 +162,11 @@ func TestConnectBatchImpairedEquivalence(t *testing.T) {
 
 // TestConnectBatchReusesArena: after warm-up, steady-state flows
 // allocate nothing — the Flow arena and the caller's outcome buffer are
-// reused — for a batch on ideal links and for single Connect calls on
-// ideal links, on impaired links and to a null-routed server.
+// reused — for a batch on ideal links and for single Connect and Replay
+// calls on ideal links, on impaired links and to a null-routed server.
+// Replay marks its flow and Connect never does, even in the arena slot a
+// marked flow used last; a silenced flow carries no payload and so no
+// mark.
 func TestConnectBatchReusesArena(t *testing.T) {
 	client := Endpoint{IP: "192.168.1.2", Port: 40000}
 	payload := []byte("steady-state-payload")
@@ -181,19 +183,46 @@ func TestConnectBatchReusesArena(t *testing.T) {
 	}
 
 	imp := newConnEnv(WithDefaultLink(LinkProfile{LatencyBase: 30 * time.Millisecond, Jitter: 10 * time.Millisecond, Loss: 0.01}))
+	silenced := 0
 	for _, c := range []struct {
-		name   string
-		e      *connEnv
-		server Endpoint
+		name string
+		e    *connEnv
+		run  func(n *Network)
+		// marks is Replayed per middlebox observation of the last run,
+		// or nil when a lossy link may hide the flow from the middlebox.
+		marks []bool
 	}{
-		{"Connect on ideal links", e, e.served},
-		{"Connect on impaired links", imp, imp.served},
-		{"Connect to a blocked server", e, e.blocked},
+		{"Connect on ideal links", e, func(n *Network) { n.Connect(client, e.served, payload, false, time.Time{}) }, []bool{false}},
+		{"Connect on impaired links", imp, func(n *Network) { n.Connect(client, imp.served, payload, false, time.Time{}) }, nil},
+		{"Connect to a blocked server", e, func(n *Network) { n.Connect(client, e.blocked, payload, false, time.Time{}) }, []bool{}},
+		{"Replay on ideal links", e, func(n *Network) { n.Replay(client, e.served, payload, Epoch) }, []bool{true}},
+		{"Replay on impaired links", imp, func(n *Network) { n.Replay(client, imp.served, payload, Epoch) }, nil},
+		{"Replay to a blocked server", e, func(n *Network) { n.Replay(client, e.blocked, payload, Epoch) }, []bool{}},
+		{"Replay, then a probe Connect in the same slot", e, func(n *Network) {
+			n.Replay(client, e.served, payload, Epoch)
+			n.Connect(client, e.served, payload, true, Epoch)
+		}, []bool{true, false}},
 	} {
-		requireAllocFree(t, c.name, c.e, func() { c.e.net.Connect(client, c.server, payload, false, time.Time{}) })
+		requireAllocFree(t, c.name, c.e, func() { c.run(c.e.net) })
+		silenced += len(c.e.silent)
+		for _, f := range c.e.silent {
+			if f.Replayed {
+				t.Errorf("%s: silenced flow %d carries the replay mark", c.name, f.ID)
+			}
+		}
+		if c.marks == nil {
+			continue
+		}
+		got := make([]bool, len(c.e.box.flows))
+		for i := range c.e.box.flows {
+			got[i] = c.e.box.flows[i].Replayed
+		}
+		if fmt.Sprint(got) != fmt.Sprint(c.marks) {
+			t.Errorf("%s: middlebox saw Replayed %v, want %v", c.name, got, c.marks)
+		}
 	}
-	if len(e.silent) == 0 {
-		t.Error("the blocked server's host never saw a silenced flow")
+	if silenced != 2 {
+		t.Errorf("the blocked server's host saw %d silenced flows in the last runs, want 2", silenced)
 	}
 }
 
@@ -213,36 +242,49 @@ func requireAllocFree(t *testing.T, name string, e *connEnv, fn func()) {
 	}
 }
 
-// TestConnectReentrant: a host that calls Connect from inside
+// TestConnectReentrant: a host that calls Connect or Replay from inside
 // HandleFlow gets a Flow of its own, and its own Flow is unchanged when
-// the nested call returns.
+// the nested call returns. The replay mark belongs to one flow: a
+// Connect nested in a replay's callback is unmarked, and a Replay nested
+// in a Connect's callback is marked while the outer flow is not.
 func TestConnectReentrant(t *testing.T) {
-	e := newConnEnv()
-	client := Endpoint{IP: "192.168.1.2", Port: 40000}
-	relay := Endpoint{IP: "10.0.0.4", Port: 1080}
-	var before, after Flow
-	var nested Outcome
-	e.net.AddHost(relay, HostFunc(func(f *Flow) Outcome {
-		before = *f
-		nested = e.net.Connect(relay, e.served, []byte("nested"), false, time.Time{})
-		after = *f
-		return Outcome{Reaction: reaction.Data, ResponseLen: len(f.FirstPayload)}
-	}))
+	for _, outerReplay := range []bool{false, true} {
+		e := newConnEnv()
+		client := Endpoint{IP: "192.168.1.2", Port: 40000}
+		relay := Endpoint{IP: "10.0.0.4", Port: 1080}
+		var before, after Flow
+		var nested Outcome
+		e.net.AddHost(relay, HostFunc(func(f *Flow) Outcome {
+			before = *f
+			if outerReplay {
+				nested = e.net.Connect(relay, e.served, []byte("nested"), false, time.Time{})
+			} else {
+				nested = e.net.Replay(relay, e.served, []byte("nested"), Epoch)
+			}
+			after = *f
+			return Outcome{Reaction: reaction.Data, ResponseLen: len(f.FirstPayload)}
+		}))
 
-	o := e.net.Connect(client, relay, []byte("outer"), false, time.Time{})
-	sameFlows(t, "outer flow across the nested Connect", []Flow{before}, []Flow{after})
-	if after.ID != 1 || string(after.FirstPayload) != "outer" {
-		t.Errorf("outer flow = %+v, want ID 1 carrying \"outer\"", after)
-	}
-	if want := (Outcome{Reaction: reaction.Data, ResponseLen: len("nested")}); nested != want {
-		t.Errorf("nested outcome = %+v, want %+v", nested, want)
-	}
-	if want := (Outcome{Reaction: reaction.Data, ResponseLen: len("outer")}); o != want {
-		t.Errorf("outer outcome = %+v, want %+v", o, want)
-	}
-	if len(e.box.flows) != 2 || e.box.flows[0].ID != 1 || e.box.flows[1].ID != 2 ||
-		string(e.box.flows[1].FirstPayload) != "nested" {
-		t.Errorf("middlebox saw %+v, want the outer flow then the nested one", e.box.flows)
+		var o Outcome
+		if outerReplay {
+			o = e.net.Replay(client, relay, []byte("outer"), Epoch)
+		} else {
+			o = e.net.Connect(client, relay, []byte("outer"), false, time.Time{})
+		}
+		sameFlows(t, "outer flow across the nested call", []Flow{before}, []Flow{after})
+		if after.ID != 1 || string(after.FirstPayload) != "outer" || after.Replayed != outerReplay {
+			t.Errorf("outer flow = %+v, want ID 1 carrying \"outer\", Replayed %v", after, outerReplay)
+		}
+		if want := (Outcome{Reaction: reaction.Data, ResponseLen: len("nested")}); nested != want {
+			t.Errorf("nested outcome = %+v, want %+v", nested, want)
+		}
+		if want := (Outcome{Reaction: reaction.Data, ResponseLen: len("outer")}); o != want {
+			t.Errorf("outer outcome = %+v, want %+v", o, want)
+		}
+		if len(e.box.flows) != 2 || e.box.flows[0].ID != 1 || e.box.flows[1].ID != 2 ||
+			string(e.box.flows[1].FirstPayload) != "nested" || e.box.flows[1].Replayed == outerReplay {
+			t.Errorf("middlebox saw %+v, want the outer flow then the nested one, marked %v", e.box.flows, !outerReplay)
+		}
 	}
 }
 

@@ -293,6 +293,10 @@ type Flow struct {
 	// recorded content this is the recording time, used by timestamp-
 	// based replay defenses).
 	GeneratedAt time.Time
+	// Replayed marks a probe whose FirstPayload is a byte-identical copy
+	// of a client flight this server already received, as the censor
+	// that recorded the flight knows. Only Network.Replay sets it.
+	Replayed bool
 }
 
 // Outcome is the server's observable response to a flow.
@@ -347,9 +351,8 @@ type FlowSpec struct {
 type Network struct {
 	Sim *Sim
 
-	hosts  map[Endpoint]Host
-	boxes  []Middlebox
-	nextID uint64
+	hosts map[Endpoint]Host
+	boxes []Middlebox
 
 	// flowBuf is the Flow arena behind Connect, one slot per nesting
 	// depth (depth counts the Connect calls in progress), so a Host or
@@ -369,7 +372,8 @@ type Network struct {
 	blockedPort map[Endpoint]uint64
 	blockGen    uint64
 
-	// Flows counts all attempted flows (including blocked ones).
+	// Flows counts all attempted flows, blocked ones included: a flow's
+	// ID is the count including it.
 	Flows int
 
 	// Link impairment (see impair.go): an optional default profile for
@@ -498,15 +502,27 @@ func (n *Network) IsBlocked(ep Endpoint) bool {
 //
 // The *Flow handed to middleboxes and the host lives in a network-owned
 // arena and is valid only until Connect returns: anything retained must
-// be copied (the censor slab-copies recorded payloads; hosts keep only
-// hashes). A Host or Middlebox may call Connect from its callback; the
-// nested flow gets its own arena slot, and the caller's Flow is
-// unchanged when the nested call returns.
+// be copied (the censor slab-copies recorded payloads). A Host or
+// Middlebox may call Connect from its callback; the nested flow gets its
+// own arena slot, and the caller's Flow is unchanged when the nested call
+// returns.
+func (n *Network) Connect(client, server Endpoint, firstPayload []byte, probe bool, generatedAt time.Time) Outcome {
+	return n.open(client, server, firstPayload, probe, false, generatedAt)
+}
+
+// Replay is Connect for a probe whose payload is a byte-identical copy of
+// a client flight to server recorded at recordedAt; it marks the flow
+// Replayed.
+func (n *Network) Replay(client, server Endpoint, payload []byte, recordedAt time.Time) Outcome {
+	return n.open(client, server, payload, true, true, recordedAt)
+}
+
+// open is the body of Connect and Replay. It assigns the whole arena
+// slot, so a reused slot never keeps an earlier flow's mark.
 //
 //sslab:hotpath
-func (n *Network) Connect(client, server Endpoint, firstPayload []byte, probe bool, generatedAt time.Time) Outcome {
+func (n *Network) open(client, server Endpoint, firstPayload []byte, probe, replayed bool, generatedAt time.Time) Outcome {
 	n.Flows++
-	n.nextID++
 	n.flowsTotal.Inc()
 	if probe {
 		n.probeFlows.Inc()
@@ -520,13 +536,14 @@ func (n *Network) Connect(client, server Endpoint, firstPayload []byte, probe bo
 	}
 	f := n.flowBuf[n.depth]
 	*f = Flow{
-		ID:           n.nextID,
+		ID:           uint64(n.Flows),
 		Client:       client,
 		Server:       server,
 		FirstPayload: firstPayload,
 		Start:        now,
 		Probe:        probe,
 		GeneratedAt:  generatedAt,
+		Replayed:     replayed,
 	}
 	n.depth++
 	o := n.connect(f)
@@ -568,11 +585,11 @@ func (n *Network) connect(f *Flow) Outcome {
 // comes back. From the client's (and a probing censor's) point of view
 // the connection never completes, and because the handshake fails the
 // client never sends its payload — so the middleboxes see nothing and
-// the host sees the flow with no data.
+// the host sees the flow with no data, and so no replay.
 func (n *Network) silence(f *Flow) Outcome {
 	n.flowsBlocked.Inc()
 	if h, ok := n.hosts[f.Server]; ok {
-		f.FirstPayload = nil
+		f.FirstPayload, f.Replayed = nil, false
 		h.HandleFlow(f)
 	}
 	return Outcome{Blocked: true}

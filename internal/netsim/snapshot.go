@@ -53,14 +53,14 @@ type PortRule struct {
 
 // NetworkState is the network's serializable mutable state: the active
 // blocking rules with their generations, the rule-generation counter,
-// and the flow counters that feed flow IDs and reports. Host bindings
+// and the flow counter that feeds flow IDs and reports. Host bindings
 // and middleboxes are topology, not state — the restorer re-creates
-// them deterministically before applying a NetworkState.
+// them deterministically before applying a NetworkState. Older
+// snapshots carry NextID, always equal to Flows, which gob skips.
 type NetworkState struct {
 	BlockedIP   []IPRule
 	BlockedPort []PortRule
 	BlockGen    uint64
-	NextID      uint64
 	Flows       int
 }
 
@@ -71,7 +71,6 @@ func (n *Network) CaptureState() NetworkState {
 		BlockedIP:   make([]IPRule, 0, len(n.blockedIP)),
 		BlockedPort: make([]PortRule, 0, len(n.blockedPort)),
 		BlockGen:    n.blockGen,
-		NextID:      n.nextID,
 		Flows:       n.Flows,
 	}
 	for ip, gen := range n.blockedIP {
@@ -102,6 +101,5 @@ func (n *Network) RestoreState(st NetworkState) {
 		n.blockedPort[r.Endpoint] = r.Gen
 	}
 	n.blockGen = st.BlockGen
-	n.nextID = st.NextID
 	n.Flows = st.Flows
 }

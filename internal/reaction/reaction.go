@@ -212,17 +212,21 @@ func NewServer(p Profile, spec sscrypto.Spec, password string) (*Server, error) 
 	if p.AEADOnly && spec.Kind != sscrypto.AEAD {
 		return nil, &ConfigError{Profile: p, Method: spec.Name}
 	}
-	s := &Server{Profile: p, Spec: spec, Key: spec.Key(password), Dialer: HashDialer{}}
-	if p.ReplayDefense {
-		if p == Hardened {
-			s.filter = replay.NewTimedFilter(2 * time.Minute)
-		} else {
-			s.filter = replay.NewNonceFilter(1 << 16)
-		}
-	} else {
-		s.filter = replay.None{}
+	return &Server{Profile: p, Spec: spec, Key: spec.Key(password), Dialer: HashDialer{}, filter: NewFilter(p)}, nil
+}
+
+// NewFilter returns the replay filter a profile's servers run: none, the
+// §7.2 timestamp+nonce filter (2-minute window) for Hardened, or else
+// libev's ping-pong Bloom filter of 65,536 nonces per generation.
+func NewFilter(p Profile) replay.Filter {
+	switch {
+	case !p.ReplayDefense:
+		return replay.None{}
+	case p == Hardened:
+		return replay.NewTimedFilter(2 * time.Minute)
+	default:
+		return replay.NewNonceFilter(1 << 16)
 	}
-	return s, nil
 }
 
 // FilterState captures the server's replay-filter state for engine
@@ -288,15 +292,6 @@ func (s *Server) ReactAt(payload []byte, ts, now time.Time) Result {
 	return s.reactAEAD(payload, ts, now)
 }
 
-// isReplay consults the profile's filter, honoring embedded timestamps
-// when the filter supports them.
-func (s *Server) isReplay(nonce []byte, ts, now time.Time) bool {
-	if tf, ok := s.filter.(*replay.TimedFilter); ok {
-		return tf.ReplayAt(nonce, ts, now)
-	}
-	return s.filter.Replay(nonce, now)
-}
-
 func (s *Server) reactStream(payload []byte, ts, now time.Time) Result {
 	ivLen := s.Spec.IVSize
 	// With only a (possibly partial) IV and no ciphertext, the server
@@ -305,7 +300,7 @@ func (s *Server) reactStream(payload []byte, ts, now time.Time) Result {
 		return Result{Reaction: Timeout}
 	}
 	iv := payload[:ivLen]
-	if s.isReplay(iv, ts, now) {
+	if s.filter.Replay(iv, ts, now) {
 		return Result{Reaction: s.errorReaction(), ReplayDetected: true}
 	}
 	dec, err := s.Spec.NewStreamDecrypter(s.Key, iv)
@@ -360,7 +355,7 @@ func (s *Server) reactAEAD(payload []byte, ts, now time.Time) Result {
 	}
 
 	salt := payload[:saltLen]
-	if s.isReplay(salt, ts, now) {
+	if s.filter.Replay(salt, ts, now) {
 		return Result{Reaction: s.errorReaction(), ReplayDetected: true}
 	}
 	aead, err := s.Spec.NewAEAD(sscrypto.SessionSubkey(s.Key, salt))
@@ -428,5 +423,5 @@ func (s *Server) RegisterNonce(payload []byte, now time.Time) {
 	if len(payload) < n {
 		return
 	}
-	s.filter.Replay(payload[:n], now)
+	s.filter.Replay(payload[:n], now, now)
 }

@@ -25,8 +25,10 @@ import (
 type Filter interface {
 	// Replay reports whether the nonce has been seen before (or is
 	// otherwise unacceptable, e.g. expired), and records it if fresh.
-	// now is the server's current time.
-	Replay(nonce []byte, now time.Time) bool
+	// ts is the client timestamp the connection carries (when its
+	// payload was generated) and now is the server's current time; only
+	// TimedFilter reads ts.
+	Replay(nonce []byte, ts, now time.Time) bool
 }
 
 // None is a Filter that never detects replays — the behaviour of
@@ -34,7 +36,7 @@ type Filter interface {
 type None struct{}
 
 // Replay implements Filter; it always reports fresh.
-func (None) Replay([]byte, time.Time) bool { return false }
+func (None) Replay([]byte, time.Time, time.Time) bool { return false }
 
 // NonceFilter remembers nonces in a ping-pong Bloom filter, like
 // Shadowsocks-libev's ppbloom.
@@ -50,7 +52,7 @@ func NewNonceFilter(capacity int) *NonceFilter {
 }
 
 // Replay implements Filter.
-func (f *NonceFilter) Replay(nonce []byte, _ time.Time) bool {
+func (f *NonceFilter) Replay(nonce []byte, _, _ time.Time) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.pp.TestAndAdd(nonce)
@@ -83,8 +85,10 @@ func NewTimedFilter(window time.Duration) *TimedFilter {
 	return &TimedFilter{Window: window, seen: make(map[string]time.Time)}
 }
 
-// ReplayAt checks a connection carrying a client timestamp ts.
-func (f *TimedFilter) ReplayAt(nonce []byte, ts, now time.Time) bool {
+// Replay implements Filter: a connection whose timestamp ts lies outside
+// Window of now is rejected, and so is a nonce already seen within the
+// window.
+func (f *TimedFilter) Replay(nonce []byte, ts, now time.Time) bool {
 	if ts.Before(now.Add(-f.Window)) || ts.After(now.Add(f.Window)) {
 		return true // expired or from the future: treat as replay
 	}
@@ -97,13 +101,6 @@ func (f *TimedFilter) ReplayAt(nonce []byte, ts, now time.Time) bool {
 	}
 	f.seen[k] = now
 	return false
-}
-
-// Replay implements Filter assuming the connection's timestamp equals now
-// (i.e. a well-behaved client); replays arriving later than Window are
-// rejected by the pruning of seen plus the timestamp check in ReplayAt.
-func (f *TimedFilter) Replay(nonce []byte, now time.Time) bool {
-	return f.ReplayAt(nonce, now, now)
 }
 
 // gc drops nonces outside the window. Called with mu held.

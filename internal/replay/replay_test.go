@@ -10,17 +10,17 @@ var t0 = time.Date(2019, 9, 29, 0, 0, 0, 0, time.UTC) // start of the paper's ex
 
 func TestNoneNeverDetects(t *testing.T) {
 	var f None
-	if f.Replay([]byte("iv"), t0) || f.Replay([]byte("iv"), t0) {
+	if f.Replay([]byte("iv"), t0, t0) || f.Replay([]byte("iv"), t0, t0) {
 		t.Error("None reported a replay")
 	}
 }
 
 func TestNonceFilterDetectsImmediateReplay(t *testing.T) {
 	f := NewNonceFilter(1000)
-	if f.Replay([]byte("salt-1"), t0) {
+	if f.Replay([]byte("salt-1"), t0, t0) {
 		t.Error("fresh nonce flagged")
 	}
-	if !f.Replay([]byte("salt-1"), t0.Add(time.Second)) {
+	if !f.Replay([]byte("salt-1"), t0.Add(time.Second), t0.Add(time.Second)) {
 		t.Error("identical replay not flagged")
 	}
 }
@@ -29,19 +29,19 @@ func TestNonceFilterDetectsImmediateReplay(t *testing.T) {
 // describes: a replay spanning a restart defeats a nonce-only filter.
 func TestNonceFilterForgetsAcrossRestart(t *testing.T) {
 	f := NewNonceFilter(1000)
-	f.Replay([]byte("recorded-by-gfw"), t0)
+	f.Replay([]byte("recorded-by-gfw"), t0, t0)
 	f.Forget() // server restart
-	if f.Replay([]byte("recorded-by-gfw"), t0.Add(570*time.Hour)) {
+	if f.Replay([]byte("recorded-by-gfw"), t0.Add(570*time.Hour), t0.Add(570*time.Hour)) {
 		t.Error("nonce filter remembered across restart; expected it to forget")
 	}
 }
 
 func TestTimedFilterRejectsReplayWithinWindow(t *testing.T) {
 	f := NewTimedFilter(2 * time.Minute)
-	if f.Replay([]byte("n1"), t0) {
+	if f.Replay([]byte("n1"), t0, t0) {
 		t.Error("fresh connection rejected")
 	}
-	if !f.Replay([]byte("n1"), t0.Add(30*time.Second)) {
+	if !f.Replay([]byte("n1"), t0.Add(30*time.Second), t0.Add(30*time.Second)) {
 		t.Error("in-window replay accepted")
 	}
 }
@@ -51,12 +51,12 @@ func TestTimedFilterRejectsReplayWithinWindow(t *testing.T) {
 // nonce table remembers — even the 569.55-hour maximum delay of Figure 7.
 func TestTimedFilterRejectsDelayedReplay(t *testing.T) {
 	f := NewTimedFilter(2 * time.Minute)
-	f.ReplayAt([]byte("n1"), t0, t0)
+	f.Replay([]byte("n1"), t0, t0)
 	for _, delay := range []time.Duration{
 		3 * time.Minute, time.Hour, 15 * time.Hour, 570 * time.Hour,
 	} {
 		now := t0.Add(delay)
-		if !f.ReplayAt([]byte("n1"), t0, now) {
+		if !f.Replay([]byte("n1"), t0, now) {
 			t.Errorf("replay with %v delay accepted", delay)
 		}
 	}
@@ -67,14 +67,14 @@ func TestTimedFilterRejectsDelayedReplay(t *testing.T) {
 func TestTimedFilterSurvivesRestart(t *testing.T) {
 	f := NewTimedFilter(2 * time.Minute)
 	now := t0.Add(24 * time.Hour)
-	if !f.ReplayAt([]byte("recorded-long-ago"), t0, now) {
+	if !f.Replay([]byte("recorded-long-ago"), t0, now) {
 		t.Error("restarted timed filter accepted a day-old replay")
 	}
 }
 
 func TestTimedFilterRejectsFutureTimestamps(t *testing.T) {
 	f := NewTimedFilter(2 * time.Minute)
-	if !f.ReplayAt([]byte("n"), t0.Add(10*time.Minute), t0) {
+	if !f.Replay([]byte("n"), t0.Add(10*time.Minute), t0) {
 		t.Error("timestamp from the future accepted")
 	}
 }
@@ -85,7 +85,7 @@ func TestTimedFilterBoundedMemory(t *testing.T) {
 	now := t0
 	for i := 0; i < 10000; i++ {
 		now = now.Add(100 * time.Millisecond)
-		f.ReplayAt([]byte(fmt.Sprintf("nonce-%d", i)), now, now)
+		f.Replay([]byte(fmt.Sprintf("nonce-%d", i)), now, now)
 	}
 	// Window is 1 min = 600 connections at 10/s; gc keeps <= 2 windows
 	// plus slack between collections.
@@ -97,7 +97,7 @@ func TestTimedFilterBoundedMemory(t *testing.T) {
 func TestTimedFilterDistinctNoncesAccepted(t *testing.T) {
 	f := NewTimedFilter(time.Minute)
 	for i := 0; i < 100; i++ {
-		if f.Replay([]byte(fmt.Sprintf("nonce-%d", i)), t0.Add(time.Duration(i)*time.Second)) {
+		if f.Replay([]byte(fmt.Sprintf("nonce-%d", i)), t0.Add(time.Duration(i)*time.Second), t0.Add(time.Duration(i)*time.Second)) {
 			t.Fatalf("distinct nonce %d rejected", i)
 		}
 	}

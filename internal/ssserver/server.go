@@ -115,14 +115,7 @@ func New(cfg Config) (*Server, error) {
 		mProxied:    cfg.Metrics.Counter("ssserver.proxied"),
 		mAuthErrors: cfg.Metrics.Counter("ssserver.auth_errors"),
 		mReplays:    cfg.Metrics.Counter("ssserver.replays_blocked"),
-	}
-	switch {
-	case !cfg.Profile.ReplayDefense:
-		s.filter = replay.None{}
-	case cfg.Profile == reaction.Hardened:
-		s.filter = replay.NewTimedFilter(2 * time.Minute)
-	default:
-		s.filter = replay.NewNonceFilter(1 << 16)
+		filter:      reaction.NewFilter(cfg.Profile),
 	}
 	return s, nil
 }
@@ -250,7 +243,7 @@ func (s *Server) serve(c net.Conn) error {
 	if _, err := io.ReadFull(c, head); err != nil {
 		return nil // connection died or timed out while waiting
 	}
-	if s.filter.Replay(head, time.Now()) {
+	if now := time.Now(); s.filter.Replay(head, now, now) {
 		s.Stats.ReplaysBlocked.Add(1)
 		s.mReplays.Inc()
 		return errProtocol
