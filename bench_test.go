@@ -330,7 +330,8 @@ func BenchmarkAblationReplayFilters(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationBloom: replay-filter memory/false-positive trade-off.
+// BenchmarkAblationBloom: replay-filter memory/false-positive
+// trade-off, timing the filter's per-nonce TestAndAdd.
 func BenchmarkAblationBloom(b *testing.B) {
 	for _, fp := range []float64{1e-3, 1e-6} {
 		fp := fp
@@ -339,12 +340,11 @@ func BenchmarkAblationBloom(b *testing.B) {
 			name = "fp-1e-6"
 		}
 		b.Run(name, func(b *testing.B) {
-			f := bloom.New(1<<16, fp)
+			p := bloom.NewPingPong(1<<16, fp)
 			buf := make([]byte, 32)
 			for i := 0; i < b.N; i++ {
 				buf[0], buf[1], buf[2], buf[3] = byte(i), byte(i>>8), byte(i>>16), byte(i>>24)
-				f.Add(buf)
-				f.Test(buf)
+				p.TestAndAdd(buf)
 			}
 		})
 	}

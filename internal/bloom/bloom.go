@@ -84,12 +84,9 @@ func (f *Filter) add(a, b uint64) {
 	f.entries++
 }
 
-// Test reports whether data may have been added (with the configured
-// false-positive probability) — false means definitely never added.
-//
-//sslab:hotpath
-func (f *Filter) Test(data []byte) bool { return f.test(hashes(data)) }
-
+// test reports whether the data hashing to (a, b) may have been added
+// (with the configured false-positive probability) — false means
+// definitely never added.
 func (f *Filter) test(a, b uint64) bool {
 	for i := 0; i < f.k; i++ {
 		j := (a + uint64(i)*b) % f.nbits
@@ -128,11 +125,8 @@ func NewPingPong(capacity int, fpRate float64) *PingPong {
 	return &PingPong{gen: [2]*Filter{New(capacity, fpRate), New(capacity, fpRate)}}
 }
 
-// Add inserts data, rotating generations when the current one is full.
-//
-//sslab:hotpath
-func (p *PingPong) Add(data []byte) { p.add(hashes(data)) }
-
+// add inserts the data hashing to (a, b), rotating generations when
+// the current one is full.
 func (p *PingPong) add(a, b uint64) {
 	cur := p.gen[p.current]
 	if cur.Len() >= cur.Cap() {
@@ -143,18 +137,16 @@ func (p *PingPong) add(a, b uint64) {
 	cur.add(a, b)
 }
 
-// Test reports whether data may be present in either generation.
-//
-//sslab:hotpath
-func (p *PingPong) Test(data []byte) bool { return p.test(hashes(data)) }
-
+// test reports whether the data hashing to (a, b) may be present in
+// either generation.
 func (p *PingPong) test(a, b uint64) bool {
 	return p.gen[0].test(a, b) || p.gen[1].test(a, b)
 }
 
-// TestAndAdd atomically tests then adds; it returns the pre-add Test result.
-// This is the exact operation a replay filter needs per connection. It
-// hashes data once for both generations and the insertion.
+// TestAndAdd atomically tests then adds; it returns whether data may
+// have been present before. This is the exact operation a replay filter
+// needs per connection. It hashes data once for both generations and
+// the insertion.
 //
 //sslab:hotpath
 func (p *PingPong) TestAndAdd(data []byte) bool {

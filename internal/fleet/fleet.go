@@ -262,15 +262,13 @@ type serverRec struct {
 	replacing bool
 }
 
-// epoch records one endpoint activation: when, which implementation
-// was behind it (for per-implementation block attribution), and which
-// local server owned it (so a snapshot restore can re-bind every
-// historical endpoint to its host — old endpoints keep serving probes
-// after a replacement).
+// epoch records one endpoint activation: when, and which local server
+// owned it (for per-implementation block attribution, and so a
+// snapshot restore can re-bind every historical endpoint to its host —
+// old endpoints keep serving probes after a replacement).
 type epoch struct {
-	at   time.Time
-	impl int32
-	srv  int32
+	at  time.Time
+	srv int32
 }
 
 // userArg / srvArg are the pre-allocated closure-free scheduling
@@ -482,7 +480,7 @@ func (f *Fleet) replace(idx int32) {
 
 	srv.ep = f.serverEndpoint()
 	srv.activated = now
-	f.epochs[srv.ep] = epoch{at: now, impl: srv.implIdx, srv: idx}
+	f.epochs[srv.ep] = epoch{at: now, srv: idx}
 	f.net.AddHost(srv.ep, srv.host)
 }
 
@@ -658,7 +656,7 @@ func (f *Fleet) build(plan runPlan) {
 		}
 		f.implServers[implIdx]++
 		f.sargs[j] = srvArg{f: f, idx: int32(j)}
-		f.epochs[ep] = epoch{at: netsim.Epoch, impl: int32(implIdx), srv: int32(j)}
+		f.epochs[ep] = epoch{at: netsim.Epoch, srv: int32(j)}
 		f.net.AddHost(ep, f.servers[j].host)
 	}
 

@@ -241,7 +241,7 @@ func (f *Fleet) report() *Report {
 	for _, ev := range f.gfw.BlockEvents {
 		if e, ok := f.epochs[ev.Server]; ok {
 			f.latencies.Observe(ev.Time.Sub(e.at).Seconds())
-			implBlocks[e.impl]++
+			implBlocks[f.servers[e.srv].implIdx]++
 		}
 	}
 	perImpl := make([]ImplStats, len(f.implNames))

@@ -11,21 +11,24 @@ import (
 	"sslab/internal/gfw"
 	"sslab/internal/netsim"
 	"sslab/internal/replay"
+	"sslab/internal/seedfork"
 	"sslab/internal/stats"
-	"sslab/internal/trafficgen"
 )
 
 // Snapshot format: the magic string, a big-endian uint32 version, then
 // a gob-encoded engineSnap. The version bumps whenever the DTO layout
-// changes incompatibly; Restore rejects unknown versions rather than
-// guessing. Snapshot *bytes* are not canonical (gob serializes map-
-// backed sketch state in arbitrary order) — the pinned invariant is
-// that a restored engine's continued run reports byte-identically to
-// an uninterrupted one, which the snapshot round-trip tests and the CI
-// resume smoke enforce.
+// changes; Restore rejects unknown versions rather than guessing.
+// Version 2 adds each built RNG stream's register, which restore copies
+// back; version 1 lacks them, and restore replays those streams from
+// their seeds instead (gob leaves absent fields zero and skips fields
+// the DTOs no longer have). Snapshot *bytes* are not canonical (gob
+// serializes map-backed sketch state in arbitrary order) — the pinned
+// invariant is that a restored engine's continued run reports
+// byte-identically to an uninterrupted one, which the snapshot
+// round-trip tests and the CI resume smoke enforce.
 const (
 	snapMagic   = "SSLABSNAP"
-	snapVersion = 1
+	snapVersion = 2
 )
 
 // engineSnap is the full serialized engine: the science config (the
@@ -37,14 +40,14 @@ type engineSnap struct {
 }
 
 // unitSnap is one unit's complete mutable state at a quiescent RunTo
-// boundary. Structure (hosts, plan, metrics bindings) is rebuilt from
-// Config; only state that evolves during a run is stored.
+// boundary. Structure (hosts, plan, metrics bindings, and each user's
+// server, diurnal phase and workload) is rebuilt from Config; only
+// state that evolves during a run is stored. Version-1 snapshots also
+// carry UServer, UPhase and UWl, and each epoch an Impl; gob skips
+// them, so no new field may take those names.
 type unitSnap struct {
 	// Packed per-user state, parallel arrays indexed by local user.
 	URng         []uint64
-	UServer      []int32
-	UPhase       []int16
-	UWl          []uint8
 	UBlocked     []bool
 	UEverBlocked []bool
 
@@ -72,7 +75,7 @@ type unitSnap struct {
 
 	PolicyNext int
 
-	TG  trafficgen.RNGState
+	TG  seedfork.State
 	GFW gfw.State
 	Net netsim.NetworkState
 
@@ -102,10 +105,9 @@ type serverSnap struct {
 
 // epochSnap is one endpoint activation record.
 type epochSnap struct {
-	EP   netsim.Endpoint
-	At   time.Time
-	Impl int32
-	Srv  int32
+	EP  netsim.Endpoint
+	At  time.Time
+	Srv int32
 }
 
 // eventSnap is one pending scheduled event in serializable form. Kind
@@ -166,8 +168,8 @@ func Restore(data []byte, opts ...Option) (*Engine, error) {
 		return nil, fmt.Errorf("fleet: not a fleet snapshot (bad magic)")
 	}
 	ver := binary.BigEndian.Uint32(data[len(snapMagic) : len(snapMagic)+4])
-	if ver != snapVersion {
-		return nil, fmt.Errorf("fleet: snapshot version %d not supported (want %d)", ver, snapVersion)
+	if ver < 1 || ver > snapVersion {
+		return nil, fmt.Errorf("fleet: snapshot version %d not supported (want 1 to %d)", ver, snapVersion)
 	}
 	var snap engineSnap
 	if err := gob.NewDecoder(bytes.NewReader(data[len(snapMagic)+4:])).Decode(&snap); err != nil {
@@ -182,9 +184,6 @@ func (f *Fleet) capture() (unitSnap, error) {
 	n := len(f.users)
 	s := unitSnap{
 		URng:         make([]uint64, n),
-		UServer:      make([]int32, n),
-		UPhase:       make([]int16, n),
-		UWl:          make([]uint8, n),
 		UBlocked:     make([]bool, n),
 		UEverBlocked: make([]bool, n),
 		NextServerIP: f.nextServerIP,
@@ -209,9 +208,6 @@ func (f *Fleet) capture() (unitSnap, error) {
 	for i := range f.users {
 		u := &f.users[i]
 		s.URng[i] = u.rng
-		s.UServer[i] = u.server
-		s.UPhase[i] = u.phaseMin
-		s.UWl[i] = u.wl
 		s.UBlocked[i] = u.blocked
 		s.UEverBlocked[i] = u.everBlocked
 	}
@@ -235,7 +231,7 @@ func (f *Fleet) capture() (unitSnap, error) {
 	}
 	s.Epochs = make([]epochSnap, 0, len(f.epochs))
 	for ep, e := range f.epochs {
-		s.Epochs = append(s.Epochs, epochSnap{EP: ep, At: e.at, Impl: e.impl, Srv: e.srv})
+		s.Epochs = append(s.Epochs, epochSnap{EP: ep, At: e.at, Srv: e.srv})
 	}
 	sort.Slice(s.Epochs, func(i, j int) bool {
 		a, b := s.Epochs[i].EP, s.Epochs[j].EP
@@ -289,16 +285,10 @@ func (f *Fleet) restore(s *unitSnap, now time.Time) error {
 	// 1. Advance the empty simulator to the snapshot time.
 	f.sim.RunUntil(now)
 
-	// 2. Overwrite mutable state.
+	// 2. Overwrite mutable state; build set everything else.
 	for i := range f.users {
-		f.users[i] = user{
-			rng:         s.URng[i],
-			server:      s.UServer[i],
-			phaseMin:    s.UPhase[i],
-			wl:          s.UWl[i],
-			blocked:     s.UBlocked[i],
-			everBlocked: s.UEverBlocked[i],
-		}
+		u := &f.users[i]
+		u.rng, u.blocked, u.everBlocked = s.URng[i], s.UBlocked[i], s.UEverBlocked[i]
 	}
 	for j := range f.servers {
 		srv := &f.servers[j]
@@ -321,7 +311,7 @@ func (f *Fleet) restore(s *unitSnap, now time.Time) error {
 		if es.Srv < 0 || int(es.Srv) >= len(f.servers) {
 			return fmt.Errorf("epoch %v references server %d of %d", es.EP, es.Srv, len(f.servers))
 		}
-		f.epochs[es.EP] = epoch{at: es.At, impl: es.Impl, srv: es.Srv}
+		f.epochs[es.EP] = epoch{at: es.At, srv: es.Srv}
 		// Re-bind every historical endpoint: old endpoints outlive a
 		// replacement and still serve the censor's probes.
 		f.net.AddHost(es.EP, f.servers[es.Srv].host)

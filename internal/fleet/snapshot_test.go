@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"encoding/json"
 	"errors"
@@ -15,16 +16,20 @@ import (
 	"sslab/internal/gfw"
 	"sslab/internal/netsim"
 	"sslab/internal/region"
+	"sslab/internal/seedfork"
 )
 
-// updateSnapFixture rewrites the committed snapshot fixture. Run
+// updateSnapFixture rewrites the committed fixture of the current
+// snapshot version, testdata/resume-v2.snap. Run
 //
 //	go test ./internal/fleet -run TestSnapshotGoldenFixture -update-snapshot
 //
 // only together with a deliberate snapshot format change (and a
-// snapVersion bump): the file exists to prove that engine and scheduler
-// refactors still restore snapshots written by earlier builds.
-var updateSnapFixture = flag.Bool("update-snapshot", false, "rewrite testdata/resume.snap")
+// snapVersion bump, after which the flag should write a new file): the
+// fixtures exist to prove that engine and scheduler refactors still
+// restore snapshots written by earlier builds. testdata/resume.snap, a
+// version-1 snapshot, is never rewritten.
+var updateSnapFixture = flag.Bool("update-snapshot", false, "rewrite testdata/resume-v2.snap")
 
 // runEngineReport drives an engine to its end and marshals the report.
 func runEngineReport(t *testing.T, e *Engine) []byte {
@@ -151,7 +156,7 @@ func TestSnapshotResumeRegional(t *testing.T) {
 	}
 }
 
-// fixtureCfg is the configuration behind testdata/resume.snap: two
+// fixtureCfg is the configuration behind both snapshot fixtures: two
 // regions over two shards (four units), an all-sspython mix with
 // aggressive recording so censor tasks are in flight, and schedules
 // whose events straddle the snapshot point at T = 3 h of the 6 h run.
@@ -176,14 +181,19 @@ func fixtureCfg() Config {
 	return cfg
 }
 
-// TestSnapshotGoldenFixture restores a snapshot file written by an
-// earlier build, finishes the run, and requires the report bytes of an
-// uninterrupted run. It pins both the SSLABSNAP format (a layout change
-// without a version bump fails to decode or diverges) and how restored
-// heap events and wheel entries re-arm in the current scheduler.
+// TestSnapshotGoldenFixture restores snapshot files written by earlier
+// builds, finishes each run, and requires the report bytes of an
+// uninterrupted run. resume.snap is version 1: its streams carry no
+// register and are replayed, its user wake-ups sit in WheelEvents, and
+// it still holds the fields later versions dropped (each user's
+// server, phase and workload, each epoch's implementation, each
+// server's Seen filter, the network's NextID). resume-v2.snap is
+// version 2, whose built streams restore from their registers. Both pin
+// the SSLABSNAP format (a layout change without a version bump fails to
+// decode or diverges) and how restored heap events and wheel entries
+// re-arm in the current scheduler.
 func TestSnapshotGoldenFixture(t *testing.T) {
 	cfg := fixtureCfg()
-	path := filepath.Join("testdata", "resume.snap")
 	mid := netsim.Epoch.Add(3 * time.Hour)
 	if *updateSnapFixture {
 		e, err := NewEngine(cfg)
@@ -197,24 +207,32 @@ func TestSnapshotGoldenFixture(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join("testdata", "resume-v2.snap"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("reading fixture (run with -update-snapshot to create): %v", err)
-	}
-	r, err := Restore(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Now().Equal(mid) {
-		t.Fatalf("fixture restored at %v, want %v", r.Now(), mid)
-	}
 	golden := reportJSON(t, mustRun(t, cfg))
-	if got := runEngineReport(t, r); !bytes.Equal(got, golden) {
-		t.Fatalf("run resumed from the fixture diverged from an uninterrupted run:\n%s\nvs\n%s", got, golden)
+	for _, c := range []struct {
+		file string
+		ver  uint32
+	}{{"resume.snap", 1}, {"resume-v2.snap", 2}} {
+		data, err := os.ReadFile(filepath.Join("testdata", c.file))
+		if err != nil {
+			t.Fatalf("reading fixture (run with -update-snapshot to create resume-v2.snap): %v", err)
+		}
+		if len(data) < len(snapMagic)+4 || binary.BigEndian.Uint32(data[len(snapMagic):]) != c.ver {
+			t.Fatalf("%s is not a version-%d snapshot", c.file, c.ver)
+		}
+		r, err := Restore(data)
+		if err != nil {
+			t.Fatalf("%s: %v", c.file, err)
+		}
+		if !r.Now().Equal(mid) {
+			t.Fatalf("%s restored at %v, want %v", c.file, r.Now(), mid)
+		}
+		if got := runEngineReport(t, r); !bytes.Equal(got, golden) {
+			t.Fatalf("run resumed from %s diverged from an uninterrupted run:\n%s\nvs\n%s", c.file, got, golden)
+		}
 	}
 }
 
@@ -247,7 +265,7 @@ func TestSnapshotRepeatedResume(t *testing.T) {
 }
 
 // TestSnapshotRefusals: the two documented refusals, plus garbage input
-// to Restore.
+// to Restore and stream states no run leaves behind.
 func TestSnapshotRefusals(t *testing.T) {
 	e, err := NewEngine(smallCfg(37))
 	if err != nil {
@@ -284,6 +302,9 @@ func TestSnapshotRefusals(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
+		if err := e2.RunTo(netsim.Epoch.Add(time.Hour)); err != nil {
+			return nil, err
+		}
 		return e2.Snapshot()
 	}()
 	if err != nil {
@@ -295,20 +316,31 @@ func TestSnapshotRefusals(t *testing.T) {
 		t.Fatal("Restore must reject unknown snapshot versions")
 	}
 
-	// A trafficgen Read carry no run leaves behind is refused, naming
-	// the unit.
-	var snap engineSnap
-	if err := gob.NewDecoder(bytes.NewReader(good[len(snapMagic)+4:])).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	snap.Units[0].TG.ReadPos = -1
-	var buf bytes.Buffer
-	buf.Write(good[:len(snapMagic)+4])
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Restore(buf.Bytes()); err == nil || !strings.Contains(err.Error(), "unit 0") {
-		t.Fatalf("Restore of an unreachable trafficgen carry: err = %v, want a unit 0 error", err)
+	// A trafficgen Read carry or register no run leaves behind is
+	// refused, naming the unit.
+	for _, c := range []struct {
+		name string
+		edit func(tg *seedfork.State)
+	}{
+		{"carry", func(tg *seedfork.State) { tg.ReadPos = -1 }},
+		{"606-word register", func(tg *seedfork.State) { tg.Register = tg.Register[:606] }},
+	} {
+		var snap engineSnap
+		if err := gob.NewDecoder(bytes.NewReader(good[len(snapMagic)+4:])).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		if snap.Units[0].TG.Register == nil {
+			t.Fatal("the trafficgen stream built no register in the first hour")
+		}
+		c.edit(&snap.Units[0].TG)
+		var buf bytes.Buffer
+		buf.Write(good[:len(snapMagic)+4])
+		if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Restore(buf.Bytes()); err == nil || !strings.Contains(err.Error(), "unit 0") {
+			t.Fatalf("Restore of an unreachable trafficgen %s: err = %v, want a unit 0 error", c.name, err)
+		}
 	}
 }
 

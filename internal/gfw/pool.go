@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"sslab/internal/netsim"
@@ -46,11 +47,22 @@ type tsProcess struct {
 	weight float64 // share of probes this process sends
 }
 
-// poolIP is one prober source address.
+// poolIP is one prober source address: the n bytes at off in the
+// pool's backing string, and its AS (every Table 3 AS is below 2¹⁶).
 type poolIP struct {
-	addr string
-	asn  int
+	off uint32
+	n   uint16
+	asn uint16
 }
+
+// dotOctet[b] is "." and b in decimal: an address is its AS prefix
+// and two of these.
+var dotOctet = func() (t [256]string) {
+	for b := range t {
+		t[b] = "." + strconv.Itoa(b)
+	}
+	return t
+}()
 
 // Non-ephemeral source ports spread over [nonEphemeralPortMin,
 // nonEphemeralPortMax] inclusive — Figure 5's observed support.
@@ -64,6 +76,7 @@ const (
 // fingerprints (source port, TTL, IP ID, TCP timestamp) matching §3.4.
 type Pool struct {
 	rng   seedfork.Source
+	addrs string // every address, back to back
 	ips   []poolIP
 	cum   []float64 // cumulative sampling weights over ips
 	procs []tsProcess
@@ -122,10 +135,10 @@ func NewPool(rng seedfork.Source, size int, start time.Time) *Pool {
 	// Prefixes are distinct across ASes, so an address can only repeat
 	// within its own AS: dedup per AS on a (prefix, third octet, fourth
 	// octet) bit set, and write every address once into one backing
-	// string that the table slices.
+	// string that the table indexes.
 	seen := make([]uint64, maxPrefixes<<16/64)
-	buf := make([]byte, 0, total*len("255.255.255.255"))
-	ends := make([]int, 0, total)
+	var addrs strings.Builder
+	addrs.Grow(total * len("255.255.255.255"))
 	p.ips = make([]poolIP, 0, total)
 	for _, a := range asns {
 		prefixes := asPrefixes[a.id]
@@ -142,20 +155,14 @@ func NewPool(rng seedfork.Source, size int, start time.Time) *Pool {
 					break
 				}
 			}
-			buf = append(buf, prefixes[pfx]...)
-			buf = append(buf, '.')
-			buf = strconv.AppendInt(buf, int64(o3), 10)
-			buf = append(buf, '.')
-			buf = strconv.AppendInt(buf, int64(o4), 10)
-			ends = append(ends, len(buf))
-			p.ips = append(p.ips, poolIP{asn: a.id})
+			off := addrs.Len()
+			addrs.WriteString(prefixes[pfx])
+			addrs.WriteString(dotOctet[o3])
+			addrs.WriteString(dotOctet[o4])
+			p.ips = append(p.ips, poolIP{off: uint32(off), n: uint16(addrs.Len() - off), asn: uint16(a.id)})
 		}
 	}
-	addrs, from := string(buf), 0
-	for i, end := range ends {
-		p.ips[i].addr = addrs[from:end]
-		from = end
-	}
+	p.addrs = addrs.String()
 
 	// Heavy-tailed reuse weights (log-normal), so some addresses probe
 	// dozens of times while most probe a handful — Figure 3's shape.
@@ -215,6 +222,9 @@ func (p *Pool) pickProcess() int {
 	return last
 }
 
+// addr returns ip's address, a substring of the backing string.
+func (p *Pool) addr(ip poolIP) string { return p.addrs[ip.off : ip.off+uint32(ip.n)] }
+
 // Source draws the network-level identity for one probe sent at time t.
 func (p *Pool) Source(t time.Time) ProbeSource {
 	ip := p.pickIP()
@@ -234,8 +244,8 @@ func (p *Pool) Source(t time.Time) ProbeSource {
 	}
 
 	return ProbeSource{
-		IP:      ip.addr,
-		ASN:     ip.asn,
+		IP:      p.addr(ip),
+		ASN:     int(ip.asn),
 		Port:    port,
 		TTL:     46 + p.rng.Intn(5), // §3.4: TTLs stay within 46–50
 		IPID:    uint16(p.rng.Intn(1 << 16)),

@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the censor's snapshot surface. A GFW's mutable state is
-// small and regular: two RNG stream positions (plus the main stream's
+// small and regular: two RNG stream states (plus the main stream's
 // Read carry), the per-suspect probing states, the length profiles,
 // the runtime policy knobs and the report counters. Everything else —
 // the detector chain, the prober pool's address tables, the metrics
@@ -41,12 +41,16 @@ type ProfileSnap struct {
 
 // State is the censor's full serializable mutable state.
 type State struct {
-	// RNG stream positions: draws consumed from the main and pool
-	// streams, plus the main stream's Read carry (see seedfork.State).
-	RNGDraws  uint64
-	ReadVal   uint64
-	ReadPos   int8
-	PoolDraws uint64
+	// RNG stream states (see seedfork.State): draws consumed from the
+	// main and pool streams, the main stream's Read carry, and each
+	// stream's register once built (nil in snapshots written before
+	// registers were captured, whose streams are replayed instead).
+	RNGDraws     uint64
+	ReadVal      uint64
+	ReadPos      int8
+	RNGRegister  []int64
+	PoolDraws    uint64
+	PoolRegister []int64
 
 	// Report counters (the exported ints experiment reports read).
 	Triggers         int
@@ -79,12 +83,14 @@ func lessEndpoint(a, b netsim.Endpoint) bool {
 
 // CaptureState returns the censor's serializable state.
 func (g *GFW) CaptureState() State {
-	rs := g.rng.State()
+	rs, ps := g.rng.State(), g.Pool.rng.State()
 	st := State{
 		RNGDraws:         rs.Draws,
 		ReadVal:          rs.ReadVal,
 		ReadPos:          rs.ReadPos,
-		PoolDraws:        g.Pool.rng.State().Draws,
+		RNGRegister:      rs.Register,
+		PoolDraws:        ps.Draws,
+		PoolRegister:     ps.Register,
 		Triggers:         g.Triggers,
 		PayloadsRecorded: g.PayloadsRecorded,
 		ProbesSent:       g.ProbesSent,
@@ -122,23 +128,24 @@ func (g *GFW) CaptureState() State {
 // RestoreState overwrites a freshly constructed censor's mutable state
 // with st. The receiver must have been built by New with the same
 // Config (and on a simulator at the same virtual time) as the captured
-// one; stream positions are restored by reseeding and fast-forwarding,
-// so restore cost is proportional to simulated progress, not wall
-// time, and a Read carry no run can produce is an error. Metrics
-// instruments deliberately restart cold — they feed observability
-// sinks, not reports.
+// one. Stream registers are copied back, so restore cost does not grow
+// with simulated progress; a stream captured without its register is
+// reseeded and fast-forwarded. A stream state no run can produce is an
+// error. Metrics instruments deliberately restart cold — they feed
+// observability sinks, not reports.
 func (g *GFW) RestoreState(st State) error {
 	if len(st.StageRecs) != len(g.stageRecs) {
 		return fmt.Errorf("gfw: snapshot has %d stage counters, config builds %d — detector chain mismatch", len(st.StageRecs), len(g.stageRecs))
 	}
-	if err := g.rng.Restore(seedfork.State{Draws: st.RNGDraws, ReadVal: st.ReadVal, ReadPos: st.ReadPos}); err != nil {
+	if err := g.rng.Restore(seedfork.State{Draws: st.RNGDraws, ReadVal: st.ReadVal, ReadPos: st.ReadPos, Register: st.RNGRegister}); err != nil {
 		return fmt.Errorf("gfw: %w", err)
 	}
-	cur := g.Pool.rng.State().Draws
-	if st.PoolDraws < cur {
-		return fmt.Errorf("gfw: snapshot pool position %d predates pool construction (%d draws)", st.PoolDraws, cur)
+	if built := g.Pool.rng.State().Draws; st.PoolDraws < built {
+		return fmt.Errorf("gfw: snapshot pool position %d predates pool construction (%d draws)", st.PoolDraws, built)
 	}
-	g.Pool.rng.Skip(st.PoolDraws - cur)
+	if err := g.Pool.rng.Restore(seedfork.State{Draws: st.PoolDraws, Register: st.PoolRegister}); err != nil {
+		return fmt.Errorf("gfw: pool stream: %w", err)
+	}
 
 	g.Triggers = st.Triggers
 	g.PayloadsRecorded = st.PayloadsRecorded

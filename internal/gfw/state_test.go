@@ -97,6 +97,9 @@ func TestTaskSnapshotRoundTrip(t *testing.T) {
 	t.Logf("all four task kinds pending at %v, %d tasks", at.Sub(netsim.Epoch), len(tasks))
 
 	gst, nst := g.CaptureState(), net.CaptureState()
+	if len(gst.RNGRegister) != 607 || len(gst.PoolRegister) != 607 {
+		t.Fatalf("captured registers of %d (main) and %d (pool) words, want 607 each", len(gst.RNGRegister), len(gst.PoolRegister))
+	}
 	sim2, net2, g2 := build()
 	sim2.RunUntil(at)
 	net2.RestoreState(nst)
@@ -136,8 +139,9 @@ func TestTaskSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRestoreStateRejectsCarry: a snapshot whose Read carry no run can
-// produce fails to restore; a reachable one restores as captured.
+// TestRestoreStateRejectsCarry: a snapshot whose Read carry or pool
+// register no run can produce fails to restore; a reachable carry
+// restores as captured.
 func TestRestoreStateRejectsCarry(t *testing.T) {
 	build := func() *GFW {
 		sim := netsim.NewSim()
@@ -150,6 +154,11 @@ func TestRestoreStateRejectsCarry(t *testing.T) {
 		if err := build().RestoreState(bad); err == nil {
 			t.Errorf("RestoreState accepted ReadPos %d", pos)
 		}
+	}
+	bad := st
+	bad.PoolRegister = make([]int64, 606)
+	if err := build().RestoreState(bad); err == nil {
+		t.Error("RestoreState accepted a 606-word pool register")
 	}
 	ok := st
 	ok.ReadVal, ok.ReadPos = 0xabcdef, 3

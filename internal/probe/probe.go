@@ -9,7 +9,7 @@ import "bytes"
 
 // RNG is the randomness Build consumes: integer draws for mutation
 // deltas and length picks, byte fills for random payloads. *rand.Rand
-// satisfies it, and so does *seedfork.Source, whose stream position —
+// satisfies it, and so does *seedfork.Source, whose stream state —
 // Read's partial draw included — serializes.
 type RNG interface {
 	Intn(n int) int

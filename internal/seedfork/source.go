@@ -30,7 +30,7 @@ var pow48271 = func() (t [3*rngLen + 21]uint64) {
 // words on demand and builds the 607-word register only when draw 274
 // needs it. A stream that never draws that far — nearly every
 // impaired link's — costs 40 bytes instead of a seeded 4.9 KB
-// register. Its position (State, Restore) serializes.
+// register. Its state (State, Restore) serializes as a value.
 //
 // A Source must not be copied after its first draw: a copy would share
 // the register. Hold it in a struct that is itself held by pointer.
@@ -240,15 +240,24 @@ func (s *Source) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// State is a Source's serializable stream position.
+// State is a Source's serializable stream state.
 type State struct {
 	Draws   uint64 // values drawn since seeding
 	ReadVal uint64 // Read's partially consumed draw
 	ReadPos int8   // bytes of ReadVal that Read has yet to use
+	// Register is a copy of the 607 register words once the stream has
+	// built them (after draw 273); nil while the stream is lazy.
+	Register []int64
 }
 
-// State returns s's stream position.
-func (s *Source) State() State { return State{s.n, s.readVal, s.readPos} }
+// State returns a copy of s's stream state.
+func (s *Source) State() State {
+	st := State{Draws: s.n, ReadVal: s.readVal, ReadPos: s.readPos}
+	if s.reg != nil {
+		st.Register = append([]int64(nil), s.reg.vec[:]...)
+	}
+	return st
+}
 
 // Skip advances s by n draws, as if n values had been drawn and
 // discarded. A stream that ends within its first 273 draws stays lazy.
@@ -265,14 +274,30 @@ func (s *Source) Skip(n uint64) {
 	}
 }
 
-// Restore moves s to position st of its seed's stream by reseeding and
-// fast-forwarding. It rejects a Read carry no stream reaches: after any
-// Read, ReadPos is in [0, 6] and ReadVal holds at most ReadPos+1 bytes.
+// Restore moves s to state st of its seed's stream. A register is
+// copied back, so the cost is the same at any position; without one
+// (a lazy stream, or a state saved before registers were captured) s
+// is reseeded and fast-forwarded. It rejects a Read carry no stream
+// reaches — after any Read, ReadPos is in [0, 6] and ReadVal holds at
+// most ReadPos+1 bytes — and a register that is not 607 words or
+// comes with 273 draws or fewer.
 func (s *Source) Restore(st State) error {
 	if st.ReadPos < 0 || st.ReadPos > 6 || st.ReadVal>>(8*uint(st.ReadPos)+8) != 0 {
 		return fmt.Errorf("seedfork: read carry %#x with %d bytes left is not one a stream can reach", st.ReadVal, st.ReadPos)
 	}
+	if st.Register != nil && (len(st.Register) != rngLen || st.Draws <= rngTap) {
+		return fmt.Errorf("seedfork: a register of %d words after %d draws is not one a stream can reach", len(st.Register), st.Draws)
+	}
 	*s = Source{seed: s.seed, readVal: st.ReadVal, readPos: st.ReadPos}
-	s.Skip(st.Draws)
+	if st.Register == nil {
+		s.Skip(st.Draws)
+		return nil
+	}
+	// build starts at tap 0 and feed 334, and every draw steps both
+	// back by one.
+	back := int(st.Draws % rngLen)
+	r := &register{tap: (rngLen - back) % rngLen, feed: (2*rngLen - rngTap - back) % rngLen}
+	copy(r.vec[:], st.Register)
+	s.n, s.reg = st.Draws, r
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -117,7 +118,7 @@ func TestSourceReadState(t *testing.T) {
 			a, b := make([]byte, n), make([]byte, n)
 			fast.Read(a)
 			readBytewise(&ref, b)
-			if !bytes.Equal(a, b) || fast.State() != ref.State() {
+			if !bytes.Equal(a, b) || !reflect.DeepEqual(fast.State(), ref.State()) {
 				t.Fatalf("seed %d, step %d: Read wrote %x, state %+v; bytewise %x, %+v",
 					seed, step, a, fast.State(), b, ref.State())
 			}
@@ -166,11 +167,14 @@ func TestSourceSeed(t *testing.T) {
 
 // TestSourceRestore moves sources to positions on both sides of the
 // lazy phase — by Skip on a fresh source, and by Restore on one that
-// has already drawn past the target — and requires each to continue
+// has already drawn past the target, both from the captured State
+// (whose register, from draw 274 on, is copied back) and from the
+// State without its register (reseeded and replayed, as a state saved
+// before registers were captured is) — and requires each to continue
 // exactly as the uninterrupted stream does, Read carry included.
 func TestSourceRestore(t *testing.T) {
 	const seed = 12345
-	for _, pos := range []uint64{0, 272, 273, 274, 1e5} {
+	for _, pos := range []uint64{0, 272, 273, 274, 606, 1e5} {
 		whole := NewSource(seed)
 		whole.Skip(pos)
 		if pos > 0 {
@@ -178,6 +182,9 @@ func TestSourceRestore(t *testing.T) {
 			whole.Read(make([]byte, 3))
 		}
 		st := whole.State()
+		if (st.Register != nil) != (st.Draws > rngTap) {
+			t.Fatalf("state at draw %d: register of %d words", st.Draws, len(st.Register))
+		}
 		want := make([]byte, 300)
 		whole.Read(want)
 		wantInt := whole.Intn(1000)
@@ -186,37 +193,83 @@ func TestSourceRestore(t *testing.T) {
 		skipped.Skip(st.Draws)
 		skipped.readVal, skipped.readPos = st.ReadVal, st.ReadPos
 
-		restored := NewSource(seed)
+		restored, replayed := NewSource(seed), NewSource(seed)
 		restored.Skip(pos + 700)
+		replayed.Skip(pos + 700)
 		if err := restored.Restore(st); err != nil {
 			t.Fatal(err)
 		}
-		for name, s := range map[string]*Source{"Skip": &skipped, "Restore": &restored} {
+		legacy := st
+		legacy.Register = nil
+		if err := replayed.Restore(legacy); err != nil {
+			t.Fatal(err)
+		}
+		for name, s := range map[string]*Source{"Skip": &skipped, "Restore": &restored, "Restore without register": &replayed} {
 			got := make([]byte, 300)
 			s.Read(got)
 			if !bytes.Equal(got, want) || s.Intn(1000) != wantInt {
-				t.Errorf("%s to draw %d: stream diverged from the uninterrupted one", name, pos)
+				t.Errorf("%s to draw %d: stream diverged from the uninterrupted one", name, st.Draws)
 			}
 		}
 	}
 }
 
-// TestSourceRestoreRejectsCarry: a carry no Read leaves behind is an
-// error, not a stream that emits stale bytes.
+// TestSourceRestoreRegister: a state with a register restores from its
+// words without replaying the draws behind it. The words a stream holds
+// after m draws, restored at 2⁴⁰ draws with 2⁴⁰ ≡ m (mod 607) — so the
+// tap and feed positions agree — must continue as that stream does
+// after draw m, Read carry included. Replaying 2⁴⁰ draws would take
+// hours.
+func TestSourceRestoreRegister(t *testing.T) {
+	const far = 1 << 40
+	m := uint64(rngLen + far%rngLen)
+	ref := NewSource(99)
+	ref.Skip(m - 1)
+	ref.Read(make([]byte, 5)) // draw m, leaving 2 bytes in the carry
+	st := ref.State()
+	st.Draws = far
+	s := NewSource(99)
+	if err := s.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		a, b := make([]byte, i%40), make([]byte, i%40)
+		s.Read(a)
+		ref.Read(b)
+		if !bytes.Equal(a, b) || s.Uint64() != ref.Uint64() {
+			t.Fatalf("step %d after restoring at draw 2⁴⁰: stream diverged from the words' stream", i)
+		}
+	}
+	if got, want := s.State().Draws, far+ref.State().Draws-m; got != want {
+		t.Errorf("restored stream at draw %d, want %d", got, want)
+	}
+}
+
+// TestSourceRestoreRejectsCarry: a carry no Read leaves behind, a
+// register of the wrong length and a register at a draw count that
+// has none are errors, not a stream that emits stale bytes.
 func TestSourceRestoreRejectsCarry(t *testing.T) {
 	for _, st := range []State{
 		{Draws: 10, ReadPos: -1},
 		{Draws: 10, ReadPos: 7},
 		{Draws: 10, ReadVal: 1 << 16, ReadPos: 1},
 		{Draws: 10, ReadVal: 1 << 8, ReadPos: 0},
+		{Draws: 1000, Register: make([]int64, rngLen-1)},
+		{Draws: rngTap, Register: make([]int64, rngLen)},
 	} {
 		s := NewSource(1)
 		if err := s.Restore(st); err == nil {
-			t.Errorf("Restore(%+v) accepted an unreachable carry", st)
+			t.Errorf("Restore(%d draws, carry %#x/%d, %d-word register) accepted an unreachable state",
+				st.Draws, st.ReadVal, st.ReadPos, len(st.Register))
 		}
 	}
-	s := NewSource(1)
-	if err := s.Restore(State{Draws: 10, ReadVal: 0xffff, ReadPos: 1}); err != nil {
-		t.Errorf("Restore rejected a reachable carry: %v", err)
+	for _, st := range []State{
+		{Draws: 10, ReadVal: 0xffff, ReadPos: 1},
+		{Draws: rngTap + 1, Register: make([]int64, rngLen)},
+	} {
+		s := NewSource(1)
+		if err := s.Restore(st); err != nil {
+			t.Errorf("Restore rejected a reachable state: %v", err)
+		}
 	}
 }

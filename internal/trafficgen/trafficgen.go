@@ -73,8 +73,8 @@ var curlSites = []target{{"www.wikipedia.org", 443}, {"example.com", 80}, {"gfw.
 
 // Generator produces first flights deterministically from a seed.
 type Generator struct {
-	// rng's stream position — draw count plus Read's leftover —
-	// serializes into RNGState for engine snapshots.
+	// rng's stream state — draw count, Read's leftover and register —
+	// serializes for engine snapshots (CaptureRNG, RestoreRNG).
 	rng seedfork.Source
 	// scratch receives the random ClientHello bytes whose draws
 	// plaintextLen makes but whose values it discards.
@@ -86,20 +86,13 @@ func New(seed int64) *Generator {
 	return &Generator{rng: seedfork.NewSource(seed)}
 }
 
-// RNGState is the generator's serializable stream position.
-type RNGState struct {
-	Draws   uint64
-	ReadVal uint64
-	ReadPos int8
-}
+// CaptureRNG returns a copy of the generator's stream state.
+func (g *Generator) CaptureRNG() seedfork.State { return g.rng.State() }
 
-// CaptureRNG returns the generator's current stream position.
-func (g *Generator) CaptureRNG() RNGState { return RNGState(g.rng.State()) }
-
-// RestoreRNG moves the generator to a captured stream position by
-// reseeding and fast-forwarding. It fails on a Read carry no run
-// leaves behind.
-func (g *Generator) RestoreRNG(st RNGState) error { return g.rng.Restore(seedfork.State(st)) }
+// RestoreRNG moves the generator to a captured stream state, copying
+// its register back (see seedfork.Source.Restore). It fails on a state
+// no run leaves behind.
+func (g *Generator) RestoreRNG(st seedfork.State) error { return g.rng.Restore(st) }
 
 // pick draws the target a client visits under the workload.
 func (g *Generator) pick(w Workload) target {
