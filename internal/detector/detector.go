@@ -25,6 +25,12 @@
 // the chain shares across its stages, which also memoizes the Shannon
 // entropy of the first payload so at most one entropy pass happens per
 // flow no matter how many stages consult it.
+//
+// The censor judges a flow with Bound, in which the Shadowsocks stage
+// answers an entropy-free upper bound on its confidence, and Decide,
+// which measures the entropy only for a coin landing under that bound.
+// The fully-encrypted stage's verdict is an entropy threshold, so it
+// measures in either pass.
 package detector
 
 import (
@@ -65,9 +71,9 @@ func (v Verdict) String() string {
 	}
 }
 
-// Result is a stage's verdict plus, for Suspect, the probability in
-// (0, 1] that the censor acts on the flow (records it for replay-based
-// active probing). The zero Result is Pass.
+// Result is a stage's verdict plus, for Suspect, the positive probability
+// that the censor acts on the flow (records it for replay probing; 1 or
+// more means always). The zero Result is Pass.
 type Result struct {
 	Verdict    Verdict
 	Confidence float64
@@ -83,7 +89,8 @@ type Stage interface {
 	Name() string
 	// Observe judges one flow. sc is the chain's shared scratch; use
 	// sc.Entropy() instead of computing Shannon entropy directly so the
-	// pass is shared between stages.
+	// pass is shared between stages. In a bound pass (Chain.Bound) a
+	// stage may overstate its confidence to avoid work, never its verdict.
 	Observe(f *netsim.Flow, sc *Scratch) Result
 }
 
@@ -108,17 +115,20 @@ func (p Params) withDefaults() Params {
 
 // Scratch is the per-flow working state a chain shares across its
 // stages. One Scratch lives inside each Chain and is reset per flow, so
-// stage evaluation allocates nothing.
+// stage evaluation allocates nothing. The entropy is measured on first
+// use and kept for the flow, the exact pass after a bound pass included.
 type Scratch struct {
 	payload []byte
 	ent     float64
 	entOK   bool
+	bound   bool // a bound pass: confidences may be upper bounds
 }
 
 // reset points the scratch at a new flow's first payload.
-func (sc *Scratch) reset(payload []byte) {
+func (sc *Scratch) reset(payload []byte, bound bool) {
 	sc.payload = payload
 	sc.entOK = false
+	sc.bound = bound
 }
 
 // Entropy returns the per-byte Shannon entropy of the flow's first
@@ -256,7 +266,41 @@ func (c *Chain) Len() int { return len(c.stages) }
 //
 //sslab:hotpath
 func (c *Chain) Observe(f *netsim.Flow) (int, Result) {
-	c.scratch.reset(f.FirstPayload)
+	c.scratch.reset(f.FirstPayload, false)
+	return c.combine(f)
+}
+
+// Bound is Observe for a caller that acts on a Suspect flow with the
+// confidence as probability: stages may overstate their confidence to
+// avoid work (the Shadowsocks stage skips the entropy pass), so the
+// verdict is Observe's and the confidence at least Observe's.
+//
+//sslab:hotpath
+func (c *Chain) Bound(f *netsim.Flow) Result {
+	c.scratch.reset(f.FirstPayload, true)
+	_, res := c.combine(f)
+	return res
+}
+
+// Decide reports whether the draw u lands under Observe's confidence for
+// f, which Bound just judged Suspect at bound, and if so Observe's
+// winner. Only a draw under the bound runs the exact pass, on the same
+// scratch, so an entropy the bound pass measured is not measured again.
+//
+//sslab:hotpath
+func (c *Chain) Decide(f *netsim.Flow, bound Result, u float64) (int, bool) {
+	if u >= bound.Confidence {
+		return -1, false
+	}
+	c.scratch.bound = false
+	i, res := c.combine(f)
+	return i, u < res.Confidence
+}
+
+// combine runs the stages and reduces their verdicts as Observe does.
+//
+//sslab:hotpath
+func (c *Chain) combine(f *netsim.Flow) (int, Result) {
 	best := Result{}
 	bestIdx := -1
 	for i, st := range c.stages {

@@ -1,6 +1,7 @@
 package detector
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -56,7 +57,7 @@ func TestShadowsocksStageConfidence(t *testing.T) {
 	gen := entropy.NewGenerator(3)
 	payload := gen.Random(409) // 409%16==9: top length weight
 	var sc Scratch
-	sc.reset(payload)
+	sc.reset(payload, false)
 	st := factories[StageShadowsocks](Params{Base: 0.04}).(*ssStage)
 	res := st.Observe(&netsim.Flow{FirstPayload: payload}, &sc)
 	if res.Verdict != Suspect {
@@ -68,7 +69,7 @@ func TestShadowsocksStageConfidence(t *testing.T) {
 	}
 
 	// Out-of-support lengths pass without touching the entropy scratch.
-	sc.reset(payload[:80])
+	sc.reset(payload[:80], false)
 	if res := st.Observe(&netsim.Flow{FirstPayload: payload[:80]}, &sc); res.Verdict != Pass {
 		t.Errorf("80-byte payload verdict = %v, want pass", res.Verdict)
 	}
@@ -280,13 +281,16 @@ func TestChainWinnerAttribution(t *testing.T) {
 	}
 }
 
-// TestChainObserveAllocs pins the hot path at zero allocations.
+// TestChainObserveAllocs pins the hot path at zero allocations: Observe,
+// and the censor's bound pass followed by Decide with a draw of 0, which
+// lands under every positive bound and so runs the exact pass too.
 func TestChainObserveAllocs(t *testing.T) {
 	c := MustChain([]string{StageShadowsocks, StageOpenVPN, StageFullyEncrypted}, Params{})
 	gen := entropy.NewGenerator(6)
 	payloads := [][]byte{
 		gen.Random(409),
 		gen.Random(700),
+		gen.Payload(265, 3),
 		buildReset(rand.New(rand.NewSource(7)), true),
 		[]byte("GET / HTTP/1.1\r\n\r\n"),
 	}
@@ -299,4 +303,160 @@ func TestChainObserveAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("Chain.Observe allocates %.1f per op, want 0", n)
 	}
+	if n := testing.AllocsPerRun(200, func() {
+		f.FirstPayload = payloads[i%len(payloads)]
+		i++
+		if b := c.Bound(f); b.Verdict == Suspect {
+			c.Decide(f, b, 0)
+		}
+	}); n != 0 {
+		t.Errorf("Chain.Bound then Decide allocates %.1f per op, want 0", n)
+	}
+}
+
+// --- bound pass ----------------------------------------------------------
+
+// boundChains are the chain shapes the bound-pass properties run over:
+// the Shadowsocks stage alone, behind the TLS veto, beside the OpenVPN
+// and fully-encrypted stages, and all four.
+var boundChains = [][]string{
+	{StageShadowsocks},
+	{StageTLSExempt, StageShadowsocks},
+	{StageShadowsocks, StageOpenVPN, StageFullyEncrypted},
+	{StageTLSExempt, StageShadowsocks, StageOpenVPN, StageFullyEncrypted},
+}
+
+// checkBound asserts the bound-pass contract on one flow, with ref (a
+// chain of the same stages and Params) as the Observe reference: c's
+// bound pass keeps Observe's verdict and never lowers its confidence;
+// the exact pass right after it (as Decide runs it) returns Observe's
+// winner and result; and Decide answers u < Observe's confidence,
+// naming Observe's winner, for draws just below, at and just above both
+// the exact confidence and the bound. It reports whether the bound
+// exceeded the exact confidence.
+func checkBound(t testing.TB, c, ref *Chain, f *netsim.Flow) bool {
+	t.Helper()
+	wantIdx, want := ref.Observe(f)
+	bound := c.Bound(f)
+	if bound.Verdict != want.Verdict || !(bound.Confidence >= want.Confidence) {
+		t.Fatalf("chain %v, %d-byte payload: bound pass %+v, Observe %+v", c.names, len(f.FirstPayload), bound, want)
+	}
+	c.scratch.bound = false
+	if i, res := c.combine(f); i != wantIdx || res != want {
+		t.Fatalf("chain %v, %d-byte payload: exact pass (%d, %+v), Observe (%d, %+v)",
+			c.names, len(f.FirstPayload), i, res, wantIdx, want)
+	}
+	if want.Verdict == Suspect {
+		for _, v := range []float64{want.Confidence, bound.Confidence} {
+			for _, u := range []float64{math.Nextafter(v, 0), v, math.Nextafter(v, 2)} {
+				c.Bound(f)
+				i, ok := c.Decide(f, bound, u)
+				if ok != (u < want.Confidence) || ok && i != wantIdx {
+					t.Fatalf("chain %v, %d-byte payload, draw %v: Decide (%d, %v), Observe (%d, %+v)",
+						c.names, len(f.FirstPayload), u, i, ok, wantIdx, want)
+				}
+			}
+		}
+	}
+	return bound.Confidence > want.Confidence
+}
+
+// TestChainBoundMatchesObserve runs checkBound over the chain corpus
+// plus payloads of every length to 1,200 bytes and entropy to 8 bits
+// per byte, for each bound chain under the default Params, a base of 1,
+// the smallest positive base (whose bound underflows, so the stage must
+// compute) and either feature ablated.
+func TestChainBoundMatchesObserve(t *testing.T) {
+	payloads := corpus(t)
+	gen := entropy.NewGenerator(23)
+	for i := 0; i < 1500; i++ {
+		payloads = append(payloads, gen.Payload(gen.Intn(1201), 8*gen.Float64()))
+	}
+	for _, p := range []Params{{}, {Base: 1}, {Base: math.SmallestNonzeroFloat64}, {DisableLength: true}, {DisableEntropy: true}} {
+		for _, names := range boundChains {
+			c, ref := MustChain(names, p), MustChain(names, p)
+			bounded := 0
+			for _, payload := range payloads {
+				if checkBound(t, c, ref, &netsim.Flow{FirstPayload: payload}) {
+					bounded++
+				}
+			}
+			// The bound is strict for every in-support payload under
+			// 7.2 bits per byte unless the entropy is not needed
+			// (DisableEntropy) or the bound product underflows.
+			if strict := !p.DisableEntropy && p.Base != math.SmallestNonzeroFloat64; strict != (bounded > 0) {
+				t.Errorf("%+v, chain %v: %d bounds above the exact confidence", p, names, bounded)
+			}
+		}
+	}
+}
+
+// TestBoundPassSkipsEntropy: on the Shadowsocks chain the bound pass
+// leaves an in-support payload's entropy unmeasured, a draw at or above
+// the bound keeps it so, and only a draw under the bound measures it.
+// A bound that would underflow measures it in the bound pass, and the
+// DisableEntropy ablation never does. An entropy the bound pass measured
+// for the fully-encrypted stage's verdict is not measured again.
+func TestBoundPassSkipsEntropy(t *testing.T) {
+	f := &netsim.Flow{FirstPayload: entropy.NewGenerator(8).Payload(265, 4)} // 265%16 == 9
+	c := MustChain([]string{StageShadowsocks}, Params{})
+	b := c.Bound(f)
+	if want := 0.04 * lengthWeight(265); b != (Result{Verdict: Suspect, Confidence: want}) {
+		t.Fatalf("bound pass %+v, want suspect at base × length weight %v", b, want)
+	}
+	if c.scratch.entOK {
+		t.Fatal("bound pass measured the entropy")
+	}
+	if _, ok := c.Decide(f, b, b.Confidence); ok || c.scratch.entOK {
+		t.Fatalf("a draw at the bound recorded (%v) or measured the entropy (%v)", ok, c.scratch.entOK)
+	}
+	c.Bound(f)
+	c.Decide(f, b, math.Nextafter(b.Confidence, 0))
+	if !c.scratch.entOK {
+		t.Fatal("a draw under the bound decided without the entropy")
+	}
+
+	tiny := MustChain([]string{StageShadowsocks}, Params{Base: math.SmallestNonzeroFloat64})
+	tiny.Bound(f)
+	if !tiny.scratch.entOK {
+		t.Error("an underflowing bound was taken without measuring the entropy")
+	}
+	flat := MustChain([]string{StageShadowsocks}, Params{DisableEntropy: true})
+	flat.Decide(f, flat.Bound(f), 0)
+	if flat.scratch.entOK {
+		t.Error("the DisableEntropy ablation measured the entropy")
+	}
+
+	two := MustChain([]string{StageShadowsocks, StageFullyEncrypted}, Params{})
+	f = &netsim.Flow{FirstPayload: entropy.NewGenerator(8).Random(409)}
+	b = two.Bound(f)
+	if !two.scratch.entOK {
+		t.Fatal("the fully-encrypted verdict was judged without the entropy")
+	}
+	two.scratch.ent = -1 // a second measurement would overwrite it
+	two.Decide(f, b, 0)
+	if two.scratch.ent != -1 {
+		t.Error("the exact pass measured the entropy again")
+	}
+}
+
+// FuzzChainBound runs checkBound over arbitrary payloads, any finite
+// non-negative Base, and every bound chain with either ablation (the
+// low two bits of shape pick the chain, bits 2 and 3 the ablations).
+func FuzzChainBound(f *testing.F) {
+	gen := entropy.NewGenerator(29)
+	f.Add([]byte{}, 0.0, uint8(0))
+	f.Add(gen.Random(409), 0.04, uint8(0))
+	f.Add(gen.Payload(265, 3), 1.0, uint8(1))
+	f.Add(gen.Random(700), math.SmallestNonzeroFloat64, uint8(2))
+	f.Add(gen.Payload(402, 7), 0.3, uint8(3|4))
+	f.Add(gen.Payload(169, 5), 0.04, uint8(2|8))
+	f.Fuzz(func(t *testing.T, payload []byte, base float64, shape uint8) {
+		if !(base >= 0) || math.IsInf(base, 1) {
+			t.Skip("Base must be finite and non-negative")
+		}
+		names := boundChains[shape%4]
+		p := Params{Base: base, DisableLength: shape&4 != 0, DisableEntropy: shape&8 != 0}
+		checkBound(t, MustChain(names, p), MustChain(names, p), &netsim.Flow{FirstPayload: payload})
+	})
 }

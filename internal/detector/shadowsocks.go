@@ -93,8 +93,8 @@ type ssStage struct {
 // Name implements Stage.
 func (s *ssStage) Name() string { return StageShadowsocks }
 
-// Observe returns Suspect with the probability that the detector
-// records this first payload for replay probing as confidence.
+// Observe returns Suspect with the recording probability (in a bound
+// pass, its upper bound base × length weight) as confidence.
 //
 //sslab:hotpath
 func (s *ssStage) Observe(f *netsim.Flow, sc *Scratch) Result {
@@ -115,6 +115,12 @@ func (s *ssStage) Observe(f *netsim.Flow, sc *Scratch) Result {
 	}
 	ew := 0.6 // the DisableEntropy ablation's flat factor
 	if !s.ignoreEntropy {
+		// A bound pass answers base·lw ≥ (base·lw)·ew (ew ≤ 1) unmeasured
+		// while base·lw·ew(0) > 0 keeps the exact verdict Suspect (ew is
+		// non-decreasing, H ≥ 0); an underflowing product computes.
+		if b := s.base * lw; sc.bound && !sc.entOK && b*entropyWeight(0) > 0 {
+			return Result{Verdict: Suspect, Confidence: b}
+		}
 		ew = entropyWeight(sc.Entropy())
 	}
 	p := s.base * lw * ew

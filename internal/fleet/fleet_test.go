@@ -5,6 +5,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"sslab/internal/gfw"
+	"sslab/internal/region"
 )
 
 // smallCfg is a population small enough for unit tests but big enough
@@ -195,6 +198,13 @@ func TestFleetConfigValidation(t *testing.T) {
 		{"censor Sensitivity above 1", func(c *Config) { c.GFW.Sensitivity = 2 }, "Sensitivity"},
 		{"negative censor BlockTTLHours", func(c *Config) { c.GFW.BlockTTLHours = -3 }, "BlockTTLHours"},
 		{"nonzero censor VerdictCache", func(c *Config) { c.GFW.VerdictCache = 64 }, "VerdictCache"},
+		{"NaN censor ReplayBase", func(c *Config) { c.GFW.ReplayBase = nan }, "ReplayBase"},
+		{"negative regional ReplayBase", func(c *Config) {
+			c.Regions = &region.Topology{Regions: []region.Region{
+				{Name: "coast", Weight: 1},
+				{Name: "inland", Weight: 1, GFW: &gfw.Config{ReplayBase: -1}},
+			}}
+		}, "ReplayBase"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := smallCfg(1)

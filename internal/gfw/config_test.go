@@ -46,6 +46,42 @@ func TestConfigValidateSensitivity(t *testing.T) {
 	}
 }
 
+// TestConfigValidateReplayBase: the recording base scales a probability
+// and Validate accepts it only finite and non-negative. A negative base
+// records nothing, and NaN or +Inf records every flow in the length
+// support; each is rejected with an error naming the field. 0 still
+// selects the default, and the smallest positive base stays valid even
+// though its confidences underflow to 0 almost everywhere.
+func TestConfigValidateReplayBase(t *testing.T) {
+	ok := []float64{0, math.SmallestNonzeroFloat64, 0.04, 1, 3, 1e9, math.MaxFloat64}
+	rng := rand.New(rand.NewSource(62))
+	for i := 0; i < 200; i++ {
+		ok = append(ok, rng.ExpFloat64())
+	}
+	for _, b := range ok {
+		if err := (Config{ReplayBase: b}.withDefaults()).Validate(); err != nil {
+			t.Fatalf("ReplayBase %v rejected: %v", b, err)
+		}
+	}
+	if b := (Config{}.withDefaults()).ReplayBase; b != 0.04 {
+		t.Fatalf("zero ReplayBase defaults to %v, want 0.04", b)
+	}
+
+	bad := []float64{-1, -math.SmallestNonzeroFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	for i := 0; i < 200; i++ {
+		bad = append(bad, -rng.ExpFloat64())
+	}
+	for _, b := range bad {
+		err := (Config{ReplayBase: b}.withDefaults()).Validate()
+		if err == nil {
+			t.Fatalf("ReplayBase %v accepted", b)
+		}
+		if !strings.Contains(err.Error(), "ReplayBase") {
+			t.Fatalf("error %q does not name the field", err)
+		}
+	}
+}
+
 // TestConfigValidateTTL: block-TTL knobs reject negatives and NaN; the
 // zero values mean "default" and always validate.
 func TestConfigValidateTTL(t *testing.T) {

@@ -35,8 +35,8 @@ type Config struct {
 	// which yields ≈12,300 distinct addresses over a four-month
 	// experiment as in §3.3).
 	PoolSize int
-	// ReplayBase scales the passive detector's recording rate
-	// (default 0.04, calibrated to Exp 1.a's replay-to-trigger ratio).
+	// ReplayBase scales the passive detector's recording rate (finite,
+	// >= 0; default 0.04, calibrated to Exp 1.a's replay-to-trigger ratio).
 	ReplayBase float64
 	// BlockThreshold is the fingerprint-evidence score at which a server
 	// becomes a blocking candidate (default 10). Blocking additionally
@@ -148,12 +148,16 @@ func (c Config) withDefaults() Config {
 // depends on. Sensitivity is a probability: values outside [0, 1]
 // (or NaN) would silently saturate the blocking coin flip — a negative
 // value behaves exactly like 0 and anything above 1 exactly like 1 —
-// so misconfigurations hide instead of failing. New panics on an
-// invalid Config; callers assembling configs from user input should
-// call Validate first and surface the error.
+// so misconfigurations hide instead of failing; so would a negative
+// ReplayBase (records nothing) or a NaN or +Inf one (records every
+// in-support flow). New panics on an invalid Config; callers assembling
+// configs from user input should call Validate first and surface it.
 func (c Config) Validate() error {
 	if math.IsNaN(c.Sensitivity) || c.Sensitivity < 0 || c.Sensitivity > 1 {
 		return fmt.Errorf("gfw: Sensitivity must be in [0, 1], got %v", c.Sensitivity)
+	}
+	if c.ReplayBase < 0 || math.IsNaN(c.ReplayBase) || math.IsInf(c.ReplayBase, 1) {
+		return fmt.Errorf("gfw: ReplayBase must be finite and non-negative, got %v", c.ReplayBase)
 	}
 	if c.BlockTTLHours < 0 || math.IsNaN(c.BlockTTLHours) {
 		return fmt.Errorf("gfw: BlockTTLHours must be non-negative, got %v", c.BlockTTLHours)
@@ -522,13 +526,18 @@ func (g *GFW) OnFlow(f *netsim.Flow) {
 	// The detector chain judges the flow: an Exempt verdict (e.g. the
 	// tlsexempt whitelist stage) or an all-Pass chain — the common case
 	// for unremarkable traffic — needs no coin flip; a Suspect verdict's
-	// confidence is the recording probability.
+	// confidence is the recording probability, which Decide computes
+	// only for a draw under Bound's entropy-free upper bound on it.
 	// A schedule-paused censor keeps watching (profiles keep filling,
 	// verdicts are still computed) but records nothing and sends no
-	// probes; the gate sits before the recording coin flip so an
-	// unpaused run's RNG stream is untouched.
-	winner, res := g.chain.Observe(f)
-	if g.paused || res.Verdict != detector.Suspect || g.rng.Float64() >= res.Confidence {
+	// probes; the gate sits before the coin flip, so an unpaused run's
+	// RNG stream is untouched.
+	bound := g.chain.Bound(f)
+	if g.paused || bound.Verdict != detector.Suspect {
+		return
+	}
+	winner, ok := g.chain.Decide(f, bound, g.rng.Float64())
+	if !ok {
 		return
 	}
 
