@@ -534,7 +534,8 @@ func Run(cfg Config, opts ...Option) (*Report, error) {
 // normalized silently. Zero still selects a field's default. A negative
 // size or interval would otherwise panic while planning, or schedule
 // the next wake-up or sample in the past, where the clamp to now stops
-// virtual time for good.
+// virtual time for good; so would an interval too long for a
+// time.Duration, which wraps, often to a negative one.
 func validate(cfg Config) error {
 	if cfg.Shards < 0 {
 		return fmt.Errorf("fleet: negative shard count %d", cfg.Shards)
@@ -545,9 +546,6 @@ func validate(cfg Config) error {
 	}{
 		{"Users", cfg.Users},
 		{"UsersPerServer", cfg.UsersPerServer},
-		{"Hours", cfg.Hours},
-		{"ReplaceAfterMin", cfg.ReplaceAfterMin},
-		{"BucketMin", cfg.BucketMin},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("fleet: negative %s %d", f.name, f.v)
@@ -555,6 +553,24 @@ func validate(cfg Config) error {
 	}
 	if r := cfg.PeakFlowsPerHour; !(r >= 0) || math.IsInf(r, 1) {
 		return fmt.Errorf("fleet: PeakFlowsPerHour %v is negative, NaN or infinite", r)
+	}
+	// Spans that become time.Duration values: the run length, the
+	// operator's patience, the series bucket and a user's mean gap
+	// between wake-ups at the peak rate.
+	d := cfg.withDefaults()
+	for _, f := range []struct {
+		name string
+		v    float64
+		unit time.Duration
+	}{
+		{"Hours", float64(d.Hours), time.Hour},
+		{"ReplaceAfterMin", float64(d.ReplaceAfterMin), time.Minute},
+		{"BucketMin", float64(d.BucketMin), time.Minute},
+		{"1/PeakFlowsPerHour", 1 / d.PeakFlowsPerHour, time.Hour},
+	} {
+		if err := netsim.CheckSpan(f.name, f.v, f.unit); err != nil {
+			return fmt.Errorf("fleet: %w", err)
+		}
 	}
 	for _, f := range []struct {
 		name string

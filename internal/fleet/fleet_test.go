@@ -189,6 +189,20 @@ func TestFleetConfigValidation(t *testing.T) {
 		{"infinite PeakFlowsPerHour", func(c *Config) { c.PeakFlowsPerHour = math.Inf(1) }, "PeakFlowsPerHour"},
 		{"negative ReplaceAfterMin", func(c *Config) { c.ReplaceAfterMin = -5 }, "ReplaceAfterMin"},
 		{"negative BucketMin", func(c *Config) { c.BucketMin = -15 }, "BucketMin"},
+		// Spans past the 2,562,047 h a time.Duration holds wrap; a
+		// wrapped BucketMin of 200,000,000 re-armed the sample at the
+		// current instant for ever.
+		{"Hours past a time.Duration", func(c *Config) { c.Hours = 2_562_048 }, "Hours"},
+		{"ReplaceAfterMin past a time.Duration", func(c *Config) { c.ReplaceAfterMin = 153_722_821 }, "ReplaceAfterMin"},
+		{"BucketMin past a time.Duration", func(c *Config) { c.Users, c.Hours, c.BucketMin = 100, 2, 200_000_000 }, "BucketMin"},
+		{"PeakFlowsPerHour with a mean gap past a time.Duration", func(c *Config) { c.PeakFlowsPerHour = 1e-7 }, "PeakFlowsPerHour"},
+		{"censor BlockTTLHours +Inf", func(c *Config) { c.GFW.BlockTTLHours = math.Inf(1) }, "BlockTTLHours"},
+		{"censor BlockTTLJitterHours NaN", func(c *Config) { c.GFW.BlockTTLJitterHours = nan }, "BlockTTLJitterHours"},
+		{"regional schedule past a time.Duration", func(c *Config) {
+			c.Regions = &region.Topology{Regions: []region.Region{
+				{Name: "coast", Weight: 1, Schedule: region.Schedule{{AtHours: 3e6, Kind: region.KindPause}}},
+			}}
+		}, "AtHours"},
 		{"ActivityFloor above 1", func(c *Config) { c.ActivityFloor = 2 }, "ActivityFloor"},
 		{"negative ActivityFloor", func(c *Config) { c.ActivityFloor = -0.5 }, "ActivityFloor"},
 		{"NaN ActivityFloor", func(c *Config) { c.ActivityFloor = nan }, "ActivityFloor"},

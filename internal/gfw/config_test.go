@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"sslab/internal/netsim"
 )
@@ -82,18 +83,42 @@ func TestConfigValidateReplayBase(t *testing.T) {
 	}
 }
 
-// TestConfigValidateTTL: block-TTL knobs reject negatives and NaN; the
-// zero values mean "default" and always validate.
+// TestConfigValidateTTL: Validate rejects a negative or NaN TTL, and a
+// block that can last past the 2,562,047 h a time.Duration holds
+// (BlockTTLHours plus BlockTTLJitterHours, defaults applied) or a NaN or
+// +Inf jitter, with an error naming the field; such a TTL used to wrap
+// to about −292 years, so every block lifted the moment it was made.
+// The zero values mean "default" and always validate, and a negative
+// jitter is the jitter-free setting, at the bound too, where a block
+// lasts exactly its TTL.
 func TestConfigValidateTTL(t *testing.T) {
-	if err := (Config{}.withDefaults()).Validate(); err != nil {
-		t.Fatalf("zero config rejected: %v", err)
+	for _, cfg := range []Config{
+		{},
+		Config{}.withDefaults(),
+		{BlockTTLHours: 2_562_047, BlockTTLJitterHours: -1},
+		{BlockTTLHours: 2_562_047, BlockTTLJitterHours: math.Inf(-1)},
+		{BlockTTLHours: 2_561_879}, // jitter defaults to 168 h
+		{BlockTTLHours: 2_562_000, BlockTTLJitterHours: 47},
+		{BlockTTLJitterHours: 2_561_879}, // TTL defaults to 168 h
+	} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("config %+v rejected: %v", cfg, err)
+		}
 	}
 	for _, cfg := range []Config{
 		{BlockTTLHours: -1},
 		{BlockTTLHours: math.NaN()},
+		{BlockTTLHours: math.Inf(1)},
+		{BlockTTLHours: 3e6},
+		{BlockTTLHours: 2_562_048, BlockTTLJitterHours: -1},
+		{BlockTTLHours: 2_561_880},
+		{BlockTTLHours: 2_562_000, BlockTTLJitterHours: 48},
+		{BlockTTLJitterHours: 2_561_880},
+		{BlockTTLJitterHours: math.NaN()},
+		{BlockTTLJitterHours: math.Inf(1)},
 	} {
-		if err := cfg.withDefaults().Validate(); err == nil {
-			t.Fatalf("config %+v accepted", cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "BlockTTL") {
+			t.Errorf("config %+v: error %v, want one naming the field", cfg, err)
 		}
 	}
 	// Negative jitter is a pre-defaults sentinel for "no jitter": it
@@ -105,20 +130,31 @@ func TestConfigValidateTTL(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("no-jitter sentinel rejected: %v", err)
 	}
+
+	sim := netsim.NewSim()
+	g := New(Env{Sim: sim, Net: netsim.NewNetwork(sim)},
+		WithConfig(Config{Sensitivity: 1, BlockTTLHours: 2_562_047, BlockTTLJitterHours: -1}))
+	g.maybeBlock(netsim.Endpoint{IP: "178.62.0.7", Port: 8388}, &serverState{stage: 1, dataResponses: 2, fpScore: 10})
+	if ev := g.BlockEvents; len(ev) != 1 || ev[0].Until.Sub(ev[0].Time) != 2_562_047*time.Hour {
+		t.Errorf("block events %+v, want one lasting 2,562,047 h", ev)
+	}
 }
 
 // TestNewPanicsOnInvalid: New is the construction chokepoint — an
-// out-of-domain sensitivity must fail loudly there, not silently
-// misbehave thousands of virtual hours later.
+// out-of-domain sensitivity or block TTL must fail loudly there, not
+// silently misbehave thousands of virtual hours later.
 func TestNewPanicsOnInvalid(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New accepted Sensitivity 2")
-		}
-	}()
-	sim := netsim.NewSim()
-	net := netsim.NewNetwork(sim)
-	New(Env{Sim: sim, Net: net}, WithConfig(Config{Sensitivity: 2}))
+	for _, cfg := range []Config{{Sensitivity: 2}, {BlockTTLHours: math.Inf(1)}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New accepted %+v", cfg)
+				}
+			}()
+			sim := netsim.NewSim()
+			New(Env{Sim: sim, Net: netsim.NewNetwork(sim)}, WithConfig(cfg))
+		}()
+	}
 }
 
 // TestBlockTTLKnobDefaults: the configurable TTL reproduces the

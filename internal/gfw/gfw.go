@@ -75,19 +75,6 @@ type Config struct {
 	// detector.ValidateNames before construction (New panics on unknown
 	// stage names).
 	Detectors []string `json:"Detectors,omitempty"`
-	// ProbeAttempts is how many times a prober re-sends a probe whose
-	// connection the network dropped (netsim.Outcome.Dropped — only
-	// possible over impaired links), default 3. Each retry draws a fresh
-	// pool source and re-sends the same payload after ProbeTimeout.
-	ProbeAttempts int `json:"ProbeAttempts,omitzero"`
-	// Timeouts bounds the prober's patience. Handshake is how long a
-	// prober waits for the server's reaction before recording a timeout
-	// (default 10s — the sub-10s prober patience the paper contrasts
-	// with server-side 60s defaults); it is also the spacing between
-	// probe retries. Reactions are reclassified to timeouts only when an
-	// impaired link delays them past this budget, so ideal-link runs are
-	// unaffected.
-	Timeouts netsim.Timeouts `json:"Timeouts,omitzero"`
 	// NoProbeLog disables the packet-level capture log of outgoing
 	// probes. Population-scale fleet runs emit hundreds of thousands of
 	// probes whose per-record fingerprints nothing reads; the aggregate
@@ -127,12 +114,6 @@ func (c Config) withDefaults() Config {
 	if c.MinDataResponses == 0 {
 		c.MinDataResponses = 2
 	}
-	if c.ProbeAttempts == 0 {
-		c.ProbeAttempts = 3
-	}
-	if c.Timeouts.Handshake == 0 {
-		c.Timeouts.Handshake = 10 * time.Second
-	}
 	if c.BlockTTLHours == 0 {
 		c.BlockTTLHours = 168
 	}
@@ -145,13 +126,16 @@ func (c Config) withDefaults() Config {
 }
 
 // Validate checks the configuration fields whose domains the model
-// depends on. Sensitivity is a probability: values outside [0, 1]
-// (or NaN) would silently saturate the blocking coin flip — a negative
-// value behaves exactly like 0 and anything above 1 exactly like 1 —
-// so misconfigurations hide instead of failing; so would a negative
+// depends on, as written: zero fields stand for their defaults.
+// Sensitivity is a probability: values outside [0, 1] (or NaN) would
+// silently saturate the blocking coin flip — a negative value behaves
+// exactly like 0 and anything above 1 exactly like 1 — so
+// misconfigurations hide instead of failing; so would a negative
 // ReplayBase (records nothing) or a NaN or +Inf one (records every
-// in-support flow). New panics on an invalid Config; callers assembling
-// configs from user input should call Validate first and surface it.
+// in-support flow), or a block TTL whose hours, jitter included, wrap
+// a time.Duration (every block lifts the moment it is made). New panics
+// on an invalid Config; callers assembling configs from user input
+// should call Validate first and surface it.
 func (c Config) Validate() error {
 	if math.IsNaN(c.Sensitivity) || c.Sensitivity < 0 || c.Sensitivity > 1 {
 		return fmt.Errorf("gfw: Sensitivity must be in [0, 1], got %v", c.Sensitivity)
@@ -161,6 +145,10 @@ func (c Config) Validate() error {
 	}
 	if c.BlockTTLHours < 0 || math.IsNaN(c.BlockTTLHours) {
 		return fmt.Errorf("gfw: BlockTTLHours must be non-negative, got %v", c.BlockTTLHours)
+	}
+	d := c.withDefaults()
+	if err := netsim.CheckSpan("BlockTTLHours plus BlockTTLJitterHours", d.BlockTTLHours+d.BlockTTLJitterHours, time.Hour); err != nil {
+		return fmt.Errorf("gfw: %w", err)
 	}
 	if c.VerdictCache != 0 {
 		return fmt.Errorf("gfw: VerdictCache must be 0 (the verdict cache was removed), got %d", c.VerdictCache)
@@ -220,13 +208,6 @@ type GFW struct {
 	// recording), but each entry is a few words, not a probing state.
 	profiles map[netsim.Endpoint]*lenProfile
 
-	// slab backs recorded payload copies: recordings reference capped
-	// sub-slices of large chunks instead of one heap allocation per
-	// payload, keeping the recording branch of OnFlow nearly
-	// allocation-free. Outstanding sub-slices stay valid when a new
-	// chunk replaces a full one (the old backing array lives on).
-	slab []byte
-
 	// taskFree recycles the argument structs of scheduled censor tasks
 	// (see task).
 	taskFree []*task
@@ -237,7 +218,6 @@ type GFW struct {
 	mRecorded      *metrics.Counter
 	mProbes        *metrics.Counter
 	mBlocks        *metrics.Counter
-	mSlabBytes     *metrics.Gauge
 	mProbeDrops    *metrics.Counter
 	mProbeRetries  *metrics.Counter
 	mProbeTimeouts *metrics.Counter
@@ -266,8 +246,7 @@ type serverState struct {
 	// blockGen counts blocks of this server; the scheduled unblock only
 	// clears state belonging to its own generation, so a re-block that
 	// lands before a pending unblock fires is not cleared early.
-	blockGen     uint64
-	recordedPays [][]byte // payloads recorded from this server's flows
+	blockGen uint64
 }
 
 // ssLikeFrac is the calibrated NR1 discriminator threshold: the fraction
@@ -363,10 +342,10 @@ func New(env Env, opts ...Option) *GFW {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	cfg = cfg.withDefaults()
 	sim, net := env.Sim, env.Net
 	//sslab:allow-seedfork historical +1 offset is baked into the zero-impairment goldens and EXPERIMENTS.md; changing the pool stream would invalidate every pinned report
 	poolRng := seedfork.NewSource(cfg.Seed + 1)
@@ -394,7 +373,6 @@ func New(env Env, opts ...Option) *GFW {
 		mRecorded:      sim.Metrics.Counter("gfw.payloads_recorded"),
 		mProbes:        sim.Metrics.Counter("gfw.probes_sent"),
 		mBlocks:        sim.Metrics.Counter("gfw.block_events"),
-		mSlabBytes:     sim.Metrics.Gauge("gfw.recording_slab_bytes"),
 		mProbeDrops:    sim.Metrics.Counter("gfw.probe_drops"),
 		mProbeRetries:  sim.Metrics.Counter("gfw.probe_retries"),
 		mProbeTimeouts: sim.Metrics.Counter("gfw.probe_timeouts"),
@@ -403,26 +381,6 @@ func New(env Env, opts ...Option) *GFW {
 		g.mStageRec[i] = sim.Metrics.Counter("gfw.recorded." + name)
 	}
 	return g
-}
-
-// slabChunk is the recording slab's chunk size. Payloads are at most
-// ~1500 bytes, so one chunk amortizes hundreds of recordings.
-const slabChunk = 64 * 1024
-
-// slabCopy copies p into the recording slab and returns a capped
-// sub-slice (appends to the slab can never write through it).
-func (g *GFW) slabCopy(p []byte) []byte {
-	if len(g.slab)+len(p) > cap(g.slab) {
-		n := slabChunk
-		if len(p) > n {
-			n = len(p)
-		}
-		g.slab = make([]byte, 0, n)
-		g.mSlabBytes.Add(int64(n))
-	}
-	start := len(g.slab)
-	g.slab = append(g.slab, p...)
-	return g.slab[start:len(g.slab):len(g.slab)]
 }
 
 // state returns (materializing on first use) the per-suspect probing
@@ -464,16 +422,6 @@ func (g *GFW) Stage(server netsim.Endpoint) int {
 		return s.stage
 	}
 	return 0
-}
-
-// RecordedPayloads returns copies of the payloads recorded from flows to
-// the given server (the ground truth for replay classification).
-func (g *GFW) RecordedPayloads(server netsim.Endpoint) [][]byte {
-	s, ok := g.servers[server]
-	if !ok {
-		return nil
-	}
-	return s.recordedPays
 }
 
 // DetectorNames returns the canonical detector chain, in evaluation
@@ -542,17 +490,16 @@ func (g *GFW) OnFlow(f *netsim.Flow) {
 	}
 
 	// Record the payload and schedule a batch of probes derived from it.
-	// The recording and its probe tasks are off the hot path (a few per
-	// thousand flows); the payload bytes come from the shared slab, and
-	// this is the first point at which the server's probing state — and
-	// its servers-map entry — comes into existence.
-	s := g.state(f.Server)
+	// This is the first point at which the server's probing state — and
+	// its servers-map entry — comes into existence. The recording is one
+	// copy of the flight, held only by its probe tasks, so it is freed
+	// once the last of them has run.
+	g.state(f.Server)
 	g.PayloadsRecorded++
 	g.mRecorded.Inc()
 	g.stageRecs[winner]++
 	g.mStageRec[winner].Inc()
-	payload := g.slabCopy(f.FirstPayload)
-	s.recordedPays = append(s.recordedPays, payload) //sslab:allow-hotpath cold branch: a few recordings per thousand flows, and the ground-truth list must grow
+	payload := append([]byte(nil), f.FirstPayload...) //sslab:allow-hotpath recorded flows only (at seed 7, 4 in 1,000 on fleet-ss, 127 in 1,000 on fleet-armsrace-lossy); the copy must outlive the arena-backed flow until its last probe runs
 
 	at := g.sim.Now()
 	n := sampleRepeatCount(&g.rng)
@@ -719,6 +666,18 @@ func (g *GFW) sendProbe(server netsim.Endpoint, rec []byte, recAt time.Time) {
 	}
 }
 
+// The prober sends a probe whose connection the network dropped
+// (netsim.Outcome.Dropped) at most probeAttempts times in all, each
+// retry proberPatience after the last, and books a reaction that arrives
+// later than proberPatience as a timeout. 10 s bounds the sub-10 s
+// prober patience the paper contrasts with servers' 60 s defaults. Only
+// impaired links drop or delay a probe, so ideal-link runs never reach
+// either limit.
+const (
+	probeAttempts  = 3
+	proberPatience = 10 * time.Second
+)
+
 // emit sends transmission number attempt of one probe and books its
 // outcome. A payload byte-identical to its recording (replayed) goes out
 // through Network.Replay, so the server learns that from the flow.
@@ -761,10 +720,10 @@ func (g *GFW) emit(server netsim.Endpoint, s *serverState, typ probe.Type, paylo
 	if outcome.Dropped {
 		g.ProbeDrops++
 		g.mProbeDrops.Inc()
-		if attempt < g.cfg.ProbeAttempts {
+		if attempt < probeAttempts {
 			g.ProbeRetries++
 			g.mProbeRetries.Inc()
-			g.sim.AfterCall(g.cfg.Timeouts.Handshake, runProbeTask, g.newTask(TaskState{
+			g.sim.AfterCall(proberPatience, runProbeTask, g.newTask(TaskState{
 				Kind: kindRetry, Server: server, Payload: payload, Typ: int(typ), ReplayOf: replayOf, Attempt: attempt + 1, Replayed: replayed,
 			}))
 		}
@@ -773,7 +732,7 @@ func (g *GFW) emit(server netsim.Endpoint, s *serverState, typ probe.Type, paylo
 	// A reaction that an impaired link delivered past the prober's
 	// patience was never observed: the prober had already recorded a
 	// timeout and moved on.
-	if outcome.Elapsed > g.cfg.Timeouts.Handshake {
+	if outcome.Elapsed > proberPatience {
 		g.ProbeTimeouts++
 		g.mProbeTimeouts.Inc()
 		outcome.Reaction = reaction.Timeout

@@ -3,6 +3,7 @@ package gfw
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -180,8 +181,9 @@ func TestPoolFingerprints(t *testing.T) {
 // --- full pipeline ---------------------------------------------------------
 
 // runCampaign drives count trigger connections at 5-second intervals from
-// one client to one server and returns the GFW after the sim drains.
-func runCampaign(t *testing.T, host netsim.Host, count int, cfg Config) (*GFW, *netsim.Network, netsim.Endpoint) {
+// one client to one server and returns the GFW after the sim drains,
+// with every first packet the client sent.
+func runCampaign(t *testing.T, host netsim.Host, count int, cfg Config) (*GFW, [][]byte, netsim.Endpoint) {
 	t.Helper()
 	sim := netsim.NewSim()
 	net := netsim.NewNetwork(sim)
@@ -193,20 +195,20 @@ func runCampaign(t *testing.T, host netsim.Host, count int, cfg Config) (*GFW, *
 	net.AddHost(server, host)
 
 	gen := entropy.NewGenerator(seedfork.Fork(cfg.Seed, "gfwtest.traffic"))
-	sent := 0
+	var sent [][]byte
 	var tick func()
 	tick = func() {
-		if sent >= count {
+		if len(sent) >= count {
 			return
 		}
-		sent++
 		payload := gen.Random(1 + gen.Intn(1000))
+		sent = append(sent, payload)
 		net.Connect(client, server, payload, false, time.Time{})
 		sim.After(5*time.Second, tick)
 	}
 	sim.After(0, tick)
 	sim.Run()
-	return g, net, server
+	return g, sent, server
 }
 
 var sinkHost = netsim.HostFunc(func(f *netsim.Flow) netsim.Outcome {
@@ -408,24 +410,26 @@ func TestBlockingModule(t *testing.T) {
 }
 
 // TestOfflineClassificationMatchesGroundTruth validates the full analysis
-// pipeline: classifying captured probe payloads against the recorded
-// legitimate first packets (what the paper's offline analysis did) must
-// recover the generator's ground-truth types. The same campaign checks
-// the identical-replay mark the censor puts on the flow: the server sees
-// it on exactly the probes whose payload equals a recording — every R1
-// and no NR probe — as it does on a replay whose mutation offsets lie
-// past the end of a short recording, and on the retry of a dropped R1.
+// pipeline: classifying captured probe payloads against every legitimate
+// first packet the client sent (what the paper's offline analysis did:
+// it could not know which of them the censor recorded) must recover the
+// generator's ground-truth types. The same campaign checks the
+// identical-replay mark the censor puts on the flow: the server sees it
+// on exactly the probes whose payload equals a legitimate first packet
+// — every R1 and no NR probe — as it does on a replay whose mutation
+// offsets lie past the end of a short recording, and on the retry of a
+// dropped R1.
 func TestOfflineClassificationMatchesGroundTruth(t *testing.T) {
 	host := &markHost{}
-	g, _, server := runCampaign(t, host, 60000, Config{Seed: 12})
-	legit := g.RecordedPayloads(server)
-	if len(legit) == 0 {
+	g, sent, server := runCampaign(t, host, 60000, Config{Seed: 12})
+	if g.PayloadsRecorded == 0 {
 		t.Fatal("no recordings")
 	}
+	legit := indexByLen(sent...)
 	mismatches := 0
 	for i := range g.Log.Records {
 		rec := &g.Log.Records[i]
-		got := probe.Classify(rec.Payload, legit)
+		got := probe.Classify(rec.Payload, legit[len(rec.Payload)])
 		if got != rec.Type {
 			mismatches++
 			if mismatches <= 3 {
@@ -434,9 +438,11 @@ func TestOfflineClassificationMatchesGroundTruth(t *testing.T) {
 			}
 		}
 	}
-	// NR2 payloads can collide with a 221-byte recording and rare R
-	// mutations can alias each other; anything beyond a sliver means the
-	// classifier or the generator drifted.
+	// NR2 payloads can collide with a 221-byte legitimate packet and
+	// rare R mutations can alias each other; anything beyond a sliver
+	// means the classifier or the generator drifted.
+	t.Logf("%d probes classified against %d legitimate first packets (%d recorded): %d mismatches",
+		g.Log.Len(), len(sent), g.PayloadsRecorded, mismatches)
 	if frac := float64(mismatches) / float64(g.Log.Len()); frac > 0.01 {
 		t.Errorf("classification mismatch rate %.3f (%d of %d)", frac, mismatches, g.Log.Len())
 	}
@@ -460,7 +466,7 @@ func TestOfflineClassificationMatchesGroundTruth(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		g.sendProbe(server, short, netsim.Epoch)
 	}
-	marked = host.check(t, "short recording", g, [][]byte{short})
+	marked = host.check(t, "short recording", g, indexByLen(short))
 	if marked[probe.R4] == 0 || marked[probe.R2]+marked[probe.R3] != 0 {
 		t.Errorf("short recording: marked %v, want R4 and neither R2 nor R3", marked)
 	}
@@ -491,7 +497,7 @@ func TestOfflineClassificationMatchesGroundTruth(t *testing.T) {
 			retriedR1++
 		}
 	}
-	host.check(t, "retries", nil, [][]byte{rec})
+	host.check(t, "retries", nil, indexByLen(rec))
 	if retriedR1 == 0 {
 		t.Error("outage: no R1 retry reached the server")
 	}
@@ -515,20 +521,29 @@ func (h *markHost) HandleFlow(f *netsim.Flow) netsim.Outcome {
 	return respondingHost(f)
 }
 
+// byLen indexes payloads by length, keeping their order, so a probe is
+// compared only with the payloads it could equal or mutate.
+type byLen map[int][][]byte
+
+func indexByLen(payloads ...[]byte) byLen {
+	ix := byLen{}
+	for _, p := range payloads {
+		ix[len(p)] = append(ix[len(p)], p)
+	}
+	return ix
+}
+
 // check requires the mark on exactly the probes whose payload equals
-// one of recs. With g, whose capture log must list the probes the host
+// one of legit. With g, whose capture log must list the probes the host
 // saw in order, it returns the marked probes' counts by type.
-func (h *markHost) check(t *testing.T, label string, g *GFW, recs [][]byte) map[probe.Type]int {
+func (h *markHost) check(t *testing.T, label string, g *GFW, legit byLen) map[probe.Type]int {
 	t.Helper()
 	if g != nil && g.Log.Len() != len(h.probes) {
 		t.Fatalf("%s: host saw %d probes, censor logged %d", label, len(h.probes), g.Log.Len())
 	}
 	marked := map[probe.Type]int{}
 	for i, p := range h.probes {
-		identical := false
-		for _, r := range recs {
-			identical = identical || bytes.Equal(p.payload, r)
-		}
+		identical := slices.ContainsFunc(legit[len(p.payload)], func(r []byte) bool { return bytes.Equal(p.payload, r) })
 		if p.replayed != identical {
 			t.Errorf("%s: probe %d (%d bytes) marked %v, identical to a recording %v", label, i, len(p.payload), p.replayed, identical)
 		}

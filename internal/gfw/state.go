@@ -20,7 +20,10 @@ import (
 // TaskState, which the engine snapshot layer captures through
 // EncodeTask and re-arms through ScheduleTask.
 
-// ServerSnap is one suspect's serialized probing state.
+// ServerSnap is one suspect's serialized probing state. Version-1 and
+// version-2 snapshots also carry a RecordedPays field, the censor's
+// former per-server list of recordings, that gob skips, so no new field
+// may take that name.
 type ServerSnap struct {
 	EP            netsim.Endpoint
 	Stage         int
@@ -28,7 +31,6 @@ type ServerSnap struct {
 	FPScore       float64
 	Blocked       bool
 	BlockGen      uint64
-	RecordedPays  [][]byte
 }
 
 // ProfileSnap is one server's serialized first-packet length profile.
@@ -113,7 +115,6 @@ func (g *GFW) CaptureState() State {
 			FPScore:       s.fpScore,
 			Blocked:       s.blocked,
 			BlockGen:      s.blockGen,
-			RecordedPays:  s.recordedPays,
 		})
 	}
 	sort.Slice(st.Servers, func(i, j int) bool { return lessEndpoint(st.Servers[i].EP, st.Servers[j].EP) })
@@ -168,7 +169,6 @@ func (g *GFW) RestoreState(st State) error {
 			fpScore:       s.FPScore,
 			blocked:       s.Blocked,
 			blockGen:      s.BlockGen,
-			recordedPays:  s.RecordedPays,
 		}
 	}
 	g.profiles = make(map[netsim.Endpoint]*lenProfile, len(st.Profiles))

@@ -55,6 +55,23 @@ func nanos(t time.Time) int64 {
 // timeOf converts an int64 clock reading back to a time.Time.
 func timeOf(n int64) time.Time { return Epoch.Add(time.Duration(n)) }
 
+// maxSpanHours is the longest span, in whole hours, that a
+// time.Duration holds: math.MaxInt64 ns is 2,562,047.79 h.
+const maxSpanHours = math.MaxInt64 / int64(time.Hour)
+
+// CheckSpan returns an error naming field unless v, a configured span
+// counted in units of unit (time.Hour or time.Minute), is non-negative
+// and at most 2,562,047 h. Configurations turn their spans into
+// time.Duration values, which wrap silently past that: a wrapped block
+// TTL lifts each block the moment it is made, and a wrapped interval
+// re-arms its timer at the current instant for ever.
+func CheckSpan(field string, v float64, unit time.Duration) error {
+	if !(v >= 0 && v <= float64(maxSpanHours*int64(time.Hour/unit))) {
+		return fmt.Errorf("%s %v is negative, NaN or longer than the %d h a time.Duration holds", field, v, maxSpanHours)
+	}
+	return nil
+}
+
 // event is one scheduled callback, call(arg). At and After store their
 // closure as arg behind the callFunc trampoline, so there is one event
 // form and one dispatch path.
@@ -502,7 +519,7 @@ func (n *Network) IsBlocked(ep Endpoint) bool {
 //
 // The *Flow handed to middleboxes and the host lives in a network-owned
 // arena and is valid only until Connect returns: anything retained must
-// be copied (the censor slab-copies recorded payloads). A Host or
+// be copied (the censor copies each payload it records). A Host or
 // Middlebox may call Connect from its callback; the nested flow gets its
 // own arena slot, and the caller's Flow is unchanged when the nested call
 // returns.

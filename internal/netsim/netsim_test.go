@@ -1,8 +1,10 @@
 package netsim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -361,6 +363,45 @@ func TestSimMetrics(t *testing.T) {
 	for name, w := range want {
 		if got[name] != w {
 			t.Errorf("%s = %d, want %d", name, got[name], w)
+		}
+	}
+}
+
+// TestCheckSpan: a configured span is accepted from 0 up to the
+// 2,562,047 whole hours a time.Duration holds, counted in hours or in
+// minutes, and rejected past that, negative, NaN or infinite, with an
+// error naming the field. The largest accepted span converts without
+// wrapping.
+func TestCheckSpan(t *testing.T) {
+	for _, tc := range []struct {
+		v    float64
+		unit time.Duration
+		ok   bool
+	}{
+		{0, time.Hour, true},
+		{168, time.Hour, true},
+		{2_562_047, time.Hour, true},
+		{2_562_047.5, time.Hour, false},
+		{2_562_048, time.Hour, false},
+		{3e6, time.Hour, false},
+		{153_722_820, time.Minute, true},
+		{153_722_821, time.Minute, false},
+		{200_000_000, time.Minute, false},
+		{-1, time.Hour, false},
+		{-math.SmallestNonzeroFloat64, time.Minute, false},
+		{math.Inf(1), time.Hour, false},
+		{math.Inf(-1), time.Minute, false},
+		{math.NaN(), time.Hour, false},
+	} {
+		err := CheckSpan("Span", tc.v, tc.unit)
+		if (err == nil) != tc.ok {
+			t.Errorf("CheckSpan(%v %v) = %v, want accepted %v", tc.v, tc.unit, err, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "Span") {
+			t.Errorf("error %q does not name the field", err)
+		}
+		if err == nil && time.Duration(tc.v*float64(tc.unit)) < 0 {
+			t.Errorf("accepted span %v %v wraps to %v", tc.v, tc.unit, time.Duration(tc.v*float64(tc.unit)))
 		}
 	}
 }

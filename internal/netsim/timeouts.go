@@ -2,18 +2,16 @@ package netsim
 
 import "time"
 
-// Timeouts is the shared connection-patience configuration honoured by
-// both the real-socket endpoints (internal/ssclient, internal/ssserver)
-// and the simulated prober path (internal/gfw): one struct, one set of
-// defaults, instead of per-package hard-coded constants. Zero fields
-// select the defaults via WithDefaults.
+// Timeouts is the connection-patience configuration of the real-socket
+// endpoints (internal/ssclient, internal/ssserver): one struct, one set
+// of defaults. Zero fields select the defaults via WithDefaults. The
+// simulated prober (internal/gfw) keeps its own fixed 10 s patience.
 type Timeouts struct {
-	// Connect bounds connection establishment (TCP connect for real
-	// sockets; the prober's SYN budget in the simulator).
+	// Connect bounds TCP connection establishment: the client's dial and
+	// the server's dial to the proxied target.
 	Connect time.Duration
 	// Handshake bounds the first protocol exchange: how long a server
-	// waits for protocol data, and how long a prober waits for the
-	// server's reaction before recording a timeout.
+	// waits for protocol data.
 	Handshake time.Duration
 	// Idle bounds relay inactivity; zero means relays wait forever
 	// (the historical behaviour).

@@ -57,12 +57,18 @@ func TestTopologyValidate(t *testing.T) {
 	}
 }
 
+// TestScheduleValidate: besides order, kinds and value domains, an
+// event time, and a block-ttl event's TTL plus jitter, must fit the
+// 2,562,047 h a time.Duration holds; past it the event would fire at a
+// wrapped time or lift each block the moment it is made.
 func TestScheduleValidate(t *testing.T) {
 	good := Schedule{
 		{AtHours: 0, Kind: KindPause},
 		{AtHours: 0, Kind: KindResume}, // ties are legal, applied in order
 		{AtHours: 5.5, Kind: KindSensitivity, Value: 1},
 		{AtHours: 5.5, Kind: KindBlockTTL, Value: 0, JitterHours: 0},
+		{AtHours: 6, Kind: KindBlockTTL, Value: 2_562_000, JitterHours: 47},
+		{AtHours: 2_562_047, Kind: KindPause},
 	}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid schedule rejected: %v", err)
@@ -81,6 +87,12 @@ func TestScheduleValidate(t *testing.T) {
 		{{AtHours: 1, Kind: KindSensitivity, Value: -0.5}},
 		{{AtHours: 1, Kind: KindBlockTTL, Value: -3}},
 		{{AtHours: 1, Kind: KindBlockTTL, Value: 3, JitterHours: -1}},
+		{{AtHours: 2_562_048, Kind: KindPause}},
+		{{AtHours: 3e6, Kind: KindResume}},
+		{{AtHours: 1, Kind: KindBlockTTL, Value: 3e6}},
+		{{AtHours: 1, Kind: KindBlockTTL, Value: math.Inf(1)}},
+		{{AtHours: 1, Kind: KindBlockTTL, Value: 2_562_000, JitterHours: 48}},
+		{{AtHours: 1, Kind: KindBlockTTL, Value: 3, JitterHours: math.Inf(1)}},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {

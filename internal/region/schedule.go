@@ -3,6 +3,9 @@ package region
 import (
 	"fmt"
 	"math"
+	"time"
+
+	"sslab/internal/netsim"
 )
 
 // Event kinds a Schedule may contain.
@@ -42,14 +45,15 @@ type Event struct {
 type Schedule []Event
 
 // Validate checks the schedule: events sorted by time (ties allowed —
-// they apply in declaration order), non-negative finite times, known
-// kinds, and in-domain values (sensitivity in [0, 1], TTL and jitter
-// non-negative).
+// they apply in declaration order), non-negative times that fit a
+// time.Duration, known kinds, and in-domain values (sensitivity in
+// [0, 1], TTL and jitter non-negative, their sum a span that fits a
+// time.Duration).
 func (s Schedule) Validate() error {
 	prev := math.Inf(-1)
 	for i, e := range s {
-		if math.IsNaN(e.AtHours) || e.AtHours < 0 || math.IsInf(e.AtHours, 0) {
-			return fmt.Errorf("schedule event %d: AtHours must be non-negative and finite, got %v", i, e.AtHours)
+		if err := netsim.CheckSpan("AtHours", e.AtHours, time.Hour); err != nil {
+			return fmt.Errorf("schedule event %d: %w", i, err)
 		}
 		if e.AtHours < prev {
 			return fmt.Errorf("schedule event %d: AtHours %v precedes event %d (%v); events must be sorted", i, e.AtHours, i-1, prev)
@@ -66,6 +70,9 @@ func (s Schedule) Validate() error {
 			}
 			if math.IsNaN(e.JitterHours) || e.JitterHours < 0 {
 				return fmt.Errorf("schedule event %d: jitter hours must be non-negative, got %v", i, e.JitterHours)
+			}
+			if err := netsim.CheckSpan("block TTL plus jitter hours", e.Value+e.JitterHours, time.Hour); err != nil {
+				return fmt.Errorf("schedule event %d: %w", i, err)
 			}
 		case KindPause, KindResume:
 			// no value
