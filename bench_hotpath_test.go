@@ -239,18 +239,16 @@ func benchDetectorChain(b *testing.B, names []string) {
 }
 
 // benchImpairedConnect drives Connect down the impaired path: every
-// directed link carries latency, jitter, i.i.d. loss with retries, and
-// occasional reordering. Arrival times are computed, not scheduled, so
-// the budget in BENCH_impair.json holds this path to the same standard
-// as the ideal one: no per-flow allocations.
+// directed link carries latency, jitter and i.i.d. loss with retries.
+// Arrival times are computed, not scheduled, so the budget in
+// BENCH_impair.json holds this path to the same standard as the ideal
+// one: no per-flow allocations.
 func benchImpairedConnect(b *testing.B) {
 	sim := netsim.NewSim(netsim.WithSeed(5))
 	network := netsim.NewNetwork(sim, netsim.WithDefaultLink(netsim.LinkProfile{
-		LatencyBase:   30 * time.Millisecond,
-		Jitter:        10 * time.Millisecond,
-		Loss:          0.01,
-		ReorderProb:   0.01,
-		ReorderWindow: 20 * time.Millisecond,
+		LatencyBase: 30 * time.Millisecond,
+		Jitter:      10 * time.Millisecond,
+		Loss:        0.01,
 	}))
 	server := netsim.Endpoint{IP: "178.62.10.1", Port: 8388}
 	client := netsim.Endpoint{IP: "150.109.20.2", Port: 40001}

@@ -70,7 +70,10 @@ func BlockingExperiment(cfg BlockingConfig) (*BlockingReport, error) {
 	cfg = cfg.withDefaults()
 	gcfg := cfg.GFW
 	gcfg.Sensitivity = cfg.Sensitivity
-	b := newTestbed(cfg.Seed, cfg.Impair, gcfg, "blocking.gfw")
+	b, err := newTestbed(cfg.Seed, cfg.Impair, gcfg, "blocking.gfw")
+	if err != nil {
+		return nil, err
+	}
 	g := b.gfw
 
 	type entry struct {

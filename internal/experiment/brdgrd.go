@@ -75,7 +75,10 @@ type BrdgrdReport struct {
 // brdgrd toggling, plus an identical control pair without brdgrd.
 func BrdgrdExperiment(cfg BrdgrdConfig) (*BrdgrdReport, error) {
 	cfg = cfg.withDefaults()
-	b := newTestbed(cfg.Seed, cfg.Impair, cfg.GFW, "brdgrd.gfw")
+	b, err := newTestbed(cfg.Seed, cfg.Impair, cfg.GFW, "brdgrd.gfw")
+	if err != nil {
+		return nil, err
+	}
 	g := b.gfw
 
 	spec, err := sscrypto.Lookup("aes-256-gcm")

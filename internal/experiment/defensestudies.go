@@ -47,7 +47,10 @@ func BanStudy(cfg BanStudyConfig) (*BanStudyReport, error) {
 	if cfg.Triggers == 0 {
 		cfg.Triggers = 300000
 	}
-	b := newTestbed(cfg.Seed, cfg.Impair, cfg.GFW, "banstudy.gfw")
+	b, err := newTestbed(cfg.Seed, cfg.Impair, cfg.GFW, "banstudy.gfw")
+	if err != nil {
+		return nil, err
+	}
 	g := b.gfw
 	server := netsim.Endpoint{IP: "178.62.60.1", Port: 443}
 	client := netsim.Endpoint{IP: "150.109.60.1", Port: 40000}
@@ -119,10 +122,13 @@ func MimicStudy(cfg MimicStudyConfig) (*MimicStudyReport, error) {
 	}
 	framing := defense.TLSRecordFraming{}
 
-	run := func(whitelist, framed bool, cell int64) int {
+	run := func(whitelist, framed bool, cell int64) (int, error) {
 		gcfg := cfg.GFW
 		gcfg.TLSWhitelist = whitelist
-		b := newTestbed(cfg.Seed, cfg.Impair, gcfg, "mimic.gfw", cell)
+		b, err := newTestbed(cfg.Seed, cfg.Impair, gcfg, "mimic.gfw", cell)
+		if err != nil {
+			return 0, err
+		}
 		server := netsim.Endpoint{IP: "178.62.61.1", Port: 443}
 		client := netsim.Endpoint{IP: "150.109.61.1", Port: 40000}
 		b.sink(server)
@@ -136,16 +142,17 @@ func MimicStudy(cfg MimicStudyConfig) (*MimicStudyReport, error) {
 			b.net.Connect(client, server, wire, false, time.Time{})
 		})
 		b.sim.Run()
-		return b.gfw.Log.Len()
+		return b.gfw.Log.Len(), nil
 	}
 
-	return &MimicStudyReport{
-		Config:     cfg,
-		PlainNoWL:  run(false, false, 1),
-		FramedNoWL: run(false, true, 2),
-		PlainWL:    run(true, false, 3),
-		FramedWL:   run(true, true, 4),
-	}, nil
+	// Cells 1–4: plain and framed, without and then with the whitelist.
+	report := &MimicStudyReport{Config: cfg}
+	for i, probes := range []*int{&report.PlainNoWL, &report.FramedNoWL, &report.PlainWL, &report.FramedWL} {
+		if *probes, err = run(i >= 2, i%2 == 1, int64(i+1)); err != nil {
+			return nil, err
+		}
+	}
+	return report, nil
 }
 
 // Render prints the four-cell comparison.

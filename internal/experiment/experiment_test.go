@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -340,6 +341,32 @@ func TestMimicStudy(t *testing.T) {
 	}
 	if out := r.Render(); !strings.Contains(out, "whitelist") {
 		t.Error("render incomplete")
+	}
+}
+
+// TestExperimentsRefuseInvalidImpair: a link profile outside its
+// domain, decoded from JSON as `sslab-sweep -set Impair.*` delivers it,
+// fails the run instead of running reinterpreted (a negative latency
+// would deliver payloads before they are sent, Loss 1.5 would run as 1,
+// a negative attempt count as 3). The testbed experiments and the
+// fleet ones check it in one place each.
+func TestExperimentsRefuseInvalidImpair(t *testing.T) {
+	for _, tc := range []struct {
+		experiment, impair, want string
+	}{
+		{"shadowsocks", `{"LatencyBase": -3600000000000}`, "LatencyBase"},
+		{"sink", `{"Loss": 1.5}`, "Loss"},
+		{"mimicstudy", `{"Loss": 0.1, "Retry": {"Attempts": -4}}`, "Retry.Attempts"},
+		{"armsrace", `{"Jitter": -1}`, "Jitter"},
+	} {
+		r, _ := Lookup(tc.experiment)
+		cfg := r.Config(1, false)
+		if err := json.Unmarshal([]byte(`{"Impair": `+tc.impair+`}`), cfg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Run(cfg, 1); err == nil || !strings.Contains(err.Error(), "Impair: "+tc.want) {
+			t.Errorf("%s with Impair %s: error = %v, want one naming Impair: %s", tc.experiment, tc.impair, err, tc.want)
+		}
 	}
 }
 

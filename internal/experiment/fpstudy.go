@@ -91,7 +91,10 @@ func FPStudy(cfg FPStudyConfig) (*FPStudyReport, error) {
 
 	report := &FPStudyReport{Config: cfg}
 	for i, c := range classes {
-		b := newTestbed(cfg.Seed, cfg.Impair, cfg.GFW, "fpstudy.gfw", int64(i))
+		b, err := newTestbed(cfg.Seed, cfg.Impair, cfg.GFW, "fpstudy.gfw", int64(i))
+		if err != nil {
+			return nil, err
+		}
 		server := netsim.Endpoint{IP: fmt.Sprintf("178.62.50.%d", i+1), Port: 443}
 		client := netsim.Endpoint{IP: fmt.Sprintf("150.109.50.%d", i+1), Port: 40000}
 		b.sink(server)

@@ -95,7 +95,10 @@ type ssPair struct {
 // virtual time under the GFW model.
 func ShadowsocksExperiment(cfg ShadowsocksConfig) (*ShadowsocksReport, error) {
 	cfg = cfg.withDefaults()
-	b := newTestbed(cfg.Seed, cfg.Impair, cfg.GFW, "shadowsocks.gfw")
+	b, err := newTestbed(cfg.Seed, cfg.Impair, cfg.GFW, "shadowsocks.gfw")
+	if err != nil {
+		return nil, err
+	}
 	g := b.gfw
 
 	// Five Shadowsocks-libev pairs (two old, three new, as in §3.1) plus

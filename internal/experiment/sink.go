@@ -83,7 +83,7 @@ func SinkExperiments(cfg SinkConfig) (*SinkReport, error) {
 	// --- Exp 1.a + 1.b: high entropy, sink for Hours, then responding. ---
 	switchAt := netsim.Epoch.Add(time.Duration(cfg.Hours) * time.Hour)
 	triggers1a := 0
-	b, triggers := runSink(cfg, "exp1", 1, switchAt.Add(time.Duration(cfg.Hours)/2*time.Hour),
+	b, triggers, err := runSink(cfg, "exp1", 1, switchAt.Add(time.Duration(cfg.Hours)/2*time.Hour),
 		func(host *ServerHost, gen *entropy.Generator) []byte {
 			if host.Sim.Now().Before(switchAt) {
 				triggers1a++
@@ -93,6 +93,9 @@ func SinkExperiments(cfg SinkConfig) (*SinkReport, error) {
 			}
 			return gen.Random(1 + gen.Intn(1000))
 		})
+	if err != nil {
+		return nil, err
+	}
 	g := b.gfw
 
 	// Partition probes by the switch time.
@@ -129,20 +132,26 @@ func SinkExperiments(cfg SinkConfig) (*SinkReport, error) {
 	report.transport = b.transport()
 
 	// --- Exp 2: low entropy (<2), sink. ---
-	b, triggers = runSink(cfg, "exp2", 2, switchAt, func(_ *ServerHost, gen *entropy.Generator) []byte {
+	b, triggers, err = runSink(cfg, "exp2", 2, switchAt, func(_ *ServerHost, gen *entropy.Generator) []byte {
 		return gen.Payload(1+gen.Intn(1000), 1.2)
 	})
+	if err != nil {
+		return nil, err
+	}
 	report.Rows = append(report.Rows, ExpRow{Name: "2", LenRange: [2]int{1, 1000}, Entropy: "<2", Mode: "sink",
 		Triggers: triggers, Probes: b.gfw.Log.Len(), TypeCounts: b.gfw.Log.TypeCounts()})
 
 	// --- Exp 3: entropy uniform in [0,8], lengths up to 2000. ---
 	triggerPerBin := make([]int, figure9Bins)
-	b, triggers = runSink(cfg, "exp3", 3, switchAt, func(_ *ServerHost, gen *entropy.Generator) []byte {
+	b, triggers, err = runSink(cfg, "exp3", 3, switchAt, func(_ *ServerHost, gen *entropy.Generator) []byte {
 		h := gen.Float64() * 8
 		p := gen.Payload(1+gen.Intn(2000), h)
 		triggerPerBin[entropyBin(entropy.Shannon(p))]++
 		return p
 	})
+	if err != nil {
+		return nil, err
+	}
 	report.Rows = append(report.Rows, ExpRow{Name: "3", LenRange: [2]int{1, 2000}, Entropy: "[0,8]", Mode: "sink",
 		Triggers: triggers, Probes: b.gfw.Log.Len(), TypeCounts: b.gfw.Log.TypeCounts()})
 	report.fillFigure9(b.gfw.Log, triggerPerBin)
@@ -163,8 +172,11 @@ func total(m map[probe.Type]int) int {
 // end, and returns the finished testbed with the number of triggers
 // sent. trigger builds each payload and keeps any per-trigger state.
 func runSink(cfg SinkConfig, variant string, n int, end time.Time,
-	trigger func(host *ServerHost, gen *entropy.Generator) []byte) (*testbed, int) {
-	b := newTestbed(cfg.Seed, cfg.Impair, cfg.GFW, "sink."+variant+".gfw")
+	trigger func(host *ServerHost, gen *entropy.Generator) []byte) (*testbed, int, error) {
+	b, err := newTestbed(cfg.Seed, cfg.Impair, cfg.GFW, "sink."+variant+".gfw")
+	if err != nil {
+		return nil, 0, err
+	}
 	server := netsim.Endpoint{IP: fmt.Sprintf("178.62.10.%d", n), Port: 443}
 	client := netsim.Endpoint{IP: fmt.Sprintf("150.109.10.%d", n), Port: 40000 + n - 1}
 	host := b.sink(server)
@@ -176,7 +188,7 @@ func runSink(cfg SinkConfig, variant string, n int, end time.Time,
 		b.net.Connect(client, server, trigger(host, gen), false, time.Time{})
 	})
 	b.sim.Run()
-	return b, triggers
+	return b, triggers, nil
 }
 
 // figure9Bins buckets entropies into unit-wide bins.

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"time"
 
 	"sslab/internal/gfw"
@@ -21,8 +22,12 @@ type testbed struct {
 }
 
 // newTestbed builds a vantage point whose censor runs gcfg with its
-// seed forked from (seed, label, idx...).
-func newTestbed(seed int64, impair *netsim.LinkProfile, gcfg gfw.Config, label string, idx ...int64) *testbed {
+// seed forked from (seed, label, idx...). It refuses an impairment
+// profile outside its domain.
+func newTestbed(seed int64, impair *netsim.LinkProfile, gcfg gfw.Config, label string, idx ...int64) (*testbed, error) {
+	if err := impair.Validate(); err != nil {
+		return nil, fmt.Errorf("Impair: %w", err)
+	}
 	sim := netsim.NewSim(netsim.WithSeed(seed))
 	var opts []netsim.NetworkOption
 	if impair != nil {
@@ -32,7 +37,7 @@ func newTestbed(seed int64, impair *netsim.LinkProfile, gcfg gfw.Config, label s
 	gcfg.Seed = seedfork.Fork(seed, label, idx...)
 	g := gfw.New(gfw.Env{Sim: sim, Net: net}, gfw.WithConfig(gcfg))
 	net.AddMiddlebox(g)
-	return &testbed{sim: sim, net: net, gfw: g}
+	return &testbed{sim: sim, net: net, gfw: g}, nil
 }
 
 // sink adds a §4.1 sink server at ep: it accepts every connection and

@@ -507,9 +507,20 @@ func (f *Fleet) sample() {
 	probes := f.gfw.ProbesSent
 	f.probeLoad = append(f.probeLoad, int64(probes-f.lastProbes))
 	f.lastProbes = probes
-	if next := f.sim.Now().Add(f.bucket); !next.After(f.end) {
-		f.sim.AtCall(next, runSample, f)
+	if now := f.sim.Now(); now.Before(f.end) {
+		f.armSample(now)
 	}
+}
+
+// armSample schedules the next sample one bucket after from, or at the
+// end of the run if that comes first: a run that ends inside a bucket
+// samples that partial bucket, as FlowsPerBucket counts its flows.
+func (f *Fleet) armSample(from time.Time) {
+	next := from.Add(f.bucket)
+	if next.After(f.end) {
+		next = f.end
+	}
+	f.sim.AtCall(next, runSample, f)
 }
 
 // Run executes one fleet experiment and reduces it to a Report. The
@@ -599,6 +610,9 @@ func validate(cfg Config) error {
 	}
 	if !positive {
 		return fmt.Errorf("fleet: mix has no positive weight")
+	}
+	if err := cfg.Impair.Validate(); err != nil {
+		return fmt.Errorf("fleet: Impair: %w", err)
 	}
 	if err := detector.ValidateNames(cfg.GFW.Detectors); err != nil {
 		return fmt.Errorf("fleet: %w", err)

@@ -5,8 +5,10 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"sslab/internal/gfw"
+	"sslab/internal/netsim"
 	"sslab/internal/region"
 )
 
@@ -219,6 +221,19 @@ func TestFleetConfigValidation(t *testing.T) {
 				{Name: "inland", Weight: 1, GFW: &gfw.Config{ReplayBase: -1}},
 			}}
 		}, "ReplayBase"},
+		// A link profile outside its domain would run reinterpreted: a
+		// negative latency delivers payloads before they are sent, Loss
+		// 1.5 runs as 1, and a negative attempt count as 3.
+		{"negative Impair.LatencyBase", func(c *Config) { c.Impair = &netsim.LinkProfile{LatencyBase: -time.Hour} }, "LatencyBase"},
+		{"negative Impair.Jitter", func(c *Config) { c.Impair = &netsim.LinkProfile{Jitter: -time.Millisecond} }, "Jitter"},
+		{"Impair.Loss above 1", func(c *Config) { c.Impair = &netsim.LinkProfile{Loss: 1.5} }, "Loss"},
+		{"NaN Impair.Loss", func(c *Config) { c.Impair = &netsim.LinkProfile{Loss: nan} }, "Loss"},
+		{"negative Impair.Retry.Attempts", func(c *Config) {
+			c.Impair = &netsim.LinkProfile{Loss: 0.1, Retry: netsim.RetryPolicy{Attempts: -4}}
+		}, "Retry.Attempts"},
+		{"negative Impair.Retry.Timeout", func(c *Config) {
+			c.Impair = &netsim.LinkProfile{Loss: 0.1, Retry: netsim.RetryPolicy{Timeout: -time.Second}}
+		}, "Retry.Timeout"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := smallCfg(1)

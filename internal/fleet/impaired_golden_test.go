@@ -40,13 +40,9 @@ func TestGoldenImpairedFleet(t *testing.T) {
 		},
 		GFW: gfw.Config{Detectors: []string{"shadowsocks", "openvpn", "fullyencrypted"}},
 		Impair: &netsim.LinkProfile{
-			LatencyBase:   80 * time.Millisecond,
-			Jitter:        40 * time.Millisecond,
-			GE:            netsim.GEParams{PGoodToBad: 0.02, PBadToGood: 0.3, LossGood: 0.005, LossBad: 0.5},
-			Duplicate:     0.01,
-			ReorderProb:   0.02,
-			ReorderWindow: 30 * time.Millisecond,
-			BandwidthBPS:  10e6,
+			LatencyBase: 80 * time.Millisecond,
+			Jitter:      40 * time.Millisecond,
+			Loss:        0.02,
 		},
 	}
 	rep := mustRun(t, cfg)

@@ -205,7 +205,7 @@ func buildUnit(cfg Config, plan runPlan, u unitSpec, restoring bool) *Fleet {
 	f.bindMetrics()
 	f.build(plan)
 	if !restoring {
-		sim.AtCall(netsim.Epoch.Add(f.bucket), runSample, f)
+		f.armSample(netsim.Epoch)
 		f.schedulePolicy()
 	}
 	return f

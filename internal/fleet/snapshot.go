@@ -127,8 +127,7 @@ type eventSnap struct {
 // does, at any shard count.
 //
 // Two documented refusals: impaired runs (per-link state — each link's
-// stream position, Gilbert–Elliott state and queue clocks — is not
-// captured yet) and engines that already reported (Report's reduction
+// stream position and FIFO floor — is not captured yet) and engines that already reported (Report's reduction
 // consumes pending block latencies, so the state is no longer the
 // mid-run state).
 func (e *Engine) Snapshot() ([]byte, error) {
@@ -136,7 +135,7 @@ func (e *Engine) Snapshot() ([]byte, error) {
 		return nil, fmt.Errorf("fleet: cannot snapshot after Report — the reduction already consumed pending state")
 	}
 	if e.cfg.Impair != nil {
-		return nil, fmt.Errorf("fleet: cannot snapshot an impaired run (per-link impairment state is not captured yet)")
+		return nil, fmt.Errorf("fleet: cannot snapshot an impaired run (each link's stream position and FIFO floor are not captured yet)")
 	}
 	snap := engineSnap{Config: e.cfg, Now: e.now, Units: make([]unitSnap, len(e.units))}
 	if err := e.each(func(i int) error {
@@ -233,13 +232,7 @@ func (f *Fleet) capture() (unitSnap, error) {
 	for ep, e := range f.epochs {
 		s.Epochs = append(s.Epochs, epochSnap{EP: ep, At: e.at, Srv: e.srv})
 	}
-	sort.Slice(s.Epochs, func(i, j int) bool {
-		a, b := s.Epochs[i].EP, s.Epochs[j].EP
-		if a.IP != b.IP {
-			return a.IP < b.IP
-		}
-		return a.Port < b.Port
-	})
+	sort.Slice(s.Epochs, func(i, j int) bool { return s.Epochs[i].EP.Less(s.Epochs[j].EP) })
 
 	for _, ev := range f.sim.PendingEvents() {
 		es := eventSnap{At: ev.At}

@@ -471,13 +471,13 @@ func TestOfflineClassificationMatchesGroundTruth(t *testing.T) {
 		t.Errorf("short recording: marked %v, want R4 and neither R2 nor R3", marked)
 	}
 
-	// A link that is down for the first second drops every probe sent
-	// at the epoch; each retry, 10 s later, arrives, and an R1 retry
-	// must still carry the mark.
-	sim := netsim.NewSim()
+	// A lossy link drops some probes sent at the epoch; their retries,
+	// 10 s and 20 s later, may arrive, and an R1 retry must still carry
+	// the mark.
+	sim := netsim.NewSim(netsim.WithSeed(12))
 	net := netsim.NewNetwork(sim, netsim.WithDefaultLink(netsim.LinkProfile{
-		Outages: []netsim.Outage{{End: time.Second}},
-		Retry:   netsim.RetryPolicy{Attempts: 1},
+		Loss:  0.3,
+		Retry: netsim.RetryPolicy{Attempts: 1},
 	}))
 	g = New(Env{Sim: sim, Net: net}, WithConfig(Config{Seed: 12}))
 	net.AddMiddlebox(g)
@@ -488,19 +488,20 @@ func TestOfflineClassificationMatchesGroundTruth(t *testing.T) {
 		g.sendProbe(server, rec, netsim.Epoch)
 	}
 	sim.Run()
-	if g.ProbeDrops < 20 || g.ProbeRetries < 20 {
-		t.Fatalf("outage: %d drops and %d retries, want every first transmission dropped and retried", g.ProbeDrops, g.ProbeRetries)
+	if g.ProbeDrops == 0 || g.ProbeRetries == 0 {
+		t.Fatalf("lossy link: %d drops and %d retries, want some of each", g.ProbeDrops, g.ProbeRetries)
 	}
 	retriedR1 := 0
 	for _, p := range host.probes {
-		if bytes.Equal(p.payload, rec) {
+		if bytes.Equal(p.payload, rec) && !p.at.Before(netsim.Epoch.Add(proberPatience)) {
 			retriedR1++
 		}
 	}
 	host.check(t, "retries", nil, indexByLen(rec))
 	if retriedR1 == 0 {
-		t.Error("outage: no R1 retry reached the server")
+		t.Error("lossy link: no R1 retry reached the server")
 	}
+	t.Logf("lossy link: %d drops, %d retries, %d R1 retries delivered", g.ProbeDrops, g.ProbeRetries, retriedR1)
 }
 
 // markHost answers every probe with data, like respondingHost, and keeps
@@ -512,11 +513,12 @@ type markHost struct {
 type markedProbe struct {
 	payload  []byte
 	replayed bool
+	at       time.Time
 }
 
 func (h *markHost) HandleFlow(f *netsim.Flow) netsim.Outcome {
 	if f.Probe {
-		h.probes = append(h.probes, markedProbe{append([]byte(nil), f.FirstPayload...), f.Replayed})
+		h.probes = append(h.probes, markedProbe{append([]byte(nil), f.FirstPayload...), f.Replayed, f.Start})
 	}
 	return respondingHost(f)
 }

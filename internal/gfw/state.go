@@ -76,13 +76,6 @@ type State struct {
 	Paused    bool
 }
 
-func lessEndpoint(a, b netsim.Endpoint) bool {
-	if a.IP != b.IP {
-		return a.IP < b.IP
-	}
-	return a.Port < b.Port
-}
-
 // CaptureState returns the censor's serializable state.
 func (g *GFW) CaptureState() State {
 	rs, ps := g.rng.State(), g.Pool.rng.State()
@@ -117,12 +110,12 @@ func (g *GFW) CaptureState() State {
 			BlockGen:      s.blockGen,
 		})
 	}
-	sort.Slice(st.Servers, func(i, j int) bool { return lessEndpoint(st.Servers[i].EP, st.Servers[j].EP) })
+	sort.Slice(st.Servers, func(i, j int) bool { return st.Servers[i].EP.Less(st.Servers[j].EP) })
 	st.Profiles = make([]ProfileSnap, 0, len(g.profiles))
 	for ep, p := range g.profiles {
 		st.Profiles = append(st.Profiles, ProfileSnap{EP: ep, Total: p.total, InRange: p.inRange, Latch: p.latch})
 	}
-	sort.Slice(st.Profiles, func(i, j int) bool { return lessEndpoint(st.Profiles[i].EP, st.Profiles[j].EP) })
+	sort.Slice(st.Profiles, func(i, j int) bool { return st.Profiles[i].EP.Less(st.Profiles[j].EP) })
 	return st
 }
 

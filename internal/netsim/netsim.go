@@ -293,6 +293,15 @@ type Endpoint struct {
 
 func (e Endpoint) String() string { return fmt.Sprintf("%s:%d", e.IP, e.Port) }
 
+// Less orders endpoints by IP, then port: the order in which snapshots
+// write their endpoint-keyed tables.
+func (e Endpoint) Less(o Endpoint) bool {
+	if e.IP != o.IP {
+		return e.IP < o.IP
+	}
+	return e.Port < o.Port
+}
+
 // Flow is one TCP connection, reduced to what the GFW's detector sees:
 // endpoints, direction, and the first data-carrying packet from the client.
 type Flow struct {
@@ -393,12 +402,11 @@ type Network struct {
 	// ID is the count including it.
 	Flows int
 
-	// Link impairment (see impair.go): an optional default profile for
-	// every directed link, per-link overrides keyed by IP pair, and the
-	// lazily created mutable link states.
-	defaultLink  *LinkProfile
-	linkProfiles map[linkKey]*LinkProfile
-	links        map[linkKey]*linkState
+	// Link impairment (see impair.go): the normalized profile every
+	// directed link shares, nil for ideal links, and the lazily created
+	// link states.
+	link  *LinkProfile
+	links map[linkKey]*linkState
 
 	flowsTotal   *metrics.Counter
 	flowsBlocked *metrics.Counter
@@ -407,32 +415,28 @@ type Network struct {
 	mImpDroppedFlows     *metrics.Counter
 	mImpDroppedResponses *metrics.Counter
 	mImpRetransmits      *metrics.Counter
-	mImpDuplicates       *metrics.Counter
-	mImpReorders         *metrics.Counter
 }
 
 // NetworkOption configures a Network at construction (see NewNetwork).
 type NetworkOption func(*Network)
 
-// WithDefaultLink applies profile to every directed link that has no
-// WithLink override. A zero profile is a no-op (ideal links).
+// WithDefaultLink applies profile to every directed link. A profile
+// with no latency, jitter or loss leaves links ideal; zero retry values
+// select 3 attempts and a 1 s initial timeout.
 func WithDefaultLink(profile LinkProfile) NetworkOption {
 	return func(n *Network) {
-		p := profile
-		n.defaultLink = &p
-	}
-}
-
-// WithLink applies profile to the directed link srcIP→dstIP only,
-// overriding any WithDefaultLink profile. Impairing a single direction
-// or pair models asymmetric paths and partitions.
-func WithLink(srcIP, dstIP string, profile LinkProfile) NetworkOption {
-	return func(n *Network) {
-		if n.linkProfiles == nil {
-			n.linkProfiles = map[linkKey]*LinkProfile{}
+		n.link, n.links = nil, nil
+		if profile.LatencyBase == 0 && profile.Jitter == 0 && profile.Loss == 0 {
+			return
 		}
 		p := profile
-		n.linkProfiles[linkKey{src: srcIP, dst: dstIP}] = &p
+		if p.Retry.Attempts <= 0 {
+			p.Retry.Attempts = 3
+		}
+		if p.Retry.Timeout <= 0 {
+			p.Retry.Timeout = time.Second
+		}
+		n.link, n.links = &p, map[linkKey]*linkState{}
 	}
 }
 
@@ -452,8 +456,6 @@ func NewNetwork(sim *Sim, opts ...NetworkOption) *Network {
 		mImpDroppedFlows:     sim.Metrics.Counter("net.impair_dropped_flows"),
 		mImpDroppedResponses: sim.Metrics.Counter("net.impair_dropped_responses"),
 		mImpRetransmits:      sim.Metrics.Counter("net.impair_retransmits"),
-		mImpDuplicates:       sim.Metrics.Counter("net.impair_duplicates"),
-		mImpReorders:         sim.Metrics.Counter("net.impair_reorders"),
 	}
 	for _, o := range opts {
 		o(n)
@@ -569,31 +571,34 @@ func (n *Network) open(client, server Endpoint, firstPayload []byte, probe, repl
 }
 
 // connect delivers one flow: impaired links first (impair.go), then the
-// null-route diversion, then middleboxes → host. With no
-// link profiles configured — or all profiles zero — the flow takes the
-// ideal path with no extra RNG draws.
+// null-route diversion, then middleboxes → host. With no link profile
+// configured — or a zero one — the flow takes the ideal path with no
+// RNG draws.
 //
 //sslab:hotpath
 func (n *Network) connect(f *Flow) Outcome {
-	if n.impaired() {
-		fwd, rev := n.linkFor(f.Client, f.Server), n.linkFor(f.Server, f.Client)
-		if fwd != nil || rev != nil {
-			return n.connectImpaired(f, fwd, rev)
-		}
+	if n.link != nil {
+		return n.connectImpaired(f, n.linkFor(f.Client, f.Server), n.linkFor(f.Server, f.Client))
 	}
 	if n.IsBlocked(f.Server) {
 		return n.silence(f)
 	}
+	return n.arrive(f)
+}
+
+// arrive hands a delivered payload to the middleboxes, then to the
+// flow's host. With no host the network refuses the connection, which
+// the censor observes too.
+//
+//sslab:hotpath
+func (n *Network) arrive(f *Flow) Outcome {
 	for _, b := range n.boxes {
 		b.OnFlow(f)
 	}
-	// With no host the network refuses the connection, which the censor
-	// observes too.
-	o := Outcome{Reaction: reaction.RST}
 	if h, ok := n.hosts[f.Server]; ok {
-		o = h.HandleFlow(f)
+		return h.HandleFlow(f)
 	}
-	return o
+	return Outcome{Reaction: reaction.RST}
 }
 
 // silence completes a flow to a null-routed server. Null routing drops

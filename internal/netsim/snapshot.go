@@ -80,13 +80,7 @@ func (n *Network) CaptureState() NetworkState {
 	for ep, gen := range n.blockedPort {
 		st.BlockedPort = append(st.BlockedPort, PortRule{Endpoint: ep, Gen: gen})
 	}
-	sort.Slice(st.BlockedPort, func(i, j int) bool {
-		a, b := st.BlockedPort[i].Endpoint, st.BlockedPort[j].Endpoint
-		if a.IP != b.IP {
-			return a.IP < b.IP
-		}
-		return a.Port < b.Port
-	})
+	sort.Slice(st.BlockedPort, func(i, j int) bool { return st.BlockedPort[i].Endpoint.Less(st.BlockedPort[j].Endpoint) })
 	return st
 }
 

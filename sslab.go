@@ -82,19 +82,13 @@ type (
 	Metrics = metrics.Registry
 )
 
-// Impairment and options API. A LinkProfile describes one direction of
-// a degraded path (latency, jitter, loss models, duplication,
-// reordering, bandwidth, outages, retries); install one on every link
-// with WithImpairment or per directed pair with WithLink. All other
-// knobs follow the same functional-options pattern (see
-// CONTRIBUTING.md).
+// Impairment and options API. A LinkProfile describes a degraded path
+// (latency, jitter, i.i.d. loss, retries); WithImpairment installs one
+// on every directed link. All other knobs follow the same
+// functional-options pattern (see CONTRIBUTING.md).
 type (
-	// LinkProfile describes the impairments of one directed link.
+	// LinkProfile describes the impairments of every directed link.
 	LinkProfile = netsim.LinkProfile
-	// GEParams configures the Gilbert–Elliott bursty-loss model.
-	GEParams = netsim.GEParams
-	// Outage is a scheduled hard-down window on a link.
-	Outage = netsim.Outage
 	// RetryPolicy bounds transport-level retransmission on a link.
 	RetryPolicy = netsim.RetryPolicy
 	// Timeouts bundles connect/handshake/idle deadlines; the zero value
@@ -238,15 +232,9 @@ func WithSeed(seed int64) SimOption { return netsim.WithSeed(seed) }
 // registry can aggregate several simulations.
 func WithMetrics(m *Metrics) SimOption { return netsim.WithMetrics(m) }
 
-// WithImpairment applies profile to every directed link without a
-// WithLink override. The zero profile leaves links ideal.
+// WithImpairment applies profile to every directed link. The zero
+// profile leaves links ideal.
 func WithImpairment(profile LinkProfile) NetworkOption { return netsim.WithDefaultLink(profile) }
-
-// WithLink overrides the impairment profile of one directed link,
-// keyed by the endpoints' IPs.
-func WithLink(srcIP, dstIP string, profile LinkProfile) NetworkOption {
-	return netsim.WithLink(srcIP, dstIP, profile)
-}
 
 // WithCensorConfig replaces the censor's whole configuration; later
 // options still apply on top.
