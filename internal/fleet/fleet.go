@@ -598,18 +598,24 @@ func validate(cfg Config) error {
 	if len(mix) == 0 {
 		mix = DefaultMix
 	}
-	positive := false
+	// planRun draws each server's implementation against the weights'
+	// sum: a NaN or infinite weight, or a sum that overflows, would put
+	// every server on the mix's last implementation.
+	total := 0.0
 	for _, share := range mix {
 		if _, ok := implementations[share.Impl]; !ok {
 			return fmt.Errorf("fleet: unknown implementation %q in mix", share.Impl)
 		}
-		if share.Weight < 0 {
-			return fmt.Errorf("fleet: negative weight for %q", share.Impl)
+		if !(share.Weight >= 0) || math.IsInf(share.Weight, 0) {
+			return fmt.Errorf("fleet: mix weight for %q must be non-negative and finite, got %v", share.Impl, share.Weight)
 		}
-		positive = positive || share.Weight > 0
+		total += share.Weight
 	}
-	if !positive {
+	if total == 0 {
 		return fmt.Errorf("fleet: mix has no positive weight")
+	}
+	if math.IsInf(total, 0) {
+		return fmt.Errorf("fleet: mix weights must have a finite sum, got %v", total)
 	}
 	if err := cfg.Impair.Validate(); err != nil {
 		return fmt.Errorf("fleet: Impair: %w", err)

@@ -183,6 +183,15 @@ func TestFleetConfigValidation(t *testing.T) {
 		{"unknown implementation", func(c *Config) { c.Mix = []ImplShare{{Impl: "no-such-impl", Weight: 1}} }, "no-such-impl"},
 		{"negative mix weight", func(c *Config) { c.Mix = []ImplShare{{Impl: "ssr", Weight: -1}} }, "weight"},
 		{"all-zero mix weights", func(c *Config) { c.Mix = []ImplShare{{Impl: "ssr"}, {Impl: "web"}} }, "positive weight"},
+		// planRun draws against the weights' sum, so each of these put
+		// every server on the mix's last implementation.
+		{"NaN mix weight", func(c *Config) { c.Mix = []ImplShare{{Impl: "sspython", Weight: nan}, {Impl: "outline", Weight: 1}} }, "sspython"},
+		{"infinite mix weight", func(c *Config) {
+			c.Mix = []ImplShare{{Impl: "sspython", Weight: math.Inf(1)}, {Impl: "outline", Weight: 1}}
+		}, "sspython"},
+		{"mix weights whose sum overflows", func(c *Config) {
+			c.Mix = []ImplShare{{Impl: "sspython", Weight: 1e308}, {Impl: "outline", Weight: 1e308}}
+		}, "finite sum"},
 		{"negative Users", func(c *Config) { c.Users = -100 }, "Users"},
 		{"negative UsersPerServer", func(c *Config) { c.UsersPerServer = -1 }, "UsersPerServer"},
 		{"negative Hours", func(c *Config) { c.Hours = -2 }, "Hours"},
@@ -215,6 +224,10 @@ func TestFleetConfigValidation(t *testing.T) {
 		{"negative censor BlockTTLHours", func(c *Config) { c.GFW.BlockTTLHours = -3 }, "BlockTTLHours"},
 		{"nonzero censor VerdictCache", func(c *Config) { c.GFW.VerdictCache = 64 }, "VerdictCache"},
 		{"NaN censor ReplayBase", func(c *Config) { c.GFW.ReplayBase = nan }, "ReplayBase"},
+		// A negative pool size reached a recovered panic in NewPool, and
+		// one past its prefixes' addresses never finished building.
+		{"negative censor PoolSize", func(c *Config) { c.GFW.PoolSize = -13000 }, "PoolSize"},
+		{"censor PoolSize past its prefixes", func(c *Config) { c.GFW.PoolSize = 700_000 }, "PoolSize"},
 		{"negative regional ReplayBase", func(c *Config) {
 			c.Regions = &region.Topology{Regions: []region.Region{
 				{Name: "coast", Weight: 1},

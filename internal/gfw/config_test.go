@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sslab/internal/netsim"
+	"sslab/internal/seedfork"
 )
 
 // TestConfigValidateSensitivity: the boundary property — every value in
@@ -137,6 +138,33 @@ func TestConfigValidateTTL(t *testing.T) {
 	g.maybeBlock(netsim.Endpoint{IP: "178.62.0.7", Port: 8388}, &serverState{stage: 1, dataResponses: 2, fpScore: 10})
 	if ev := g.BlockEvents; len(ev) != 1 || ev[0].Until.Sub(ev[0].Time) != 2_562_047*time.Hour {
 		t.Errorf("block events %+v, want one lasting 2,562,047 h", ev)
+	}
+}
+
+// TestConfigValidatePoolSize: Validate rejects a negative pool size,
+// which NewPool ran as one address per AS or reached as a panic, and
+// one larger than the prober prefixes hold, whose pool never finished
+// building, with an error naming the field. The largest size that
+// fits still builds: with Table 3's weights it is 638,611, where AS
+// 4837 needs all but one of its five prefixes' 325,120 addresses.
+func TestConfigValidatePoolSize(t *testing.T) {
+	limit := maxPoolSize()
+	if limit != 638_611 {
+		t.Errorf("largest pool size %d, want 638,611", limit)
+	}
+	for _, size := range []int{0, 1, 64, 13000, limit} {
+		if err := (Config{PoolSize: size}).Validate(); err != nil {
+			t.Errorf("PoolSize %d rejected: %v", size, err)
+		}
+	}
+	for _, size := range []int{-1, -5, -13000, limit + 1, 700_000, math.MaxInt} {
+		if err := (Config{PoolSize: size}).Validate(); err == nil || !strings.Contains(err.Error(), "PoolSize") {
+			t.Errorf("PoolSize %d: error %v, want one naming the field", size, err)
+		}
+	}
+	p := NewPool(seedfork.NewSource(1), limit, netsim.Epoch)
+	if n := len(p.ips); n < limit-len(ASWeights) {
+		t.Errorf("a pool of size %d holds %d addresses", limit, n)
 	}
 }
 

@@ -33,7 +33,8 @@ type Config struct {
 	Seed int64
 	// PoolSize is the number of prober source addresses (default 13000,
 	// which yields ≈12,300 distinct addresses over a four-month
-	// experiment as in §3.3).
+	// experiment as in §3.3; at most 638,611, what the prober prefixes
+	// hold at Table 3's weights).
 	PoolSize int
 	// ReplayBase scales the passive detector's recording rate (finite,
 	// >= 0; default 0.04, calibrated to Exp 1.a's replay-to-trigger ratio).
@@ -133,10 +134,15 @@ func (c Config) withDefaults() Config {
 // misconfigurations hide instead of failing; so would a negative
 // ReplayBase (records nothing) or a NaN or +Inf one (records every
 // in-support flow), or a block TTL whose hours, jitter included, wrap
-// a time.Duration (every block lifts the moment it is made). New panics
-// on an invalid Config; callers assembling configs from user input
-// should call Validate first and surface it.
+// a time.Duration (every block lifts the moment it is made). A
+// negative PoolSize builds a pool of one address per AS or panics, and
+// one larger than the prober prefixes hold never finishes building.
+// New panics on an invalid Config; callers assembling configs from
+// user input should call Validate first and surface it.
 func (c Config) Validate() error {
+	if limit := maxPoolSize(); c.PoolSize < 0 || c.PoolSize > limit {
+		return fmt.Errorf("gfw: PoolSize must be in [0, %d], got %d", limit, c.PoolSize)
+	}
 	if math.IsNaN(c.Sensitivity) || c.Sensitivity < 0 || c.Sensitivity > 1 {
 		return fmt.Errorf("gfw: Sensitivity must be in [0, 1], got %v", c.Sensitivity)
 	}

@@ -96,6 +96,25 @@ type ProbeSource struct {
 	Process int
 }
 
+// maxPoolSize is the largest pool NewPool can fill. An AS with weight
+// w gets w·size/Σw addresses (at least one), drawn without repeats
+// from its prefixes' 256·254 addresses each, and that count stays
+// within them exactly while size ≤ ((room+1)·Σw − 1)/w.
+func maxPoolSize() int {
+	totalW := 0
+	for _, w := range ASWeights {
+		totalW += w
+	}
+	limit := math.MaxInt
+	for id, w := range ASWeights {
+		if w > 0 {
+			room := len(asPrefixes[id]) * 256 * 254
+			limit = min(limit, ((room+1)*totalW-1)/w)
+		}
+	}
+	return limit
+}
+
 // NewPool builds a pool of size addresses that draws from rng, which
 // must not have drawn yet (see seedfork.Source).
 func NewPool(rng seedfork.Source, size int, start time.Time) *Pool {

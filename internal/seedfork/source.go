@@ -3,6 +3,7 @@ package seedfork
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // math/rand's additive lagged Fibonacci generator: each value is the
@@ -95,9 +96,7 @@ func (s *Source) build() {
 	for k := range r.vec {
 		r.vec[k] = s.word(k)
 	}
-	for i := uint64(0); i < s.n; i++ {
-		r.next()
-	}
+	r.skip(s.n)
 	s.reg = r
 }
 
@@ -112,6 +111,39 @@ func (r *register) next() uint64 {
 	x := r.vec[r.feed] + r.vec[r.tap]
 	r.vec[r.feed] = x
 	return uint64(x)
+}
+
+// advance makes up to want (at least 1) steps of next as one run and
+// returns the run's words, the last drawn first: draw k of the run is
+// run[len(run)-1-k]. A run stops before tap or feed would wrap and is
+// at most rngTap draws long. Feed is always 334 words past tap, mod
+// 607, so a run of k ≤ 273 draws reads words [tap−k, tap) and writes
+// words [feed−k, feed): whether feed sits 334 above tap or 273 below
+// it, the two ranges are disjoint, no word the run writes is one it
+// reads, and the sums may be taken in any order.
+func (r *register) advance(want int) []int64 {
+	tap, feed := r.tap, r.feed
+	if tap == 0 {
+		tap = rngLen
+	}
+	if feed == 0 {
+		feed = rngLen
+	}
+	k := min(want, tap, feed, rngTap)
+	r.tap, r.feed = tap-k, feed-k
+	run, src := r.vec[feed-k:feed], r.vec[tap-k:tap]
+	src = src[:len(run)] // equal lengths drop src[i]'s bounds check
+	for i := range run {
+		run[i] += src[i]
+	}
+	return run
+}
+
+// skip makes n steps of next, a run at a time.
+func (r *register) skip(n uint64) {
+	for n > 0 {
+		n -= uint64(len(r.advance(int(min(n, rngTap)))))
+	}
 }
 
 // Int63 returns a non-negative pseudo-random 63-bit value (rand.Source).
@@ -166,7 +198,9 @@ func (s *Source) Float64() float64 {
 
 // SkipIntn advances s exactly as count calls of Intn(n) would, for
 // 0 < n ≤ 2³¹−1, rejection redraws included, without reducing any
-// value. It panics if n is outside that range.
+// value. It panics if n is outside that range. Once the register is
+// built it steps a run of draws at a time, one per call still due,
+// and then as many more as the run rejected.
 //
 //sslab:hotpath
 func (s *Source) SkipIntn(n, count int) {
@@ -189,29 +223,58 @@ func (s *Source) SkipIntn(n, count int) {
 		for s.Uint64()<<1>>33 > bound {
 		}
 	}
-	r := s.reg
-	tap, feed, drawn := r.tap, r.feed, uint64(0)
 	for count > 0 {
-		if tap--; tap < 0 {
-			tap += rngLen
-		}
-		if feed--; feed < 0 {
-			feed += rngLen
-		}
-		x := r.vec[feed] + r.vec[tap]
-		r.vec[feed] = x
-		drawn++
-		if uint64(x)<<1>>33 <= bound {
-			count--
+		run := s.reg.advance(count)
+		s.n += uint64(len(run))
+		count -= len(run)
+		for _, x := range run {
+			if uint64(x)<<1>>33 > bound {
+				count++
+			}
 		}
 	}
-	r.tap, r.feed = tap, feed
-	s.n += drawn
+}
+
+// Pick sets dst[i] = from[Intn(len(from))] for each i in turn, making
+// exactly the draws those Intn calls would, rejection redraws
+// included. It panics if from is empty or longer than 2³¹−1. Once the
+// register is built it steps a run of draws at a time, one per byte
+// still due.
+//
+//sslab:hotpath
+func (s *Source) Pick(dst, from []byte) {
+	n := len(from)
+	if n == 0 || n > int32max {
+		panic("invalid argument to Pick")
+	}
+	i := 0
+	for ; i < len(dst) && s.reg == nil; i++ {
+		dst[i] = from[s.Intn(n)]
+	}
+	// Intn reduces v = Int63()>>32 modulo n, drawing again while v
+	// exceeds bound; for a power of two it masks, which is the same
+	// remainder, and bound is 2³¹−1. v mod n is the high word of
+	// (m·v mod 2⁶⁴)·n with m = ⌈2⁶⁴/n⌉, exact for v and n below 2³²
+	// (Lemire, Kaser & Kurz 2019), and cheaper than a division.
+	bound := uint64(1<<31 - 1 - (1<<31)%uint32(n))
+	m := ^uint64(0)/uint64(n) + 1
+	for i < len(dst) {
+		run := s.reg.advance(len(dst) - i)
+		s.n += uint64(len(run))
+		for k := len(run) - 1; k >= 0; k-- {
+			if v := uint64(run[k]) << 1 >> 33; v <= bound {
+				j, _ := bits.Mul64(m*v, uint64(n))
+				dst[i] = from[j]
+				i++
+			}
+		}
+	}
 }
 
 // Read is rand.(*Rand).Read: the little-endian bytes of successive
 // draws, seven per draw, with the unused rest of the last draw carried
-// to the next call. It always returns len(p), nil.
+// to the next call. Once the register is built, the draws whose bytes
+// all land in p come a run at a time. It always returns len(p), nil.
 //
 //sslab:hotpath
 func (s *Source) Read(p []byte) (int, error) {
@@ -222,11 +285,23 @@ func (s *Source) Read(p []byte) (int, error) {
 		val >>= 8
 		pos--
 	}
-	// Whole draws: store all eight bytes at once; the next store, or
-	// the tail below, overwrites the eighth. Once this loop has run,
-	// 1 to 7 bytes are left, so the tail draws the value it carries.
-	for ; i+8 <= len(p); i += 7 {
+	// Whole draws: store all eight bytes of each at once, seven bytes
+	// apart; the next store, or the tail below, overwrites the eighth.
+	// Once the w whole draws are stored, 1 to 7 bytes are left, so the
+	// tail draws the value it carries.
+	w := (len(p) - i - 1) / 7
+	for ; w > 0 && s.reg == nil; w-- {
 		binary.LittleEndian.PutUint64(p[i:], s.Uint64())
+		i += 7
+	}
+	for w > 0 {
+		run := s.reg.advance(w)
+		s.n += uint64(len(run))
+		w -= len(run)
+		for k := len(run) - 1; k >= 0; k-- {
+			binary.LittleEndian.PutUint64(p[i:], uint64(run[k]))
+			i += 7
+		}
 	}
 	for ; i < len(p); i++ {
 		if pos == 0 {
@@ -269,9 +344,7 @@ func (s *Source) Skip(n uint64) {
 		}
 		return
 	}
-	for ; n > 0; n-- {
-		s.reg.next()
-	}
+	s.reg.skip(n)
 }
 
 // Restore moves s to state st of its seed's stream. A register is

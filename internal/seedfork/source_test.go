@@ -2,6 +2,8 @@ package seedfork
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"reflect"
@@ -25,16 +27,36 @@ func identitySeeds() []int64 {
 	return seeds
 }
 
-// drawBoth applies one randomly chosen method, with a randomly chosen
-// argument, to a Source and to the math/rand reference, and fails on
-// any difference. The mix covers Intn at powers of two, at odd n and
-// above 2³¹−1, Int63n likewise, Read calls of uneven length — up to
-// several whole draws — so the carry crosses calls, and SkipIntn
-// against as many Intn calls, at n where half the draws are rejected.
-func drawBoth(t *testing.T, seed int64, step int, op *rand.Rand, s *Source, ref *rand.Rand) {
+// pickFrom is what drawBoth's Pick calls pick from: prefixes of every
+// length up to 300 and its whole 4,186,128 bytes, a length at which
+// Intn rejects one draw in 513 ((2³¹ mod n)/2³¹), so Pick's redraws
+// happen too.
+var pickFrom = func() []byte {
+	b := make([]byte, 4_186_128)
+	for i := range b {
+		b[i] = byte(i ^ i>>8 ^ i>>16)
+	}
+	return b
+}()
+
+// callKinds is the number of kinds of call drawBoth makes.
+const callKinds = 12
+
+// drawBoth makes one call, of the given kind and with arguments taken
+// from a and b, on a Source and on the math/rand reference, and fails
+// on any difference. The kinds cover Intn at powers of two, at odd n
+// and above 2³¹−1, Int63n likewise, Read calls of uneven length, from
+// a few bytes to about 2,000, so the carry crosses calls, SkipIntn
+// against as many Intn calls and Pick against one Intn per byte, each
+// for up to 1,023 calls and, for both, at n where many draws are
+// rejected, and a State/Restore round trip into a fresh Source, with
+// and without the register. For a bulk call (Read, SkipIntn, Pick) it
+// returns the method's name and whether the call drew again for a
+// rejected value.
+func drawBoth(t *testing.T, seed int64, step, kind int, a, b uint64, s *Source, ref *rand.Rand) (bulk string, rejected bool) {
 	t.Helper()
 	var got, want any
-	switch k := op.Intn(10); k {
+	switch kind {
 	case 0:
 		got, want = s.Uint64(), ref.Uint64()
 	case 1:
@@ -42,55 +64,131 @@ func drawBoth(t *testing.T, seed int64, step int, op *rand.Rand, s *Source, ref 
 	case 2:
 		got, want = s.Float64(), ref.Float64()
 	case 3:
-		n := 1 << op.Intn(31)
+		n := 1 << (a % 31)
 		got, want = s.Intn(n), ref.Intn(n)
 	case 4:
-		n := 1 + 2*op.Intn(1<<20)
+		n := 1 + 2*int(a%(1<<20))
 		got, want = s.Intn(n), ref.Intn(n)
 	case 5:
-		n := 1<<31 + op.Intn(1<<40)
+		n := 1<<31 + int(a%(1<<40))
 		got, want = s.Intn(n), ref.Intn(n)
 	case 6:
-		n := op.Int63n(4e7) + 1
-		if op.Intn(4) == 0 {
-			n = 1 << op.Intn(63)
+		n := int64(a%4e7) + 1
+		if b%4 == 0 {
+			n = 1 << (a % 63)
 		}
 		got, want = s.Int63n(n), ref.Int63n(n)
 	case 7:
-		n := op.Intn(40)
-		a, b := make([]byte, n), make([]byte, n)
-		s.Read(a)
-		ref.Read(b)
-		got, want = string(a), string(b)
+		n := int(b % 40)
+		if b%4 == 0 {
+			n = int(a % 2048)
+		}
+		p, q := make([]byte, n), make([]byte, n)
+		s.Read(p)
+		ref.Read(q)
+		got, want, bulk = hex.EncodeToString(p), hex.EncodeToString(q), "Read"
 	case 8:
 		got, want = rand.New(s).NormFloat64(), ref.NormFloat64()
 	case 9:
-		n := []int{1 << op.Intn(31), 1 + 2*op.Intn(1<<20), 1<<30 + 1 + op.Intn(1<<30)}[op.Intn(3)]
-		count := op.Intn(40)
+		n := []int{1 << (a % 31), 1 + 2*int(a%(1<<20)), 1<<30 + 1 + int(a%(1<<30-1))}[b%3]
+		count := bulkCount(b)
+		before := s.n
 		s.SkipIntn(n, count)
 		for range count {
 			ref.Intn(n)
 		}
 		got, want = s.Uint64(), ref.Uint64()
+		bulk, rejected = "SkipIntn", s.n-before-1 > uint64(count)
+	case 10:
+		from := pickFrom[:[]int{1 << (a % 9), 1 + int(a%300), len(pickFrom)}[b%3]]
+		p, q := make([]byte, bulkCount(b)), make([]byte, bulkCount(b))
+		before := s.n
+		s.Pick(p, from)
+		for i := range q {
+			q[i] = from[ref.Intn(len(from))]
+		}
+		got, want = hex.EncodeToString(p), hex.EncodeToString(q)
+		bulk, rejected = "Pick", s.n-before > uint64(len(p))
+	case 11:
+		st := s.State()
+		if b%4 == 0 {
+			st.Register = nil // restored by reseeding and replaying
+		}
+		*s = NewSource(seed)
+		if err := s.Restore(st); err != nil {
+			t.Fatalf("seed %d, step %d: restoring %d draws: %v", seed, step, st.Draws, err)
+		}
+		got, want = s.Uint64(), ref.Uint64()
 	}
 	if got != want {
-		t.Fatalf("seed %d, step %d: Source drew %v, math/rand %v", seed, step, got, want)
+		t.Fatalf("seed %d, step %d, call kind %d (%d, %d): Source drew %v, math/rand %v", seed, step, kind, a, b, got, want)
 	}
+	return bulk, rejected
+}
+
+// bulkCount is how many calls a SkipIntn or Pick in drawBoth stands
+// for: mostly fewer than 40, one time in five up to 1,023.
+func bulkCount(b uint64) int {
+	if b%5 == 0 {
+		return int(b % 1024)
+	}
+	return int(b % 40)
 }
 
 // TestSourceMatchesMathRand draws every Source method against
 // rand.New(rand.NewSource(seed)) over 210 seeds and mixed streams that
-// run well past the lazy phase (273 draws) and the register length
-// (607), and requires equal values throughout.
+// run past the lazy phase (273 draws) and through six wraps of the
+// 607-word register, and requires equal values throughout. Every bulk
+// method must also have made a call that began in the lazy phase and
+// ended past draw 274, and SkipIntn and Pick calls that drew again for
+// rejected values.
 func TestSourceMatchesMathRand(t *testing.T) {
 	op := rand.New(rand.NewSource(1))
+	crossed, rejected := map[string]int{}, map[string]int{}
 	for _, seed := range identitySeeds() {
 		s := NewSource(seed)
 		ref := rand.New(rand.NewSource(seed))
-		for step := 0; s.n < 2000; step++ {
-			drawBoth(t, seed, step, op, &s, ref)
+		for step := 0; s.n < 4000; step++ {
+			lazy := s.reg == nil
+			bulk, rej := drawBoth(t, seed, step, op.Intn(callKinds), op.Uint64(), op.Uint64(), &s, ref)
+			if lazy && s.n > rngTap+1 {
+				crossed[bulk]++
+			}
+			if rej {
+				rejected[bulk]++
+			}
 		}
 	}
+	for _, bulk := range []string{"Read", "SkipIntn", "Pick"} {
+		if crossed[bulk] == 0 {
+			t.Errorf("no %s call began in the lazy phase and ended past draw %d", bulk, rngTap+1)
+		}
+		if bulk != "Read" && rejected[bulk] == 0 {
+			t.Errorf("no %s call drew again for a rejected value", bulk)
+		}
+	}
+	t.Logf("bulk calls across the lazy phase %v, with rejections %v", crossed, rejected)
+}
+
+// FuzzSourceMatchesMathRand decodes its input into up to 64 calls of
+// drawBoth — a kind byte, then 4 and 2 little-endian argument bytes —
+// and requires a Source of the given seed to draw what math/rand draws
+// through all of them, State/Restore round trips included.
+func FuzzSourceMatchesMathRand(f *testing.F) {
+	f.Add(int64(1), []byte{7, 0xff, 7, 0, 0, 4, 0, 10, 0, 0, 0, 0, 0xe7, 3, 11, 0, 0, 0, 0, 1, 0})
+	f.Add(int64(-7), []byte{9, 0xff, 0xff, 0xff, 0xff, 0xe5, 3, 11, 0, 0, 0, 0, 4, 0, 10, 1, 0, 0, 0, 0xe1, 3})
+	f.Add(int64(int32max), []byte{10, 0, 0, 0, 0, 0xe4, 3, 9, 5, 0, 0, 0, 0xe5, 3, 7, 0, 0, 0, 0, 0xe4, 3})
+	f.Fuzz(func(t *testing.T, seed int64, calls []byte) {
+		s := NewSource(seed)
+		ref := rand.New(rand.NewSource(seed))
+		for step := 0; len(calls) >= 7 && step < 64; step++ {
+			kind := int(calls[0]) % callKinds
+			a := uint64(binary.LittleEndian.Uint32(calls[1:]))
+			b := uint64(binary.LittleEndian.Uint16(calls[5:]))
+			calls = calls[7:]
+			drawBoth(t, seed, step, kind, a, b, &s, ref)
+		}
+	})
 }
 
 // readBytewise is Read as math/rand writes it, one byte at a time.

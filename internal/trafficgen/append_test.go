@@ -3,10 +3,13 @@ package trafficgen
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"slices"
+	"strconv"
 	"testing"
 
 	"sslab/internal/seedfork"
+	"sslab/internal/socks"
 	"sslab/internal/sscrypto"
 )
 
@@ -94,6 +97,86 @@ func TestAppendExtends(t *testing.T) {
 		}
 		if len(c.out) <= len(prefix) {
 			t.Errorf("%s appended nothing", c.name)
+		}
+	}
+}
+
+// refFlight is the first flight of workload w drawn from math/rand the
+// way the generator once drew it, every ClientHello structural byte
+// with its own Intn: PlaintextFirstFlight's bytes for a Shadowsocks
+// workload, AppendWebFirstPacket's for WebDirect.
+func refFlight(r *rand.Rand, w Workload) []byte {
+	var t target
+	switch w {
+	case CurlHTTP:
+		t = target{sites[r.Intn(len(sites))], 80}
+	case CurlLoop, WebDirect:
+		t = curlSites[r.Intn(len(curlSites))]
+	default:
+		t = target{sites[r.Intn(len(sites))], 443}
+	}
+	var out []byte
+	if w != WebDirect {
+		out = socks.Addr{Type: socks.AtypDomain, Host: t.host, Port: t.port}.Append(nil)
+	}
+	if t.port == 80 {
+		out = append(out, getMethod...)
+		out = append(out, getPaths[r.Intn(len(getPaths))]...)
+		out = append(out, getHost...)
+		out = append(out, t.host...)
+		out = append(out, getAgent...)
+		out = strconv.AppendInt(out, int64(50+r.Intn(curlMinors)), 10)
+		return append(out, getEnd...)
+	}
+	body := helloMinBody + r.Intn(helloMaxBody-helloMinBody+1)
+	hello := []byte{0x16, 0x03, 0x01, byte(body >> 8), byte(body)}
+	b := make([]byte, body)
+	nRand := body / 3
+	r.Read(b[:nRand])
+	for i := nRand; i < body; i++ {
+		b[i] = helloStructural[r.Intn(len(helloStructural))]
+	}
+	copy(b[nRand+4:], t.host)
+	return append(append(out, hello...), b...)
+}
+
+// TestFlightsMatchMathRand: over 5,000 flows for each of 8 seeds, the
+// generator's PlaintextFirstFlight for the four Shadowsocks workloads,
+// followed by each flight's wire bytes, and its AppendWebFirstPacket
+// equal what a math/rand stream of the same seed draws for them with
+// one Intn per ClientHello structural byte.
+func TestFlightsMatchMathRand(t *testing.T) {
+	var specs []sscrypto.Spec
+	for _, m := range []string{"aes-256-cfb", "chacha20-ietf-poly1305"} {
+		spec, err := sscrypto.Lookup(m)
+		if err != nil {
+			t.Fatalf("lookup %s: %v", m, err)
+		}
+		specs = append(specs, spec)
+	}
+	workloads := []Workload{CurlHTTP, CurlHTTPS, BrowseAlexa, CurlLoop, WebDirect}
+	for seed := int64(0); seed < 8; seed++ {
+		g, ref := New(seed), rand.New(rand.NewSource(seed))
+		for i := 0; i < 5000; i++ {
+			w := workloads[i%len(workloads)]
+			var got []byte
+			if w == WebDirect {
+				got = g.AppendWebFirstPacket(nil)
+			} else {
+				got = g.PlaintextFirstFlight(w)
+			}
+			if want := refFlight(ref, w); !bytes.Equal(got, want) {
+				t.Fatalf("seed %d, flow %d (%v): flight %x, math/rand %x", seed, i, w, got, want)
+			}
+			if w == WebDirect {
+				continue
+			}
+			wire := g.WireFirstPacket(specs[i/len(workloads)%len(specs)], got)
+			want := make([]byte, len(wire))
+			ref.Read(want)
+			if !bytes.Equal(wire, want) {
+				t.Fatalf("seed %d, flow %d (%v): wire bytes %x, math/rand %x", seed, i, w, wire, want)
+			}
 		}
 	}
 }

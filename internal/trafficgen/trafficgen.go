@@ -194,9 +194,7 @@ func (g *Generator) appendClientHello(dst []byte, host string) []byte {
 	b := rec[5:]
 	nRand := len(b) / 3 // client random + session id + X25519 key share
 	g.rng.Read(b[:nRand])
-	for i := nRand; i < len(b); i++ {
-		b[i] = helloStructural[g.rng.Intn(len(helloStructural))]
-	}
+	g.rng.Pick(b[nRand:], helloStructural)
 	copy(b[nRand+4:], host) // plaintext SNI
 	return dst
 }

@@ -1,11 +1,13 @@
 package trafficgen
 
 import (
+	"net"
 	"strings"
 	"testing"
 
 	"sslab/internal/entropy"
 	"sslab/internal/socks"
+	"sslab/internal/ssclient"
 	"sslab/internal/sscrypto"
 )
 
@@ -68,8 +70,24 @@ func TestClientHelloShape(t *testing.T) {
 	}
 }
 
+// recordingConn is a client transport that records the length of each
+// Write and sends nothing.
+type recordingConn struct {
+	net.Conn // nil: the client only writes
+	writes   []int
+}
+
+func (r *recordingConn) Write(p []byte) (int, error) {
+	r.writes = append(r.writes, len(p))
+	return len(p), nil
+}
+
 // TestWireFirstPacketLengths pins the wire overhead per construction —
-// the lengths that make the detector's mod-16 remainders meaningful.
+// the lengths that make the detector's mod-16 remainders meaningful —
+// and checks it against the real client: for every registered method
+// and the four Shadowsocks workloads, the first Write ssclient puts on
+// its transport, carrying a PlaintextFirstFlight's target and payload,
+// is wireLen bytes long, as WireFirstPacket's packet is.
 func TestWireFirstPacketLengths(t *testing.T) {
 	g := New(4)
 	plain := make([]byte, 100)
@@ -80,6 +98,38 @@ func TestWireFirstPacketLengths(t *testing.T) {
 	aead, _ := sscrypto.Lookup("chacha20-ietf-poly1305")
 	if got := len(g.WireFirstPacket(aead, plain)); got != 32+2+16+100+16 {
 		t.Errorf("AEAD wire length %d, want 166", got)
+	}
+
+	workloads := []Workload{CurlHTTP, CurlHTTPS, BrowseAlexa, CurlLoop}
+	for _, method := range sscrypto.Methods() {
+		spec, err := sscrypto.Lookup(method)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &recordingConn{}
+		c, err := ssclient.New(ssclient.Config{Server: "server:8388", Method: method, Password: "pw",
+			Dial: func(string, string) (net.Conn, error) { rec.writes = nil; return rec, nil }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 40; i++ {
+			w := workloads[i%len(workloads)]
+			p := g.PlaintextFirstFlight(w)
+			addr, n, err := socks.Decode(p, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn, err := c.Dial(addr.String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := conn.Write(p[n:]); err != nil {
+				t.Fatal(err)
+			}
+			if want := wireLen(spec, len(p)); len(rec.writes) != 1 || rec.writes[0] != want || len(g.WireFirstPacket(spec, p)) != want {
+				t.Fatalf("%s, %v flight of %d bytes: client wrote %v, want one write of %d bytes", method, w, len(p), rec.writes, want)
+			}
+		}
 	}
 }
 
