@@ -228,6 +228,14 @@ func TestFleetConfigValidation(t *testing.T) {
 		// one past its prefixes' addresses never finished building.
 		{"negative censor PoolSize", func(c *Config) { c.GFW.PoolSize = -13000 }, "PoolSize"},
 		{"censor PoolSize past its prefixes", func(c *Config) { c.GFW.PoolSize = 700_000 }, "PoolSize"},
+		// planRun shared the servers out against +Inf and blamed the
+		// first region for getting none.
+		{"region weights whose sum overflows", func(c *Config) {
+			c.Regions = &region.Topology{Regions: []region.Region{
+				{Name: "coast", Weight: 1e308},
+				{Name: "inland", Weight: 1e308},
+			}}
+		}, "finite sum"},
 		{"negative regional ReplayBase", func(c *Config) {
 			c.Regions = &region.Topology{Regions: []region.Region{
 				{Name: "coast", Weight: 1},

@@ -80,6 +80,11 @@ func (t *Topology) Validate() error {
 			return fmt.Errorf("region %q: %w", r.Name, err)
 		}
 	}
+	// Servers are shared out against the weights' sum: one that
+	// overflows would leave every region with no servers.
+	if total := t.TotalWeight(); math.IsInf(total, 0) {
+		return fmt.Errorf("region: weights must have a finite sum, got %v", total)
+	}
 	return nil
 }
 

@@ -39,6 +39,9 @@ func TestTopologyValidate(t *testing.T) {
 		{"zero weight", func(tp *Topology) { tp.Regions[0].Weight = 0 }, "weight"},
 		{"negative weight", func(tp *Topology) { tp.Regions[1].Weight = -1 }, "weight"},
 		{"nan weight", func(tp *Topology) { tp.Regions[0].Weight = math.NaN() }, "weight"},
+		{"weights whose sum overflows", func(tp *Topology) {
+			tp.Regions[0].Weight, tp.Regions[1].Weight = 1e308, 1e308
+		}, "finite sum"},
 		{"bad gfw", func(tp *Topology) { tp.Regions[0].GFW = &gfw.Config{Sensitivity: 2} }, "Sensitivity"},
 		{"bad schedule", func(tp *Topology) {
 			tp.Regions[0].Schedule = Schedule{{AtHours: -1, Kind: KindPause}}

@@ -2,6 +2,7 @@ package sscrypto
 
 import (
 	"bytes"
+	"crypto/cipher"
 	"testing"
 	"testing/quick"
 )
@@ -142,30 +143,60 @@ func BenchmarkChaCha20Poly1305Seal(b *testing.B) {
 
 // TestSealOpenAllocFree pins the per-chunk AEAD primitives at zero heap
 // allocations when the caller reuses its destination buffer — the shape
-// every relay loop in ssproto and ssserver uses.
+// every relay loop in ssproto and ssserver uses — for a warmed AEAD, for
+// a fresh AEAD's first call (each connection derives two) and for the
+// xchacha method.
 func TestSealOpenAllocFree(t *testing.T) {
-	aead, err := NewChaCha20Poly1305(make([]byte, ChaCha20KeySize))
+	const runs = 200
+	key := make([]byte, ChaCha20KeySize)
+	msg := make([]byte, 1400)
+	dst := make([]byte, 0, len(msg)+Poly1305TagSize)
+	pt := make([]byte, 0, len(msg))
+
+	chacha, err := NewChaCha20Poly1305(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nonce := make([]byte, aead.NonceSize())
-	msg := make([]byte, 1400)
-	dst := make([]byte, 0, len(msg)+aead.Overhead())
-	ct := aead.Seal(nil, nonce, msg, nil)
-	pt := make([]byte, 0, len(msg))
-
-	if allocs := testing.AllocsPerRun(200, func() {
-		dst = aead.Seal(dst[:0], nonce, msg, nil)
-	}); allocs != 0 {
-		t.Errorf("Seal with reused dst allocates %.1f times per call, want 0", allocs)
+	xchacha, err := NewXChaCha20Poly1305(key)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		var err error
-		pt, err = aead.Open(pt[:0], nonce, ct, nil)
-		if err != nil {
+	// AllocsPerRun calls its function once more than runs.
+	fresh := make([]*ChaCha20Poly1305, 2*(runs+1))
+	for i := range fresh {
+		if fresh[i], err = NewChaCha20Poly1305(key); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs != 0 {
-		t.Errorf("Open with reused dst allocates %.1f times per call, want 0", allocs)
+	}
+	next := func() cipher.AEAD {
+		a := fresh[0]
+		fresh = fresh[1:]
+		return a
+	}
+	for _, tc := range []struct {
+		name   string
+		sealer cipher.AEAD        // seals the message Open is timed on
+		aead   func() cipher.AEAD // the AEAD each timed call runs on
+	}{
+		{"chacha20-ietf-poly1305", chacha, func() cipher.AEAD { return chacha }},
+		{"chacha20-ietf-poly1305 first call", chacha, next},
+		{"xchacha20-ietf-poly1305", xchacha, func() cipher.AEAD { return xchacha }},
+	} {
+		nonce := make([]byte, tc.sealer.NonceSize())
+		ct := tc.sealer.Seal(nil, nonce, msg, nil)
+		if allocs := testing.AllocsPerRun(runs, func() {
+			dst = tc.aead().Seal(dst[:0], nonce, msg, nil)
+		}); allocs != 0 {
+			t.Errorf("%s: Seal with reused dst allocates %.1f times per call, want 0", tc.name, allocs)
+		}
+		if allocs := testing.AllocsPerRun(runs, func() {
+			var err error
+			pt, err = tc.aead().Open(pt[:0], nonce, ct, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: Open with reused dst allocates %.1f times per call, want 0", tc.name, allocs)
+		}
 	}
 }

@@ -34,7 +34,7 @@ var errChaChaParams = errors.New("sscrypto: bad ChaCha20 key or nonce length")
 // counter) and legacy (8-byte nonce, 64-bit counter) variants.
 type ChaCha20 struct {
 	state   [16]uint32 // input block: constants, key, counter, nonce
-	buf     [64]byte   // currently buffered keystream block
+	buf     [64]byte   // the last partial block; bytes from bufUsed on are keystream
 	bufUsed int        // bytes of buf already consumed; 64 means empty
 	legacy  bool       // 64-bit counter variant
 }
@@ -101,32 +101,81 @@ func quarterRound(a, b, c, d uint32) (uint32, uint32, uint32, uint32) {
 	return a, b, c, d
 }
 
-// block generates the next 64-byte keystream block into c.buf and
-// increments the counter.
-func (c *ChaCha20) block() {
-	var x [16]uint32
-	copy(x[:], c.state[:])
-	for i := 0; i < 10; i++ {
-		// Column rounds.
-		x[0], x[4], x[8], x[12] = quarterRound(x[0], x[4], x[8], x[12])
-		x[1], x[5], x[9], x[13] = quarterRound(x[1], x[5], x[9], x[13])
-		x[2], x[6], x[10], x[14] = quarterRound(x[2], x[6], x[10], x[14])
-		x[3], x[7], x[11], x[15] = quarterRound(x[3], x[7], x[11], x[15])
-		// Diagonal rounds.
-		x[0], x[5], x[10], x[15] = quarterRound(x[0], x[5], x[10], x[15])
-		x[1], x[6], x[11], x[12] = quarterRound(x[1], x[6], x[11], x[12])
-		x[2], x[7], x[8], x[13] = quarterRound(x[2], x[7], x[8], x[13])
-		x[3], x[4], x[9], x[14] = quarterRound(x[3], x[4], x[9], x[14])
+// xorBlocks XORs the keystream into the whole 64-byte blocks of src,
+// writing dst, and advances the block counter past them; a trailing
+// partial block is left alone. It is the one ChaCha20 block function:
+// XORKeyStream's tail and the Poly1305 key block run it over a zeroed
+// block. The state lives in locals and each block is XORed four bytes
+// at a time.
+func (c *ChaCha20) xorBlocks(dst, src []byte) {
+	c0, c1, c2, c3 := c.state[0], c.state[1], c.state[2], c.state[3]
+	c4, c5, c6, c7 := c.state[4], c.state[5], c.state[6], c.state[7]
+	c8, c9, c10, c11 := c.state[8], c.state[9], c.state[10], c.state[11]
+	c12, c13, c14, c15 := c.state[12], c.state[13], c.state[14], c.state[15]
+
+	// Three of the first round's four column quarter-rounds do not read
+	// the block counter (word 12), so they are computed once per call.
+	// Column 1 reads word 13, which the legacy counter carries into: a
+	// carry recomputes it.
+	p1, p5, p9, p13 := quarterRound(c1, c5, c9, c13)
+	p2, p6, p10, p14 := quarterRound(c2, c6, c10, c14)
+	p3, p7, p11, p15 := quarterRound(c3, c7, c11, c15)
+
+	for len(src) >= 64 && len(dst) >= 64 {
+		s, d := (*[64]byte)(src), (*[64]byte)(dst)
+
+		// The rest of the first column round, then its diagonal round.
+		p0, p4, p8, p12 := quarterRound(c0, c4, c8, c12)
+		x0, x5, x10, x15 := quarterRound(p0, p5, p10, p15)
+		x1, x6, x11, x12 := quarterRound(p1, p6, p11, p12)
+		x2, x7, x8, x13 := quarterRound(p2, p7, p8, p13)
+		x3, x4, x9, x14 := quarterRound(p3, p4, p9, p14)
+
+		// The other nine double rounds.
+		for i := 0; i < 9; i++ {
+			x0, x4, x8, x12 = quarterRound(x0, x4, x8, x12)
+			x1, x5, x9, x13 = quarterRound(x1, x5, x9, x13)
+			x2, x6, x10, x14 = quarterRound(x2, x6, x10, x14)
+			x3, x7, x11, x15 = quarterRound(x3, x7, x11, x15)
+			x0, x5, x10, x15 = quarterRound(x0, x5, x10, x15)
+			x1, x6, x11, x12 = quarterRound(x1, x6, x11, x12)
+			x2, x7, x8, x13 = quarterRound(x2, x7, x8, x13)
+			x3, x4, x9, x14 = quarterRound(x3, x4, x9, x14)
+		}
+
+		xorWord(d, s, 0, x0+c0)
+		xorWord(d, s, 4, x1+c1)
+		xorWord(d, s, 8, x2+c2)
+		xorWord(d, s, 12, x3+c3)
+		xorWord(d, s, 16, x4+c4)
+		xorWord(d, s, 20, x5+c5)
+		xorWord(d, s, 24, x6+c6)
+		xorWord(d, s, 28, x7+c7)
+		xorWord(d, s, 32, x8+c8)
+		xorWord(d, s, 36, x9+c9)
+		xorWord(d, s, 40, x10+c10)
+		xorWord(d, s, 44, x11+c11)
+		xorWord(d, s, 48, x12+c12)
+		xorWord(d, s, 52, x13+c13)
+		xorWord(d, s, 56, x14+c14)
+		xorWord(d, s, 60, x15+c15)
+
+		// The IETF counter is 32 bits and wraps; the legacy one carries
+		// into word 13.
+		c12++
+		if c12 == 0 && c.legacy {
+			c13++
+			p1, p5, p9, p13 = quarterRound(c1, c5, c9, c13)
+		}
+		src, dst = src[64:], dst[64:]
 	}
-	for i := 0; i < 16; i++ {
-		binary.LittleEndian.PutUint32(c.buf[4*i:], x[i]+c.state[i])
-	}
-	c.bufUsed = 0
-	// Increment the block counter: 32-bit for IETF, 64-bit for legacy.
-	c.state[12]++
-	if c.state[12] == 0 && c.legacy {
-		c.state[13]++
-	}
+	c.state[12], c.state[13] = c12, c13
+}
+
+// xorWord XORs the little-endian keystream word w into the four bytes
+// of src at off, writing them to dst.
+func xorWord(dst, src *[64]byte, off int, w uint32) {
+	binary.LittleEndian.PutUint32(dst[off:], binary.LittleEndian.Uint32(src[off:])^w)
 }
 
 // XORKeyStream XORs src with the keystream into dst. dst and src must
@@ -135,20 +184,28 @@ func (c *ChaCha20) XORKeyStream(dst, src []byte) {
 	if len(dst) < len(src) {
 		panic("sscrypto: chacha20 output smaller than input")
 	}
-	for len(src) > 0 {
-		if c.bufUsed == 64 {
-			c.block()
-		}
-		n := len(src)
-		if avail := 64 - c.bufUsed; n > avail {
-			n = avail
-		}
-		for i := 0; i < n; i++ {
-			dst[i] = src[i] ^ c.buf[c.bufUsed+i]
+	dst = dst[:len(src)]
+	// First the keystream the previous call left in buf.
+	if c.bufUsed < 64 && len(src) > 0 {
+		n := min(64-c.bufUsed, len(src))
+		for i, k := range c.buf[c.bufUsed : c.bufUsed+n] {
+			dst[i] = src[i] ^ k
 		}
 		c.bufUsed += n
-		dst = dst[n:]
-		src = src[n:]
+		dst, src = dst[n:], src[n:]
+	}
+	// Then the whole blocks, straight from src to dst.
+	full := len(src) &^ 63
+	if full > 0 {
+		c.xorBlocks(dst[:full], src[:full])
+	}
+	// The tail goes through buf, which keeps the rest of its keystream
+	// block for the next call.
+	if tail := src[full:]; len(tail) > 0 {
+		c.buf = [64]byte{}
+		copy(c.buf[:], tail)
+		c.xorBlocks(c.buf[:], c.buf[:])
+		c.bufUsed = copy(dst[full:], c.buf[:])
 	}
 }
 
@@ -160,7 +217,7 @@ func chacha20Block64(key, nonce []byte, counter uint32, out *[64]byte) error {
 	if err := initChaCha20(&c, key, nonce, counter); err != nil {
 		return err
 	}
-	c.block()
-	copy(out[:], c.buf[:])
+	*out = [64]byte{}
+	c.xorBlocks(out[:], out[:])
 	return nil
 }

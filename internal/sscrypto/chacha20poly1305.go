@@ -10,13 +10,11 @@ import (
 // cipher behind the Shadowsocks "chacha20-ietf-poly1305" method — the only
 // AEAD method OutlineVPN supports.
 //
-// An instance is NOT safe for concurrent use: it owns a MAC scratch
-// buffer so that steady-state Seal/Open perform no heap allocation. The
-// Shadowsocks construction derives one AEAD per connection direction,
-// which is exactly this single-user shape.
+// It holds only its key: Seal and Open keep their cipher and MAC state
+// on the stack and MAC the AD and ciphertext where they lie, so they
+// allocate nothing beyond growing dst, from the first call on.
 type ChaCha20Poly1305 struct {
-	key    [ChaCha20KeySize]byte
-	macBuf []byte // scratch for the padded Poly1305 input
+	key [ChaCha20KeySize]byte
 }
 
 // ErrAuthFailed is returned by Open when the Poly1305 tag does not verify.
@@ -42,32 +40,22 @@ func (*ChaCha20Poly1305) NonceSize() int { return ChaCha20NonceSizeIETF }
 func (*ChaCha20Poly1305) Overhead() int { return Poly1305TagSize }
 
 // tag computes the RFC 8439 MAC for the given ciphertext and additional
-// data under the one-time key derived from (key, nonce).
+// data under the one-time key derived from (key, nonce): the AD and the
+// ciphertext, each padded to 16 bytes, then their two lengths.
 func (a *ChaCha20Poly1305) tag(out *[16]byte, nonce, ciphertext, additionalData []byte) {
 	var block [64]byte
 	if err := chacha20Block64(a.key[:], nonce, 0, &block); err != nil {
 		panic(err) // nonce length was validated by the caller
 	}
-	var polyKey [32]byte
-	copy(polyKey[:], block[:32])
-
-	mac := a.macBuf[:0]
-	mac = append(mac, additionalData...)
-	mac = appendPad16(mac)
-	mac = append(mac, ciphertext...)
-	mac = appendPad16(mac)
-	mac = binary.LittleEndian.AppendUint64(mac, uint64(len(additionalData)))
-	mac = binary.LittleEndian.AppendUint64(mac, uint64(len(ciphertext)))
-	a.macBuf = mac // keep the grown capacity for the next chunk
-	Poly1305(out, mac, &polyKey)
-}
-
-func appendPad16(b []byte) []byte {
-	if rem := len(b) % 16; rem != 0 {
-		var zero [16]byte
-		b = append(b, zero[:16-rem]...)
-	}
-	return b
+	var p poly1305
+	p.init((*[32]byte)(block[:32]))
+	p.writePadded(additionalData)
+	p.writePadded(ciphertext)
+	var lengths [16]byte
+	binary.LittleEndian.PutUint64(lengths[0:], uint64(len(additionalData)))
+	binary.LittleEndian.PutUint64(lengths[8:], uint64(len(ciphertext)))
+	p.blocks(lengths[:], 1)
+	p.sum(out)
 }
 
 // Seal implements cipher.AEAD: it encrypts plaintext, appends the result

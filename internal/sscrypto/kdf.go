@@ -1,7 +1,6 @@
 package sscrypto
 
 import (
-	"crypto/hmac"
 	"crypto/md5"
 	"crypto/sha1"
 	"errors"
@@ -17,24 +16,57 @@ func HKDFSHA1(secret, salt, info []byte, length int) ([]byte, error) {
 	if length <= 0 || length > 255*sha1.Size {
 		return nil, errors.New("sscrypto: bad HKDF output length")
 	}
-	// Extract.
+	var zeroSalt [sha1.Size]byte
 	if salt == nil {
-		salt = make([]byte, sha1.Size)
+		salt = zeroSalt[:]
 	}
-	ext := hmac.New(sha1.New, salt)
-	ext.Write(secret)
-	prk := ext.Sum(nil)
-
-	// Expand.
-	out := make([]byte, 0, length)
-	var t []byte
-	for i := byte(1); len(out) < length; i++ {
-		exp := hmac.New(sha1.New, prk)
-		exp.Write(t)
-		exp.Write(info)
-		exp.Write([]byte{i})
-		t = exp.Sum(nil)
-		out = append(out, t...)
+	// Every HMAC (RFC 2104) below runs on this one digest, in this
+	// function, where its calls resolve statically: the digest, the pads
+	// and the intermediate sums stay on the stack. hmac.New would build
+	// two digests and their pads for each HMAC.
+	h := sha1.New()
+	var pad [sha1.BlockSize]byte
+	var prk, inner [sha1.Size]byte
+	out := make([]byte, 0, length+sha1.Size)
+	// Step 0 extracts PRK = HMAC(salt, secret); step i > 0 expands
+	// T(i) = HMAC(PRK, T(i-1) || info || i) onto out.
+	for i := 0; i == 0 || len(out) < length; i++ {
+		key := prk[:]
+		if i == 0 {
+			key = salt
+		}
+		pad = [sha1.BlockSize]byte{}
+		if len(key) > sha1.BlockSize {
+			h.Reset()
+			h.Write(key)
+			h.Sum(pad[:0])
+		} else {
+			copy(pad[:], key)
+		}
+		for j := range pad {
+			pad[j] ^= 0x36 // ipad
+		}
+		h.Reset()
+		h.Write(pad[:])
+		if i == 0 {
+			h.Write(secret)
+		} else {
+			h.Write(out[max(len(out)-sha1.Size, 0):])
+			h.Write(info)
+			h.Write([]byte{byte(i)})
+		}
+		h.Sum(inner[:0])
+		for j := range pad {
+			pad[j] ^= 0x36 ^ 0x5c // ipad to opad
+		}
+		h.Reset()
+		h.Write(pad[:])
+		h.Write(inner[:])
+		if i == 0 {
+			h.Sum(prk[:0])
+		} else {
+			out = h.Sum(out)
+		}
 	}
 	return out[:length], nil
 }

@@ -38,6 +38,32 @@ func TestHKDFSHA1RFC5869NoSalt(t *testing.T) {
 	}
 }
 
+// TestHKDFSHA1RFC5869LongInputs checks test case 5: an 80-byte salt,
+// longer than a SHA-1 block, is hashed down to the HMAC key, and the
+// 82-byte output spans five expand steps.
+func TestHKDFSHA1RFC5869LongInputs(t *testing.T) {
+	seq := func(first byte) []byte {
+		b := make([]byte, 80)
+		for i := range b {
+			b[i] = first + byte(i)
+		}
+		return b
+	}
+	want := unhex(t, "0bd770a74d1160f7c9f12cd5912a06eb"+
+		"ff6adcae899d92191fe4305673ba2ffe"+
+		"8fa3f1a4e5ad79f3f334b3b202b2173c"+
+		"486ea37ce3d397ed034c7f9dfeb15c5e"+
+		"927336d0441f4c4300e2cff0d0900b52"+
+		"d3b4")
+	got, err := HKDFSHA1(seq(0x00), seq(0x60), seq(0xb0), len(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("OKM mismatch:\n got %x\nwant %x", got, want)
+	}
+}
+
 func TestHKDFSHA1BadLength(t *testing.T) {
 	if _, err := HKDFSHA1([]byte("x"), nil, nil, 0); err == nil {
 		t.Error("zero length accepted")
@@ -97,5 +123,15 @@ func TestSessionSubkey(t *testing.T) {
 	}
 	if bytes.Equal(s1, s2) {
 		t.Error("different salts produced identical subkeys")
+	}
+}
+
+// TestSessionSubkeyAllocs pins a subkey derivation at one allocation,
+// the returned key: every HMAC runs on one stack-held SHA-1 digest.
+func TestSessionSubkeyAllocs(t *testing.T) {
+	master := EVPBytesToKey("secret", 32)
+	salt := make([]byte, 32)
+	if allocs := testing.AllocsPerRun(100, func() { SessionSubkey(master, salt) }); allocs > 1 {
+		t.Errorf("SessionSubkey allocates %.1f times per call, want at most 1 (its result)", allocs)
 	}
 }

@@ -1,123 +1,122 @@
 package sscrypto
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Poly1305TagSize is the size of a Poly1305 authenticator in bytes.
 const Poly1305TagSize = 16
 
 // Poly1305 computes the Poly1305 MAC of msg using a 32-byte one-time key
-// and writes the 16-byte tag into out. The implementation uses 26-bit limbs
-// so that all intermediate products fit in uint64 without overflow.
+// and writes the 16-byte tag into out.
 func Poly1305(out *[Poly1305TagSize]byte, msg []byte, key *[32]byte) {
-	// Clamp r per the spec.
-	r0 := uint64(binary.LittleEndian.Uint32(key[0:])) & 0x3ffffff
-	r1 := uint64(binary.LittleEndian.Uint32(key[3:])>>2) & 0x3ffff03
-	r2 := uint64(binary.LittleEndian.Uint32(key[6:])>>4) & 0x3ffc0ff
-	r3 := uint64(binary.LittleEndian.Uint32(key[9:])>>6) & 0x3f03fff
-	r4 := uint64(binary.LittleEndian.Uint32(key[12:])>>8) & 0x00fffff
-
-	s1 := r1 * 5
-	s2 := r2 * 5
-	s3 := r3 * 5
-	s4 := r4 * 5
-
-	var h0, h1, h2, h3, h4 uint64
-
-	for len(msg) > 0 {
-		var block [17]byte
-		if len(msg) >= 16 {
-			copy(block[:16], msg[:16])
-			block[16] = 1
-			msg = msg[16:]
-		} else {
-			n := copy(block[:], msg)
-			block[n] = 1
-			msg = nil
-		}
-		// h += block (block interpreted little-endian, 17th byte is hibit).
-		t0 := binary.LittleEndian.Uint32(block[0:])
-		t1 := binary.LittleEndian.Uint32(block[4:])
-		t2 := binary.LittleEndian.Uint32(block[8:])
-		t3 := binary.LittleEndian.Uint32(block[12:])
-		hi := uint64(block[16])
-
-		h0 += uint64(t0) & 0x3ffffff
-		h1 += (uint64(t1)<<32 | uint64(t0)) >> 26 & 0x3ffffff
-		h2 += (uint64(t2)<<32 | uint64(t1)) >> 20 & 0x3ffffff
-		h3 += (uint64(t3)<<32 | uint64(t2)) >> 14 & 0x3ffffff
-		h4 += uint64(t3)>>8 | hi<<24
-
-		// h *= r (mod 2^130 - 5).
-		d0 := h0*r0 + h1*s4 + h2*s3 + h3*s2 + h4*s1
-		d1 := h0*r1 + h1*r0 + h2*s4 + h3*s3 + h4*s2
-		d2 := h0*r2 + h1*r1 + h2*r0 + h3*s4 + h4*s3
-		d3 := h0*r3 + h1*r2 + h2*r1 + h3*r0 + h4*s4
-		d4 := h0*r4 + h1*r3 + h2*r2 + h3*r1 + h4*r0
-
-		// Carry propagation.
-		h0 = d0 & 0x3ffffff
-		d1 += d0 >> 26
-		h1 = d1 & 0x3ffffff
-		d2 += d1 >> 26
-		h2 = d2 & 0x3ffffff
-		d3 += d2 >> 26
-		h3 = d3 & 0x3ffffff
-		d4 += d3 >> 26
-		h4 = d4 & 0x3ffffff
-		h0 += (d4 >> 26) * 5
-		h1 += h0 >> 26
-		h0 &= 0x3ffffff
+	var p poly1305
+	p.init(key)
+	full := len(msg) &^ 15
+	p.blocks(msg[:full], 1)
+	if full < len(msg) {
+		// The last partial block carries a 1 byte after its message
+		// bytes in place of the 2¹²⁸ bit.
+		var block [16]byte
+		block[copy(block[:], msg[full:])] = 1
+		p.blocks(block[:], 0)
 	}
+	p.sum(out)
+}
 
-	// Full carry.
-	h2 += h1 >> 26
-	h1 &= 0x3ffffff
-	h3 += h2 >> 26
-	h2 &= 0x3ffffff
-	h4 += h3 >> 26
-	h3 &= 0x3ffffff
-	h0 += (h4 >> 26) * 5
-	h4 &= 0x3ffffff
-	h1 += h0 >> 26
-	h0 &= 0x3ffffff
+// poly1305 is the streaming Poly1305 state in 64-bit limbs. Between
+// blocks the accumulator h = h0 + h1·2⁶⁴ + h2·2¹²⁸ is only partially
+// reduced mod 2¹³⁰−5: h2 ≤ 5, so h < 2·(2¹³⁰−5).
+type poly1305 struct {
+	h0, h1, h2 uint64
+	r0, r1     uint64 // the clamped multiplier r
+	s0, s1     uint64 // the final addend s
+}
 
-	// Compute h + -p by adding 5 and checking for carry out of 2^130.
-	g0 := h0 + 5
-	g1 := h1 + g0>>26
-	g0 &= 0x3ffffff
-	g2 := h2 + g1>>26
-	g1 &= 0x3ffffff
-	g3 := h3 + g2>>26
-	g2 &= 0x3ffffff
-	g4 := h4 + g3>>26 - (1 << 26)
-	g3 &= 0x3ffffff
+func (p *poly1305) init(key *[32]byte) {
+	*p = poly1305{
+		// Clamping clears the top four bits of each of r's 64-bit
+		// limbs, which keeps every product below from overflowing.
+		r0: binary.LittleEndian.Uint64(key[0:]) & 0x0ffffffc0fffffff,
+		r1: binary.LittleEndian.Uint64(key[8:]) & 0x0ffffffc0ffffffc,
+		s0: binary.LittleEndian.Uint64(key[16:]),
+		s1: binary.LittleEndian.Uint64(key[24:]),
+	}
+}
 
-	// If g4 underflowed (top bit set), keep h; otherwise use g.
-	mask := (g4 >> 63) - 1 // all ones if g4 >= 0, zero if negative
-	h0 = h0&^mask | g0&mask
-	h1 = h1&^mask | g1&mask
-	h2 = h2&^mask | g2&mask
-	h3 = h3&^mask | g3&mask
-	h4 = h4&^mask | g4&mask
+// blocks absorbs the whole 16-byte blocks of msg, each as
+// h = (h + block + hibit·2¹²⁸)·r mod 2¹³⁰−5. hibit is 1 for full message
+// blocks and 0 for a last partial block already padded with its 1 byte.
+func (p *poly1305) blocks(msg []byte, hibit uint64) {
+	h0, h1, h2 := p.h0, p.h1, p.h2
+	r0, r1 := p.r0, p.r1
+	for len(msg) >= 16 {
+		var c uint64
+		h0, c = bits.Add64(h0, binary.LittleEndian.Uint64(msg[0:8]), 0)
+		h1, c = bits.Add64(h1, binary.LittleEndian.Uint64(msg[8:16]), c)
+		h2 += c + hibit // at most 7
 
-	// Serialize h as 128 bits little-endian and add s.
-	f0 := h0 | h1<<26
-	f1 := h1>>6 | h2<<20
-	f2 := h2>>12 | h3<<14
-	f3 := h3>>18 | h4<<8
+		// h·r in four 64-bit limbs t0..t3. With h2 ≤ 7 and r's limbs
+		// below 2⁶⁰, h2·r0 and h2·r1 fit one limb and no 128-bit column
+		// sum below overflows.
+		h0r0hi, h0r0lo := bits.Mul64(h0, r0)
+		h1r0hi, h1r0lo := bits.Mul64(h1, r0)
+		h0r1hi, h0r1lo := bits.Mul64(h0, r1)
+		h1r1hi, h1r1lo := bits.Mul64(h1, r1)
+		m1lo, c := bits.Add64(h1r0lo, h0r1lo, 0)
+		m1hi := h1r0hi + h0r1hi + c
+		m2lo, c := bits.Add64(h1r1lo, h2*r0, 0)
+		m2hi := h1r1hi + c
 
-	s0 := uint64(binary.LittleEndian.Uint32(key[16:]))
-	sk1 := uint64(binary.LittleEndian.Uint32(key[20:]))
-	sk2 := uint64(binary.LittleEndian.Uint32(key[24:]))
-	sk3 := uint64(binary.LittleEndian.Uint32(key[28:]))
+		t0 := h0r0lo
+		t1, c := bits.Add64(m1lo, h0r0hi, 0)
+		t2, c := bits.Add64(m2lo, m1hi, c)
+		t3 := h2*r1 + m2hi + c
 
-	f0 = f0&0xffffffff + s0
-	f1 = f1&0xffffffff + sk1 + f0>>32
-	f2 = f2&0xffffffff + sk2 + f1>>32
-	f3 = f3&0xffffffff + sk3 + f2>>32
+		// Fold the bits at and above 2¹³⁰ back in: 2¹³⁰ ≡ 5, so
+		// h = t mod 2¹³⁰ + 4·q + q for q = t >> 130.
+		h0, h1, h2 = t0, t1, t2&3
+		q0, q1 := t2&^3, t3 // 4·q
+		h0, c = bits.Add64(h0, q0, 0)
+		h1, c = bits.Add64(h1, q1, c)
+		h2 += c
+		q0, q1 = q0>>2|q1<<62, q1>>2
+		h0, c = bits.Add64(h0, q0, 0)
+		h1, c = bits.Add64(h1, q1, c)
+		h2 += c // at most 5
 
-	binary.LittleEndian.PutUint32(out[0:], uint32(f0))
-	binary.LittleEndian.PutUint32(out[4:], uint32(f1))
-	binary.LittleEndian.PutUint32(out[8:], uint32(f2))
-	binary.LittleEndian.PutUint32(out[12:], uint32(f3))
+		msg = msg[16:]
+	}
+	p.h0, p.h1, p.h2 = h0, h1, h2
+}
+
+// writePadded absorbs msg followed by zeros up to a multiple of 16
+// bytes: RFC 8439's pad16, which follows the AD and the ciphertext.
+func (p *poly1305) writePadded(msg []byte) {
+	full := len(msg) &^ 15
+	p.blocks(msg[:full], 1)
+	if full < len(msg) {
+		var block [16]byte
+		copy(block[:], msg[full:])
+		p.blocks(block[:], 1)
+	}
+}
+
+// sum finishes the MAC: it reduces h fully, in constant time, and writes
+// h + s mod 2¹²⁸.
+func (p *poly1305) sum(out *[Poly1305TagSize]byte) {
+	// h < 2·(2¹³⁰−5), so one subtraction of 2¹³⁰−5 reduces it. Take
+	// the difference unless it borrowed.
+	g0, b := bits.Sub64(p.h0, 0xfffffffffffffffb, 0)
+	g1, b := bits.Sub64(p.h1, 0xffffffffffffffff, b)
+	_, b = bits.Sub64(p.h2, 3, b)
+	ge := b - 1 // all ones when h ≥ 2¹³⁰−5
+	h0 := p.h0&^ge | g0&ge
+	h1 := p.h1&^ge | g1&ge
+
+	h0, c := bits.Add64(h0, p.s0, 0)
+	h1, _ = bits.Add64(h1, p.s1, c)
+	binary.LittleEndian.PutUint64(out[0:], h0)
+	binary.LittleEndian.PutUint64(out[8:], h1)
 }

@@ -10,6 +10,14 @@ func HChaCha20(key, nonce []byte) ([]byte, error) {
 	if len(key) != ChaCha20KeySize || len(nonce) != 16 {
 		return nil, errChaChaParams
 	}
+	var out [32]byte
+	hChaCha20(&out, key, nonce)
+	return out[:], nil
+}
+
+// hChaCha20 is HChaCha20 into an array, for a 32-byte key and a 16-byte
+// nonce.
+func hChaCha20(out *[32]byte, key, nonce []byte) {
 	var x [16]uint32
 	x[0] = 0x61707865
 	x[1] = 0x3320646e
@@ -31,12 +39,10 @@ func HChaCha20(key, nonce []byte) ([]byte, error) {
 		x[2], x[7], x[8], x[13] = quarterRound(x[2], x[7], x[8], x[13])
 		x[3], x[4], x[9], x[14] = quarterRound(x[3], x[4], x[9], x[14])
 	}
-	out := make([]byte, 32)
 	for i := 0; i < 4; i++ {
 		binary.LittleEndian.PutUint32(out[4*i:], x[i])
 		binary.LittleEndian.PutUint32(out[16+4*i:], x[12+i])
 	}
-	return out, nil
 }
 
 // XChaCha20Poly1305 is the 24-byte-nonce AEAD: HChaCha20 folds the first
@@ -63,20 +69,13 @@ func (*XChaCha20Poly1305) NonceSize() int { return 24 }
 // Overhead implements cipher.AEAD.
 func (*XChaCha20Poly1305) Overhead() int { return Poly1305TagSize }
 
-// inner builds the per-nonce ChaCha20-Poly1305 and the 12-byte nonce.
-func (a *XChaCha20Poly1305) inner(nonce []byte) (*ChaCha20Poly1305, []byte, error) {
+// inner returns the per-nonce ChaCha20-Poly1305 and its 12-byte nonce
+// by value, so that neither leaves the caller's stack.
+func (a *XChaCha20Poly1305) inner(nonce []byte) (inner ChaCha20Poly1305, n12 [12]byte, err error) {
 	if len(nonce) != 24 {
-		return nil, nil, errChaChaParams
+		return inner, n12, errChaChaParams
 	}
-	subkey, err := HChaCha20(a.key[:], nonce[:16])
-	if err != nil {
-		return nil, nil, err
-	}
-	inner, err := NewChaCha20Poly1305(subkey)
-	if err != nil {
-		return nil, nil, err
-	}
-	n12 := make([]byte, 12)
+	hChaCha20(&inner.key, a.key[:], nonce[:16])
 	copy(n12[4:], nonce[16:])
 	return inner, n12, nil
 }
@@ -87,7 +86,7 @@ func (a *XChaCha20Poly1305) Seal(dst, nonce, plaintext, additionalData []byte) [
 	if err != nil {
 		panic("sscrypto: bad nonce length for xchacha20-poly1305")
 	}
-	return inner.Seal(dst, n12, plaintext, additionalData)
+	return inner.Seal(dst, n12[:], plaintext, additionalData)
 }
 
 // Open implements cipher.AEAD.
@@ -96,5 +95,5 @@ func (a *XChaCha20Poly1305) Open(dst, nonce, ciphertext, additionalData []byte) 
 	if err != nil {
 		return nil, err
 	}
-	return inner.Open(dst, n12, ciphertext, additionalData)
+	return inner.Open(dst, n12[:], ciphertext, additionalData)
 }

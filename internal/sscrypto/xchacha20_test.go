@@ -7,9 +7,9 @@ import (
 )
 
 // hchachaViaBlock derives the HChaCha20 output through the RFC-8439-
-// validated block function: block() returns rounds(state) + state, so
-// subtracting the initial state words recovers the raw round output that
-// HChaCha20 is defined over. This is an independent code path (the
+// validated block function: a keystream block is rounds(state) + state,
+// so subtracting the initial state words recovers the raw round output
+// that HChaCha20 is defined over. This is an independent code path (the
 // streaming block core) cross-checking the dedicated implementation.
 func hchachaViaBlock(t *testing.T, key, nonce []byte) []byte {
 	t.Helper()
@@ -19,10 +19,11 @@ func hchachaViaBlock(t *testing.T, key, nonce []byte) []byte {
 		t.Fatal(err)
 	}
 	initial := c.state // copy before the counter increments
-	c.block()
+	var block [64]byte
+	c.XORKeyStream(block[:], block[:])
 	var w [16]uint32
 	for i := 0; i < 16; i++ {
-		w[i] = binary.LittleEndian.Uint32(c.buf[4*i:])
+		w[i] = binary.LittleEndian.Uint32(block[4*i:])
 	}
 	out := make([]byte, 32)
 	for i := 0; i < 4; i++ {
