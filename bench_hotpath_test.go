@@ -221,7 +221,10 @@ func benchDetectorChain3(b *testing.B) {
 }
 
 func benchDetectorChain(b *testing.B, names []string) {
-	chain := detector.MustChain(names, detector.Params{Base: 0.04})
+	chain, err := detector.NewChain(names, detector.Params{Base: 0.04})
+	if err != nil {
+		b.Fatal(err)
+	}
 	payloads := benchPayloadMix()
 	f := &netsim.Flow{}
 	suspects := 0

@@ -63,14 +63,14 @@ func ExampleWithImpairment() {
 }
 
 // ExampleWithDetectors builds a censor running the full four-stage
-// detector chain, using stage aliases. The chain is order-independent:
-// verdicts combine by exempt-veto then maximum confidence, so listing
-// "tls" last protects TLS flows just the same.
+// detector chain. The chain is order-independent: verdicts combine by
+// exempt-veto then maximum confidence, so listing "tlsexempt" last
+// protects TLS flows just the same.
 func ExampleWithDetectors() {
 	sim := sslab.NewSim(sslab.WithSeed(1))
 	net := sslab.NewNetwork(sim)
 	censor := sslab.NewCensor(sslab.CensorEnv{Sim: sim, Net: net},
-		sslab.WithDetectors("ss", "ovpn", "fep", "tls"))
+		sslab.WithDetectors("shadowsocks", "openvpn", "fullyencrypted", "tlsexempt"))
 	fmt.Println("chain:", censor.DetectorNames())
 	fmt.Println("registered stages:", sslab.DetectorNames())
 	// Output:

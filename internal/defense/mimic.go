@@ -13,10 +13,10 @@ import (
 // little — the record bodies are still ciphertext, and the FPStudy shows
 // realistic TLS is probed at Shadowsocks-like rates anyway. Its value
 // appears when the censor exempts TLS-framed flows to avoid mass-probing
-// the web (the gfw.Config.TLSWhitelist knob): then framing drops probing
-// to zero, which is the mechanism behind the probe-resistant tools §8
-// cites (trojan, naiveproxy, HTTPT) — hide inside the protocol the censor
-// cannot afford to probe.
+// the web (a detector chain listing "tlsexempt"): then framing drops
+// probing to zero, which is the mechanism behind the probe-resistant
+// tools §8 cites (trojan, naiveproxy, HTTPT) — hide inside the protocol
+// the censor cannot afford to probe.
 //
 // The framing is a model of that class of tools, not a TLS implementation:
 // a real censor can of course distinguish it from genuine TLS by deeper

@@ -1,5 +1,5 @@
-// Package detector is the censor's pluggable passive-analysis layer: a
-// registry of composable per-protocol detector stages and a chain
+// Package detector is the censor's passive-analysis layer: a fixed
+// table of four composable per-protocol detector stages and a chain
 // evaluator that reduces their verdicts to one flow-level decision.
 //
 // The paper's censor hard-codes a single pipeline (TLS exemption →
@@ -12,7 +12,7 @@
 // recording the flow for active probing.
 //
 // Chain semantics are commutative by construction, so a chain's verdict
-// does not depend on the order stages were registered or listed (pinned
+// does not depend on the order stages are listed in (pinned
 // by TestChainOrderIndependence):
 //
 //   - any Exempt verdict vetoes the whole flow (whitelisting);
@@ -35,7 +35,7 @@ package detector
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"sslab/internal/entropy"
@@ -85,8 +85,6 @@ type Result struct {
 // payload, and must not allocate — per-flow working state belongs in
 // the shared Scratch.
 type Stage interface {
-	// Name returns the stage's canonical registry name.
-	Name() string
 	// Observe judges one flow. sc is the chain's shared scratch; use
 	// sc.Entropy() instead of computing Shannon entropy directly so the
 	// pass is shared between stages. In a bound pass (Chain.Bound) a
@@ -94,7 +92,7 @@ type Stage interface {
 	Observe(f *netsim.Flow, sc *Scratch) Result
 }
 
-// Params carries the tuning a chain hands to every stage factory. The
+// Params carries the tuning a chain hands to every stage it builds. The
 // zero value selects paper-calibrated defaults.
 type Params struct {
 	// Base scales the Shadowsocks stage's recording rate (the censor's
@@ -143,66 +141,49 @@ func (sc *Scratch) Entropy() float64 {
 	return sc.ent
 }
 
-// Factory builds one configured stage instance.
-type Factory func(Params) Stage
+// stageTable is the fixed set of stages, sorted by name: Names lists
+// it and NewChain builds each listed stage from its row.
+var stageTable = []struct {
+	name  string
+	build func(Params) Stage
+}{
+	{StageFullyEncrypted, func(Params) Stage { return fepStage{} }},
+	{StageOpenVPN, func(Params) Stage { return openvpnStage{} }},
+	{StageShadowsocks, func(p Params) Stage {
+		return &ssStage{base: p.Base, ignoreLength: p.DisableLength, ignoreEntropy: p.DisableEntropy}
+	}},
+	{StageTLSExempt, func(Params) Stage { return tlsStage{} }},
+}
 
-// factories is the stage registry; registered at init time, read-only
-// afterwards. registered mirrors its keys in sorted order so listing
-// never iterates the map.
-var (
-	factories  = map[string]Factory{}
-	registered []string
-)
-
-// register adds a stage factory under its canonical name. Called from
-// init functions only.
-func register(name string, f Factory) {
-	if _, dup := factories[name]; dup {
-		panic("detector: duplicate stage " + name)
+// stageIndex returns name's row in stageTable, or -1.
+func stageIndex(name string) int {
+	for i, st := range stageTable {
+		if st.name == name {
+			return i
+		}
 	}
-	factories[name] = f
-	registered = append(registered, name)
-	sort.Strings(registered)
+	return -1
 }
 
-// aliases maps accepted shorthand names to canonical stage names.
-var aliases = map[string]string{
-	"ss":   StageShadowsocks,
-	"tls":  StageTLSExempt,
-	"ovpn": StageOpenVPN,
-	"vpn":  StageOpenVPN,
-	"fep":  StageFullyEncrypted,
-	"obfs": StageFullyEncrypted,
-}
-
-// Canonical resolves a stage name or alias to its canonical registry
-// name; unknown names pass through unchanged (NewChain rejects them
-// with the full known-name list).
-func Canonical(name string) string {
-	if c, ok := aliases[name]; ok {
-		return c
-	}
-	return name
-}
-
-// Names returns the canonical names of all registered stages, sorted.
+// Names returns the names of all stages, sorted.
 func Names() []string {
-	return append([]string(nil), registered...)
+	out := make([]string, len(stageTable))
+	for i, st := range stageTable {
+		out[i] = st.name
+	}
+	return out
 }
 
-// ValidateNames checks that every entry of names (after alias
-// resolution) is a registered stage and that no stage repeats.
+// ValidateNames checks that every entry of names is a stage name and
+// that no stage repeats.
 func ValidateNames(names []string) error {
-	seen := map[string]bool{}
-	for _, n := range names {
-		c := Canonical(n)
-		if _, ok := factories[c]; !ok {
+	for i, n := range names {
+		if stageIndex(n) < 0 {
 			return fmt.Errorf("detector: unknown stage %q (known: %s)", n, strings.Join(Names(), ", "))
 		}
-		if seen[c] {
-			return fmt.Errorf("detector: stage %q listed twice", c)
+		if slices.Contains(names[:i], n) {
+			return fmt.Errorf("detector: stage %q listed twice", n)
 		}
-		seen[c] = true
 	}
 	return nil
 }
@@ -216,8 +197,8 @@ type Chain struct {
 	scratch Scratch
 }
 
-// NewChain builds a chain from stage names or aliases. The list must be
-// non-empty and free of duplicates after alias resolution.
+// NewChain builds a chain from stage names. The list must be non-empty
+// and free of duplicates.
 func NewChain(names []string, p Params) (*Chain, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("detector: empty chain")
@@ -226,29 +207,14 @@ func NewChain(names []string, p Params) (*Chain, error) {
 		return nil, err
 	}
 	p = p.withDefaults()
-	c := &Chain{
-		stages: make([]Stage, len(names)),
-		names:  make([]string, len(names)),
-	}
+	c := &Chain{stages: make([]Stage, len(names)), names: slices.Clone(names)}
 	for i, n := range names {
-		canon := Canonical(n)
-		c.stages[i] = factories[canon](p)
-		c.names[i] = canon
+		c.stages[i] = stageTable[stageIndex(n)].build(p)
 	}
 	return c, nil
 }
 
-// MustChain is NewChain panicking on error, for wiring known-good
-// configurations.
-func MustChain(names []string, p Params) *Chain {
-	c, err := NewChain(names, p)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// Names returns the chain's canonical stage names in evaluation order.
+// Names returns the chain's stage names in evaluation order.
 func (c *Chain) Names() []string {
 	return append([]string(nil), c.names...)
 }

@@ -3,6 +3,8 @@ package detector
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"sslab/internal/entropy"
@@ -58,7 +60,7 @@ func TestShadowsocksStageConfidence(t *testing.T) {
 	payload := gen.Random(409) // 409%16==9: top length weight
 	var sc Scratch
 	sc.reset(payload, false)
-	st := factories[StageShadowsocks](Params{Base: 0.04}).(*ssStage)
+	st := &ssStage{base: 0.04}
 	res := st.Observe(&netsim.Flow{FirstPayload: payload}, &sc)
 	if res.Verdict != Suspect {
 		t.Fatalf("verdict = %v, want suspect", res.Verdict)
@@ -78,36 +80,35 @@ func TestShadowsocksStageConfidence(t *testing.T) {
 	}
 }
 
-// --- registry ------------------------------------------------------------
+// --- stage table ---------------------------------------------------------
 
+// mustChain is NewChain failing the test on error.
+func mustChain(tb testing.TB, names []string, p Params) *Chain {
+	tb.Helper()
+	c, err := NewChain(names, p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+// TestRegistryAndAliases: Names lists the four stages of the fixed
+// table, sorted; a chain keeps the names it was given, in order; and
+// the shorthand aliases the table once accepted ("ss", "tls", ...) are
+// refused like any unknown name, with the four names listed.
 func TestRegistryAndAliases(t *testing.T) {
 	want := []string{StageFullyEncrypted, StageOpenVPN, StageShadowsocks, StageTLSExempt}
-	got := Names()
-	if len(got) != len(want) {
+	if got := Names(); !slices.Equal(got, want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Names() = %v, want %v", got, want)
-		}
+	chain := []string{StageTLSExempt, StageShadowsocks, StageOpenVPN, StageFullyEncrypted}
+	if got := mustChain(t, chain, Params{}).Names(); !slices.Equal(got, chain) {
+		t.Fatalf("chain names = %v, want %v", got, chain)
 	}
-	for alias, canon := range map[string]string{
-		"ss": StageShadowsocks, "tls": StageTLSExempt,
-		"ovpn": StageOpenVPN, "vpn": StageOpenVPN,
-		"fep": StageFullyEncrypted, "obfs": StageFullyEncrypted,
-		StageShadowsocks: StageShadowsocks, "nonsense": "nonsense",
-	} {
-		if got := Canonical(alias); got != canon {
-			t.Errorf("Canonical(%q) = %q, want %q", alias, got, canon)
-		}
-	}
-
-	c := MustChain([]string{"tls", "ss", "ovpn", "fep"}, Params{})
-	names := c.Names()
-	wantChain := []string{StageTLSExempt, StageShadowsocks, StageOpenVPN, StageFullyEncrypted}
-	for i := range wantChain {
-		if names[i] != wantChain[i] {
-			t.Fatalf("chain names = %v, want %v", names, wantChain)
+	for _, alias := range []string{"ss", "tls", "ovpn", "vpn", "fep", "obfs"} {
+		_, err := NewChain([]string{alias}, Params{})
+		if err == nil || !strings.Contains(err.Error(), "known: fullyencrypted, openvpn, shadowsocks, tlsexempt") {
+			t.Errorf("NewChain(%q): error %v, want one listing the four stages", alias, err)
 		}
 	}
 }
@@ -119,10 +120,10 @@ func TestNewChainErrors(t *testing.T) {
 	if _, err := NewChain([]string{"shadowsock"}, Params{}); err == nil {
 		t.Error("unknown stage accepted")
 	}
-	if _, err := NewChain([]string{"ss", StageShadowsocks}, Params{}); err == nil {
-		t.Error("duplicate stage (via alias) accepted")
+	if _, err := NewChain([]string{StageShadowsocks, StageOpenVPN, StageShadowsocks}, Params{}); err == nil {
+		t.Error("duplicate stage accepted")
 	}
-	if err := ValidateNames([]string{"ss", "ovpn"}); err != nil {
+	if err := ValidateNames([]string{StageShadowsocks, StageOpenVPN}); err != nil {
 		t.Errorf("ValidateNames rejected a valid chain: %v", err)
 	}
 }
@@ -208,7 +209,7 @@ func TestChainOrderIndependence(t *testing.T) {
 	perms := permutations(stages)
 	chains := make([]*Chain, len(perms))
 	for i, p := range perms {
-		chains[i] = MustChain(p, Params{})
+		chains[i] = mustChain(t, p, Params{})
 	}
 	for pi, payload := range corpus(t) {
 		f := &netsim.Flow{FirstPayload: payload}
@@ -241,7 +242,7 @@ func TestChainExemptVeto(t *testing.T) {
 	p[3], p[4] = byte(body>>8), byte(body)
 	f := &netsim.Flow{FirstPayload: p}
 
-	bare := MustChain([]string{StageShadowsocks}, Params{})
+	bare := mustChain(t, []string{StageShadowsocks}, Params{})
 	if _, res := bare.Observe(f); res.Verdict != Suspect {
 		t.Fatal("test payload not suspect without the whitelist; corpus broken")
 	}
@@ -249,7 +250,7 @@ func TestChainExemptVeto(t *testing.T) {
 		{StageTLSExempt, StageShadowsocks},
 		{StageShadowsocks, StageTLSExempt},
 	} {
-		c := MustChain(names, Params{})
+		c := mustChain(t, names, Params{})
 		if _, res := c.Observe(f); res.Verdict != Exempt {
 			t.Errorf("chain %v: verdict %v, want exempt", names, res.Verdict)
 		}
@@ -259,7 +260,7 @@ func TestChainExemptVeto(t *testing.T) {
 // TestChainWinnerAttribution: the returned index names the stage whose
 // confidence decided the flow.
 func TestChainWinnerAttribution(t *testing.T) {
-	c := MustChain([]string{StageShadowsocks, StageOpenVPN, StageFullyEncrypted}, Params{})
+	c := mustChain(t, []string{StageShadowsocks, StageOpenVPN, StageFullyEncrypted}, Params{})
 	rng := rand.New(rand.NewSource(4))
 
 	reset := buildReset(rng, false)
@@ -285,7 +286,7 @@ func TestChainWinnerAttribution(t *testing.T) {
 // and the censor's bound pass followed by Decide with a draw of 0, which
 // lands under every positive bound and so runs the exact pass too.
 func TestChainObserveAllocs(t *testing.T) {
-	c := MustChain([]string{StageShadowsocks, StageOpenVPN, StageFullyEncrypted}, Params{})
+	c := mustChain(t, []string{StageShadowsocks, StageOpenVPN, StageFullyEncrypted}, Params{})
 	gen := entropy.NewGenerator(6)
 	payloads := [][]byte{
 		gen.Random(409),
@@ -374,7 +375,7 @@ func TestChainBoundMatchesObserve(t *testing.T) {
 	}
 	for _, p := range []Params{{}, {Base: 1}, {Base: math.SmallestNonzeroFloat64}, {DisableLength: true}, {DisableEntropy: true}} {
 		for _, names := range boundChains {
-			c, ref := MustChain(names, p), MustChain(names, p)
+			c, ref := mustChain(t, names, p), mustChain(t, names, p)
 			bounded := 0
 			for _, payload := range payloads {
 				if checkBound(t, c, ref, &netsim.Flow{FirstPayload: payload}) {
@@ -399,7 +400,7 @@ func TestChainBoundMatchesObserve(t *testing.T) {
 // for the fully-encrypted stage's verdict is not measured again.
 func TestBoundPassSkipsEntropy(t *testing.T) {
 	f := &netsim.Flow{FirstPayload: entropy.NewGenerator(8).Payload(265, 4)} // 265%16 == 9
-	c := MustChain([]string{StageShadowsocks}, Params{})
+	c := mustChain(t, []string{StageShadowsocks}, Params{})
 	b := c.Bound(f)
 	if want := 0.04 * lengthWeight(265); b != (Result{Verdict: Suspect, Confidence: want}) {
 		t.Fatalf("bound pass %+v, want suspect at base × length weight %v", b, want)
@@ -416,18 +417,18 @@ func TestBoundPassSkipsEntropy(t *testing.T) {
 		t.Fatal("a draw under the bound decided without the entropy")
 	}
 
-	tiny := MustChain([]string{StageShadowsocks}, Params{Base: math.SmallestNonzeroFloat64})
+	tiny := mustChain(t, []string{StageShadowsocks}, Params{Base: math.SmallestNonzeroFloat64})
 	tiny.Bound(f)
 	if !tiny.scratch.entOK {
 		t.Error("an underflowing bound was taken without measuring the entropy")
 	}
-	flat := MustChain([]string{StageShadowsocks}, Params{DisableEntropy: true})
+	flat := mustChain(t, []string{StageShadowsocks}, Params{DisableEntropy: true})
 	flat.Decide(f, flat.Bound(f), 0)
 	if flat.scratch.entOK {
 		t.Error("the DisableEntropy ablation measured the entropy")
 	}
 
-	two := MustChain([]string{StageShadowsocks, StageFullyEncrypted}, Params{})
+	two := mustChain(t, []string{StageShadowsocks, StageFullyEncrypted}, Params{})
 	f = &netsim.Flow{FirstPayload: entropy.NewGenerator(8).Random(409)}
 	b = two.Bound(f)
 	if !two.scratch.entOK {
@@ -457,6 +458,6 @@ func FuzzChainBound(f *testing.F) {
 		}
 		names := boundChains[shape%4]
 		p := Params{Base: base, DisableLength: shape&4 != 0, DisableEntropy: shape&8 != 0}
-		checkBound(t, MustChain(names, p), MustChain(names, p), &netsim.Flow{FirstPayload: payload})
+		checkBound(t, mustChain(t, names, p), mustChain(t, names, p), &netsim.Flow{FirstPayload: payload})
 	})
 }

@@ -20,10 +20,6 @@ import (
 // StageFullyEncrypted names the fully-encrypted-transport stage.
 const StageFullyEncrypted = "fullyencrypted"
 
-func init() {
-	register(StageFullyEncrypted, func(Params) Stage { return fepStage{} })
-}
-
 const (
 	// fepMinLen is the shortest first payload the stage considers: below
 	// it the entropy estimate is too coarse to separate random bytes
@@ -44,9 +40,6 @@ const (
 
 // fepStage flags long, structureless, maximum-entropy first payloads.
 type fepStage struct{}
-
-// Name implements Stage.
-func (fepStage) Name() string { return StageFullyEncrypted }
 
 // Observe implements Stage.
 //

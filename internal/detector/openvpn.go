@@ -89,10 +89,6 @@ func ParseClientReset(p []byte) (r Reset, ok bool) {
 	return r, true
 }
 
-func init() {
-	register(StageOpenVPN, func(Params) Stage { return openvpnStage{} })
-}
-
 // openvpnConfidence is the per-flow action rate when the opcode filter
 // matches. The fingerprint itself is near-deterministic (Xue et al.
 // flag >85% of flows from the first packet); the rate below that
@@ -103,9 +99,6 @@ const openvpnConfidence = 0.30
 // openvpnStage flags flows whose first payload is a well-formed OpenVPN
 // client reset.
 type openvpnStage struct{}
-
-// Name implements Stage.
-func (openvpnStage) Name() string { return StageOpenVPN }
 
 // Observe implements Stage.
 //

@@ -26,12 +26,6 @@ import (
 // StageShadowsocks names the length+entropy Shadowsocks stage.
 const StageShadowsocks = "shadowsocks"
 
-func init() {
-	register(StageShadowsocks, func(p Params) Stage {
-		return &ssStage{base: p.Base, ignoreLength: p.DisableLength, ignoreEntropy: p.DisableEntropy}
-	})
-}
-
 // lengthWeight returns the relative probability that a first packet of
 // length n is selected for recording/replay, before the entropy factor.
 func lengthWeight(n int) float64 {
@@ -89,9 +83,6 @@ type ssStage struct {
 	ignoreLength  bool    // ablation: drop the length feature
 	ignoreEntropy bool    // ablation: drop the entropy feature
 }
-
-// Name implements Stage.
-func (s *ssStage) Name() string { return StageShadowsocks }
 
 // Observe returns Suspect with the recording probability (in a bound
 // pass, its upper bound base × length weight) as confidence.

@@ -8,19 +8,12 @@ import (
 // StageTLSExempt names the TLS-whitelist stage.
 const StageTLSExempt = "tlsexempt"
 
-func init() {
-	register(StageTLSExempt, func(Params) Stage { return tlsStage{} })
-}
-
 // tlsStage models a censor that exempts TLS-framed flows from every
 // other detector to avoid mass-probing the web — the conjecture the
 // FPStudy motivates and the mechanism application-fronting tools (§8)
-// rely on. It maps gfw.Config.TLSWhitelist onto the chain: an Exempt
-// verdict vetoes any Suspect verdict from the protocol stages.
+// rely on. Listed in a chain, its Exempt verdict vetoes any Suspect
+// verdict from the protocol stages.
 type tlsStage struct{}
-
-// Name implements Stage.
-func (tlsStage) Name() string { return StageTLSExempt }
 
 // Observe implements Stage.
 //

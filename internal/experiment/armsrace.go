@@ -37,7 +37,6 @@ type ArmsRaceConfig struct {
 	// worker count executing the shards does not (see fleet.WithWorkers).
 	Shards int `json:",omitempty"`
 	// Chains are the detector chains to race (default DefaultChains).
-	// Stage aliases are accepted.
 	Chains [][]string `json:",omitempty"`
 	// Mix is the server implementation mix (default ArmsRaceMix).
 	Mix []fleet.ImplShare `json:",omitempty"`
@@ -113,6 +112,11 @@ type ArmsRaceReport struct {
 // fleet execution options (worker pools, metrics sinks) applied to
 // every chain's run; they never change report bytes.
 func ArmsRace(cfg ArmsRaceConfig, opts ...fleet.Option) (*ArmsRaceReport, error) {
+	// Each chain replaces GFW.Detectors, but the censor as configured
+	// must still be valid.
+	if err := cfg.GFW.Validate(); err != nil {
+		return nil, fmt.Errorf("armsrace: %w", err)
+	}
 	chains := cfg.Chains
 	if len(chains) == 0 {
 		chains = DefaultChains

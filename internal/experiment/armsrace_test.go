@@ -71,7 +71,7 @@ func TestArmsRaceEscalation(t *testing.T) {
 // TestArmsRaceDeterminism: same seed, same report bytes.
 func TestArmsRaceDeterminism(t *testing.T) {
 	cfg := ArmsRaceConfig{Seed: 9, Users: 400, UsersPerServer: 40, Hours: 3,
-		Chains: [][]string{{"ss"}, {"ss", "ovpn"}}}
+		Chains: [][]string{{"shadowsocks"}, {"shadowsocks", "openvpn"}}}
 	a, err := ArmsRace(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -91,9 +91,9 @@ func TestArmsRaceDeterminism(t *testing.T) {
 // results of earlier chains (per-chain seed forks are independent).
 func TestArmsRaceChainIsolation(t *testing.T) {
 	base := ArmsRaceConfig{Seed: 13, Users: 400, UsersPerServer: 40, Hours: 3,
-		Chains: [][]string{{"ss"}}}
+		Chains: [][]string{{"shadowsocks"}}}
 	ext := base
-	ext.Chains = [][]string{{"ss"}, {"ss", "ovpn", "fep"}}
+	ext.Chains = [][]string{{"shadowsocks"}, {"shadowsocks", "openvpn", "fullyencrypted"}}
 	a, err := ArmsRace(base)
 	if err != nil {
 		t.Fatal(err)

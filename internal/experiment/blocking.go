@@ -68,6 +68,11 @@ type BlockingReport struct {
 // survive the same probing.
 func BlockingExperiment(cfg BlockingConfig) (*BlockingReport, error) {
 	cfg = cfg.withDefaults()
+	// Sensitivity replaces GFW.Sensitivity, but the censor as configured
+	// must still be valid.
+	if err := cfg.GFW.Validate(); err != nil {
+		return nil, err
+	}
 	gcfg := cfg.GFW
 	gcfg.Sensitivity = cfg.Sensitivity
 	b, err := newTestbed(cfg.Seed, cfg.Impair, gcfg, "blocking.gfw")

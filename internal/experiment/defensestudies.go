@@ -2,10 +2,12 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
 	"sslab/internal/defense"
+	"sslab/internal/detector"
 	"sslab/internal/entropy"
 	"sslab/internal/gfw"
 	"sslab/internal/netsim"
@@ -122,9 +124,20 @@ func MimicStudy(cfg MimicStudyConfig) (*MimicStudyReport, error) {
 	}
 	framing := defense.TLSRecordFraming{}
 
+	// The whitelisting censor runs the configured chain (Shadowsocks
+	// alone by default) behind a tlsexempt stage, unless it lists one.
+	wlChain := cfg.GFW.Detectors
+	if len(wlChain) == 0 {
+		wlChain = []string{detector.StageShadowsocks}
+	}
+	if !slices.Contains(wlChain, detector.StageTLSExempt) {
+		wlChain = append([]string{detector.StageTLSExempt}, wlChain...)
+	}
 	run := func(whitelist, framed bool, cell int64) (int, error) {
 		gcfg := cfg.GFW
-		gcfg.TLSWhitelist = whitelist
+		if whitelist {
+			gcfg.Detectors = wlChain
+		}
 		b, err := newTestbed(cfg.Seed, cfg.Impair, gcfg, "mimic.gfw", cell)
 		if err != nil {
 			return 0, err

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -367,6 +368,43 @@ func TestExperimentsRefuseInvalidImpair(t *testing.T) {
 		if _, err := r.Run(cfg, 1); err == nil || !strings.Contains(err.Error(), "Impair: "+tc.want) {
 			t.Errorf("%s with Impair %s: error = %v, want one naming Impair: %s", tc.experiment, tc.impair, err, tc.want)
 		}
+	}
+}
+
+// TestExperimentsRefuseInvalidCensor: every experiment whose config
+// carries a censor configuration returns an error for an invalid one,
+// decoded from JSON as `sslab-sweep -set GFW.*` delivers it, instead of
+// panicking in gfw.New: an out-of-domain Sensitivity, and a detector
+// chain spelled with a shorthand the stage table does not list.
+func TestExperimentsRefuseInvalidCensor(t *testing.T) {
+	checked := 0
+	for _, r := range Runners() {
+		if _, ok := reflect.TypeOf(r.Config(1, false)).Elem().FieldByName("GFW"); !ok {
+			continue
+		}
+		checked++
+		for _, tc := range []struct{ gfw, want string }{
+			{`{"Sensitivity": 2}`, "Sensitivity"},
+			{`{"Detectors": ["ss"]}`, "fullyencrypted, openvpn, shadowsocks, tlsexempt"},
+		} {
+			cfg := r.Config(1, false)
+			if err := json.Unmarshal([]byte(`{"GFW": `+tc.gfw+`}`), cfg); err != nil {
+				t.Fatal(err)
+			}
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("%s with GFW %s panicked: %v", r.Name(), tc.gfw, p)
+					}
+				}()
+				if _, err := r.Run(cfg, 1); err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s with GFW %s: error = %v, want one containing %q", r.Name(), tc.gfw, err, tc.want)
+				}
+			}()
+		}
+	}
+	if checked < 10 {
+		t.Fatalf("only %d experiments carry a GFW config; the reflection lookup is broken", checked)
 	}
 }
 

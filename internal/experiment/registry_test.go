@@ -90,7 +90,7 @@ func TestRunnerRunsSmall(t *testing.T) {
 			c := cfg.(*ArmsRaceConfig)
 			c.Users = 300
 			c.Hours = 2
-			c.Chains = [][]string{{"shadowsocks"}, {"ss", "ovpn", "fep"}}
+			c.Chains = [][]string{{"shadowsocks"}, {"shadowsocks", "openvpn", "fullyencrypted"}}
 		}},
 	} {
 		r, ok := Lookup(tc.name)

@@ -23,10 +23,13 @@ type testbed struct {
 
 // newTestbed builds a vantage point whose censor runs gcfg with its
 // seed forked from (seed, label, idx...). It refuses an impairment
-// profile outside its domain.
+// profile or a censor configuration outside its domain.
 func newTestbed(seed int64, impair *netsim.LinkProfile, gcfg gfw.Config, label string, idx ...int64) (*testbed, error) {
 	if err := impair.Validate(); err != nil {
 		return nil, fmt.Errorf("Impair: %w", err)
+	}
+	if err := gcfg.Validate(); err != nil {
+		return nil, err
 	}
 	sim := netsim.NewSim(netsim.WithSeed(seed))
 	var opts []netsim.NetworkOption

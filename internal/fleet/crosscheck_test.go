@@ -43,12 +43,9 @@ func TestGoldenCrossCheck(t *testing.T) {
 	c := cfg.withDefaults()
 	sim := netsim.NewSim(netsim.WithSeed(c.Seed))
 	net := netsim.NewNetwork(sim)
-	gcfg := c.GFW
+	gcfg := censorConfig(c.GFW) // the engine's rule: the never-block −1 builds as 0
 	gcfg.Seed = seedfork.Fork(c.Seed, "fleet.gfw")
 	gcfg.NoProbeLog = true
-	if gcfg.Sensitivity < 0 {
-		gcfg.Sensitivity = 0 // the engine's clamp of the historical never-block sentinel
-	}
 	g := gfw.New(gfw.Env{Sim: sim, Net: net}, gfw.WithConfig(gcfg))
 	net.AddMiddlebox(g)
 	tg := trafficgen.New(seedfork.Fork(c.Seed, "fleet.trafficgen"))

@@ -38,7 +38,6 @@ import (
 	"math"
 	"time"
 
-	"sslab/internal/detector"
 	"sslab/internal/gfw"
 	"sslab/internal/metrics"
 	"sslab/internal/netsim"
@@ -96,11 +95,12 @@ type Config struct {
 	// replay-serving shadowsocks-python and ShadowsocksR deployments can
 	// accumulate enough evidence to be blocked).
 	Mix []ImplShare `json:",omitempty"`
-	// GFW configures the censor. The fleet overrides two defaults:
-	// Sensitivity 0 becomes 0.25 (a population run without blocking
-	// measures nothing; set a negative Sensitivity to model the
-	// probe-but-never-block censor), and the probe capture log is
-	// disabled (nothing reads per-probe records at this scale).
+	// GFW configures the censor. The fleet overrides two defaults, here
+	// and in each region's override: Sensitivity 0 becomes 0.25 (a
+	// population run without blocking measures nothing; set a negative
+	// Sensitivity to model the probe-but-never-block censor), and the
+	// probe capture log is disabled (nothing reads per-probe records at
+	// this scale).
 	GFW gfw.Config
 	// Regions optionally partitions the population into named
 	// censorship regions, each with its own censor configuration and
@@ -216,7 +216,7 @@ func (c Config) withDefaults() Config {
 		c.Mix = DefaultMix
 	}
 	if c.GFW.Sensitivity == 0 {
-		c.GFW.Sensitivity = 0.25
+		c.GFW = censorConfig(c.GFW) // a negative Sensitivity is reported as set
 	}
 	return c
 }
@@ -348,7 +348,6 @@ type Fleet struct {
 	flowsTS      *stats.TimeSeries
 	latencies    *stats.Quantile // block time − endpoint activation, seconds
 	lifetimes    *stats.Quantile // activation → first observed failure, seconds
-	gapQ         *stats.Quantile // wake-up gap, seconds (mergeable across shards)
 	blockedCurve []int64         // users currently cut off, sampled per bucket
 	probeLoad    []int64         // probes sent per bucket
 	lastProbes   int
@@ -410,9 +409,7 @@ func (f *Fleet) wake(a *userArg) {
 	f.wakeups++
 	f.mWakeups.Inc()
 
-	gap := f.expGap(u)
-	f.gapQ.Observe(gap.Seconds())
-	if t := now.Add(gap); t.Before(f.end) {
+	if t := now.Add(f.expGap(u)); t.Before(f.end) {
 		f.sim.AtCall(t, runUserWake, a)
 	}
 	if u.f64() >= f.activity(now, u.phaseMin) {
@@ -620,29 +617,29 @@ func validate(cfg Config) error {
 	if err := cfg.Impair.Validate(); err != nil {
 		return fmt.Errorf("fleet: Impair: %w", err)
 	}
-	if err := detector.ValidateNames(cfg.GFW.Detectors); err != nil {
-		return fmt.Errorf("fleet: %w", err)
-	}
-	gcfg := cfg.GFW
-	if gcfg.Sensitivity < 0 {
-		gcfg.Sensitivity = 0 // the probe-but-never-block sentinel (see buildUnit)
-	}
-	if err := gcfg.Validate(); err != nil {
+	if err := censorConfig(cfg.GFW).Validate(); err != nil {
 		return fmt.Errorf("fleet: %w", err)
 	}
 	if cfg.Regions != nil {
-		if err := cfg.Regions.Validate(); err != nil {
+		if err := resolveTopology(cfg).Validate(); err != nil {
 			return fmt.Errorf("fleet: %w", err)
-		}
-		for _, r := range cfg.Regions.Regions {
-			if r.GFW != nil {
-				if err := detector.ValidateNames(r.GFW.Detectors); err != nil {
-					return fmt.Errorf("fleet: region %q: %w", r.Name, err)
-				}
-			}
 		}
 	}
 	return nil
+}
+
+// censorConfig applies the fleet's rule (see Config.GFW) to the engine's
+// censor configuration or a region's override: Sensitivity 0 selects
+// 0.25, and a negative one is built as 0, which never blocks and draws
+// the same single coin a negative value did.
+func censorConfig(g gfw.Config) gfw.Config {
+	switch {
+	case g.Sensitivity == 0:
+		g.Sensitivity = 0.25
+	case g.Sensitivity < 0:
+		g.Sensitivity = 0
+	}
+	return g
 }
 
 // build constructs the shard's servers, users, and their initial

@@ -3,6 +3,7 @@ package fleet
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -86,11 +87,21 @@ func TestFleetShape(t *testing.T) {
 	if tsFlows != rep.Flows {
 		t.Fatalf("FlowsPerBucket sums to %d, want Flows=%d", tsFlows, rep.Flows)
 	}
-	// Median wake gap should track the configured Poisson rate:
-	// exp(mean 30min) has median 30·ln2 ≈ 20.8 min.
-	gapMin := rep.MedianWakeGapS / 60
-	if gapMin < 15 || gapMin > 27 {
-		t.Fatalf("median wake gap %.1f min, want ≈ 20.8 min", gapMin)
+}
+
+// TestExpGapMedian: a user's wake-up gap tracks the configured Poisson
+// rate; exp(mean 30 min), smallCfg's 2 flows per peak hour, has median
+// 30·ln2 ≈ 20.8 min.
+func TestExpGapMedian(t *testing.T) {
+	f := &Fleet{meanGap: 30 * time.Minute}
+	u := &user{rng: 11}
+	gaps := make([]float64, 10000)
+	for i := range gaps {
+		gaps[i] = f.expGap(u).Minutes()
+	}
+	slices.Sort(gaps)
+	if med := gaps[len(gaps)/2]; med < 15 || med > 27 {
+		t.Fatalf("median wake gap %.1f min, want ≈ 20.8 min", med)
 	}
 }
 
@@ -207,8 +218,6 @@ func TestFleetConfigValidation(t *testing.T) {
 		{"ReplaceAfterMin past a time.Duration", func(c *Config) { c.ReplaceAfterMin = 153_722_821 }, "ReplaceAfterMin"},
 		{"BucketMin past a time.Duration", func(c *Config) { c.Users, c.Hours, c.BucketMin = 100, 2, 200_000_000 }, "BucketMin"},
 		{"PeakFlowsPerHour with a mean gap past a time.Duration", func(c *Config) { c.PeakFlowsPerHour = 1e-7 }, "PeakFlowsPerHour"},
-		{"censor BlockTTLHours +Inf", func(c *Config) { c.GFW.BlockTTLHours = math.Inf(1) }, "BlockTTLHours"},
-		{"censor BlockTTLJitterHours NaN", func(c *Config) { c.GFW.BlockTTLJitterHours = nan }, "BlockTTLJitterHours"},
 		{"regional schedule past a time.Duration", func(c *Config) {
 			c.Regions = &region.Topology{Regions: []region.Region{
 				{Name: "coast", Weight: 1, Schedule: region.Schedule{{AtHours: 3e6, Kind: region.KindPause}}},
@@ -221,7 +230,6 @@ func TestFleetConfigValidation(t *testing.T) {
 		{"BrowseShare above 1", func(c *Config) { c.BrowseShare = 1.5 }, "BrowseShare"},
 		{"NaN BrowseShare", func(c *Config) { c.BrowseShare = nan }, "BrowseShare"},
 		{"censor Sensitivity above 1", func(c *Config) { c.GFW.Sensitivity = 2 }, "Sensitivity"},
-		{"negative censor BlockTTLHours", func(c *Config) { c.GFW.BlockTTLHours = -3 }, "BlockTTLHours"},
 		{"nonzero censor VerdictCache", func(c *Config) { c.GFW.VerdictCache = 64 }, "VerdictCache"},
 		{"NaN censor ReplayBase", func(c *Config) { c.GFW.ReplayBase = nan }, "ReplayBase"},
 		// A negative pool size reached a recovered panic in NewPool, and

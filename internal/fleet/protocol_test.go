@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"strings"
 	"testing"
 
 	"sslab/internal/gfw"
@@ -86,12 +87,16 @@ func gfwChainConfig() (c gfw.Config) {
 	return c
 }
 
-// TestRunRejectsBadDetectors: a typo in the detector chain must surface
-// as an error from Run, not a panic from the censor constructor.
+// TestRunRejectsBadDetectors: a typo in the detector chain, or a
+// shorthand such as "ss" or "tls", must surface as an error from Run
+// that lists the four stage names, not a panic from the censor
+// constructor.
 func TestRunRejectsBadDetectors(t *testing.T) {
-	cfg := Config{Seed: 1, Users: 10, Hours: 1}
-	cfg.GFW.Detectors = []string{"shadowsock"}
-	if _, err := Run(cfg); err == nil {
-		t.Error("Run accepted an unknown detector name")
+	for _, name := range []string{"shadowsock", "ss", "tls"} {
+		cfg := Config{Seed: 1, Users: 10, Hours: 1}
+		cfg.GFW.Detectors = []string{name}
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "fullyencrypted, openvpn, shadowsocks, tlsexempt") {
+			t.Errorf("Detectors [%q]: error %v, want one listing the four stages", name, err)
+		}
 	}
 }

@@ -181,6 +181,26 @@ func TestRegionSchedulePolicy(t *testing.T) {
 	}
 }
 
+// TestRegionNeverBlockOverride: a region's censor override follows the
+// fleet's rule for the engine's censor, so Sensitivity −1 there is the
+// probe-but-never-block censor too, where it used to be refused as out
+// of [0, 1]; the other region keeps blocking.
+func TestRegionNeverBlockOverride(t *testing.T) {
+	cfg := blockingCfg(31)
+	cfg.Regions = &region.Topology{Regions: []region.Region{
+		{Name: "a", Weight: 1, GFW: &gfw.Config{Sensitivity: -1, ReplayBase: 0.3}},
+		{Name: "b", Weight: 1},
+	}}
+	rep := mustRun(t, cfg)
+	if a := rep.PerRegion[0]; a.ProbesSent == 0 || a.Blocks != 0 || a.EverBlockedUsers != 0 {
+		t.Fatalf("never-block region: probes %d, blocks %d, users blocked %d; want probes and no blocks",
+			a.ProbesSent, a.Blocks, a.EverBlockedUsers)
+	}
+	if b := rep.PerRegion[1]; b.Blocks == 0 {
+		t.Fatal("the sensitivity-1 region never blocked; test is vacuous")
+	}
+}
+
 // TestRegionErrors: topology validation is wired through Run.
 func TestRegionErrors(t *testing.T) {
 	cfg := smallCfg(29)

@@ -49,10 +49,6 @@ type Report struct {
 	// failure, in seconds, over epochs that ended in replacement
 	// (epochs alive at run end are censored and excluded).
 	ServerLifetime stats.Summary
-	// MedianWakeGapS is the sketch estimate of the median wake-up gap —
-	// a model diagnostic (should track 60·ln2/PeakFlowsPerHour minutes).
-	MedianWakeGapS float64
-
 	// BucketMin is the width of the series buckets, minutes.
 	BucketMin int
 	// BlockedCurve samples the currently-cut-off user count per bucket.
@@ -80,12 +76,11 @@ type Report struct {
 	// in-memory Reports (which is all the shard reduction needs).
 	latQ  *stats.Quantile
 	lifeQ *stats.Quantile
-	gapQ  *stats.Quantile
 }
 
 // Merge folds another shard's Report into r, leaving r the Report of
 // the combined population: counters and curves add, the quantile
-// sketches behind DetectionLatency/ServerLifetime/MedianWakeGapS merge
+// sketches behind DetectionLatency and ServerLifetime merge
 // exactly (bucket counts add), and the derived fields (fractions,
 // summaries) are recomputed from the merged state. Merging is
 // associative and commutative up to r.Config, which keeps the
@@ -96,8 +91,7 @@ func (r *Report) Merge(o *Report) error {
 	if o == nil {
 		return nil
 	}
-	if r.latQ == nil || r.lifeQ == nil || r.gapQ == nil ||
-		o.latQ == nil || o.lifeQ == nil || o.gapQ == nil {
+	if r.latQ == nil || r.lifeQ == nil || o.latQ == nil || o.lifeQ == nil {
 		return fmt.Errorf("fleet: %w", ErrUnmergeableReport)
 	}
 	if r.BucketMin != o.BucketMin {
@@ -141,9 +135,6 @@ func (r *Report) Merge(o *Report) error {
 	if err := r.lifeQ.Merge(o.lifeQ); err != nil {
 		return err
 	}
-	if err := r.gapQ.Merge(o.gapQ); err != nil {
-		return err
-	}
 	r.BlockedCurve = stats.AddInt64s(r.BlockedCurve, o.BlockedCurve)
 	r.ProbeLoad = stats.AddInt64s(r.ProbeLoad, o.ProbeLoad)
 	if err := r.FlowsPerBucket.Merge(&o.FlowsPerBucket); err != nil {
@@ -168,7 +159,6 @@ func (r *Report) Merge(o *Report) error {
 	// Derived views of the merged state.
 	r.DetectionLatency = r.latQ.Summarize()
 	r.ServerLifetime = r.lifeQ.Summarize()
-	r.MedianWakeGapS = r.gapQ.Quantile(0.5)
 	r.BlockedUserFraction = 0
 	if r.Users > 0 {
 		r.BlockedUserFraction = float64(r.EverBlockedUsers) / float64(r.Users)
@@ -272,7 +262,6 @@ func (f *Fleet) report() *Report {
 		Replacements:     f.replacements,
 		DetectionLatency: f.latencies.Summarize(),
 		ServerLifetime:   f.lifetimes.Summarize(),
-		MedianWakeGapS:   f.gapQ.Quantile(0.5),
 		BucketMin:        f.cfg.BucketMin,
 		BlockedCurve:     f.blockedCurve,
 		ProbeLoad:        f.probeLoad,
@@ -281,7 +270,6 @@ func (f *Fleet) report() *Report {
 		StageRecordings:  f.gfw.StageRecordings(),
 		latQ:             f.latencies,
 		lifeQ:            f.lifetimes,
-		gapQ:             f.gapQ,
 	}
 	if len(f.users) > 0 {
 		r.BlockedUserFraction = float64(f.everBlocked) / float64(len(f.users))
@@ -302,8 +290,7 @@ func (r *Report) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fleet: %d users on %d servers, %dh virtual (seed %d)\n",
 		r.Users, r.Servers, r.Config.Hours, r.Config.Seed)
-	fmt.Fprintf(&b, "  wake-ups %d, flows %d (median gap %s)\n",
-		r.Wakeups, r.Flows, stats.FormatSeconds(r.MedianWakeGapS))
+	fmt.Fprintf(&b, "  wake-ups %d, flows %d\n", r.Wakeups, r.Flows)
 	fmt.Fprintf(&b, "  censor: triggers %d, recorded %d, probes %d, block events %d\n",
 		r.Triggers, r.PayloadsRecorded, r.ProbesSent, r.Blocks)
 	fmt.Fprintf(&b, "  users ever blocked: %d (%.2f%%), still cut off at end: %d\n",

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"sslab/internal/gfw"
@@ -44,13 +45,24 @@ type unitSpec struct {
 	lo, hi int
 }
 
-// resolveTopology returns the run's effective topology: the configured
-// one, or the implicit single-region identity.
+// resolveTopology returns the run's effective topology, the configured
+// one or the implicit single-region identity, with each region's censor
+// resolved: its override or the engine's configuration, under
+// censorConfig.
 func resolveTopology(cfg Config) *region.Topology {
+	topo := region.Single()
 	if cfg.Regions != nil {
-		return cfg.Regions
+		topo = &region.Topology{Regions: slices.Clone(cfg.Regions.Regions)}
 	}
-	return region.Single()
+	for i, r := range topo.Regions {
+		g := cfg.GFW
+		if r.GFW != nil {
+			g = *r.GFW
+		}
+		g = censorConfig(g)
+		topo.Regions[i].GFW = &g
+	}
+	return topo
 }
 
 // planRun draws the global implementation mix, carves the server space
@@ -103,14 +115,7 @@ func planRun(cfg Config) (runPlan, error) {
 				reg.Name, reg.Weight, weightSum, nServers)
 		}
 
-		gcfg := cfg.GFW
-		if reg.GFW != nil {
-			gcfg = *reg.GFW
-			if gcfg.Sensitivity == 0 {
-				gcfg.Sensitivity = 0.25 // the fleet-level default, see Config.GFW
-			}
-		}
-		rp := regionPlan{name: reg.Name, gcfg: gcfg, schedule: reg.Schedule, lo: at, hi: hi}
+		rp := regionPlan{name: reg.Name, gcfg: *reg.GFW, schedule: reg.Schedule, lo: at, hi: hi}
 
 		// Seed parents: single-region plans keep the historical labels.
 		regionSeed := cfg.Seed
@@ -161,12 +166,6 @@ func buildUnit(cfg Config, plan runPlan, u unitSpec, restoring bool) *Fleet {
 	gcfg := rp.gcfg
 	gcfg.Seed = seedfork.Fork(u.seed, "fleet.gfw")
 	gcfg.NoProbeLog = true
-	if gcfg.Sensitivity < 0 {
-		// The historical probe-but-never-block sentinel: gfw now rejects
-		// out-of-domain sensitivities, and 0 blocks exactly as often as
-		// any negative value did (never) with the same single coin flip.
-		gcfg.Sensitivity = 0
-	}
 	g := gfw.New(gfw.Env{Sim: sim, Net: net}, gfw.WithConfig(gcfg))
 	net.AddMiddlebox(g)
 
@@ -199,7 +198,6 @@ func buildUnit(cfg Config, plan runPlan, u unitSpec, restoring bool) *Fleet {
 		flowsTS:      stats.NewTimeSeries(time.Duration(cfg.BucketMin) * time.Minute),
 		latencies:    stats.NewQuantile(0.01),
 		lifetimes:    stats.NewQuantile(0.01),
-		gapQ:         stats.NewQuantile(0.01),
 	}
 	f.parg = policyArg{f: f}
 	f.bindMetrics()

@@ -43,8 +43,9 @@ type engineSnap struct {
 // boundary. Structure (hosts, plan, metrics bindings, and each user's
 // server, diurnal phase and workload) is rebuilt from Config; only
 // state that evolves during a run is stored. Version-1 snapshots also
-// carry UServer, UPhase and UWl, and each epoch an Impl; gob skips
-// them, so no new field may take those names.
+// carry UServer, UPhase and UWl, and each epoch an Impl, and snapshots
+// of both versions a GapQ sketch; gob skips them, so no new field may
+// take those names.
 type unitSnap struct {
 	// Packed per-user state, parallel arrays indexed by local user.
 	URng         []uint64
@@ -71,7 +72,6 @@ type unitSnap struct {
 	FlowsTS stats.TimeSeries
 	LatQ    stats.Quantile
 	LifeQ   stats.Quantile
-	GapQ    stats.Quantile
 
 	PolicyNext int
 
@@ -198,7 +198,6 @@ func (f *Fleet) capture() (unitSnap, error) {
 		FlowsTS:      *f.flowsTS,
 		LatQ:         *f.latencies,
 		LifeQ:        *f.lifetimes,
-		GapQ:         *f.gapQ,
 		PolicyNext:   f.policyNext,
 		TG:           f.tg.CaptureRNG(),
 		GFW:          f.gfw.CaptureState(),
@@ -319,8 +318,8 @@ func (f *Fleet) restore(s *unitSnap, now time.Time) error {
 	f.blockedCurve = append([]int64(nil), s.BlockedCurve...)
 	f.probeLoad = append([]int64(nil), s.ProbeLoad...)
 	copy(f.implEver, s.ImplEver)
-	ts, lat, life, gap := s.FlowsTS, s.LatQ, s.LifeQ, s.GapQ
-	f.flowsTS, f.latencies, f.lifetimes, f.gapQ = &ts, &lat, &life, &gap
+	ts, lat, life := s.FlowsTS, s.LatQ, s.LifeQ
+	f.flowsTS, f.latencies, f.lifetimes = &ts, &lat, &life
 	f.policyNext = s.PolicyNext
 	if err := f.tg.RestoreRNG(s.TG); err != nil {
 		return fmt.Errorf("trafficgen: %w", err)

@@ -138,7 +138,7 @@ func TestSharedIPStaleUnblock(t *testing.T) {
 // first flights (blocked or impaired connections deliver flows with no
 // payload) must not count against the NR1 length profile. Before the
 // fix they inflated the denominator, and with the judgment latched at
-// NR1MinFlows a genuine Shadowsocks server was permanently
+// nr1MinFlows a genuine Shadowsocks server was permanently
 // misclassified as not ss-like.
 func TestEmptyFirstFlightsDontDiluteNR1(t *testing.T) {
 	sim := netsim.NewSim()
@@ -164,7 +164,7 @@ func TestEmptyFirstFlightsDontDiluteNR1(t *testing.T) {
 	if p.total != 300 {
 		t.Errorf("profile total = %d, want 300 (empty first flights leaked in)", p.total)
 	}
-	if !p.ssLike(g.cfg.NR1MinFlows) {
+	if !p.ssLike() {
 		t.Error("all-in-range server judged not ss-like: empty first flights diluted the NR1 profile")
 	}
 }

@@ -3,6 +3,7 @@ package gfw
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -84,60 +85,25 @@ func TestConfigValidateReplayBase(t *testing.T) {
 	}
 }
 
-// TestConfigValidateTTL: Validate rejects a negative or NaN TTL, and a
-// block that can last past the 2,562,047 h a time.Duration holds
-// (BlockTTLHours plus BlockTTLJitterHours, defaults applied) or a NaN or
-// +Inf jitter, with an error naming the field; such a TTL used to wrap
-// to about −292 years, so every block lifted the moment it was made.
-// The zero values mean "default" and always validate, and a negative
-// jitter is the jitter-free setting, at the bound too, where a block
-// lasts exactly its TTL.
-func TestConfigValidateTTL(t *testing.T) {
-	for _, cfg := range []Config{
-		{},
-		Config{}.withDefaults(),
-		{BlockTTLHours: 2_562_047, BlockTTLJitterHours: -1},
-		{BlockTTLHours: 2_562_047, BlockTTLJitterHours: math.Inf(-1)},
-		{BlockTTLHours: 2_561_879}, // jitter defaults to 168 h
-		{BlockTTLHours: 2_562_000, BlockTTLJitterHours: 47},
-		{BlockTTLJitterHours: 2_561_879}, // TTL defaults to 168 h
-	} {
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("config %+v rejected: %v", cfg, err)
+// TestConfigValidateDetectors: the chain is spelled with the four stage
+// names only. The former aliases ("ss", "tls"), unknown names and
+// repeats are refused with an error naming the field, and an unknown
+// name's error lists the four names.
+func TestConfigValidateDetectors(t *testing.T) {
+	for _, names := range [][]string{nil, {"shadowsocks"}, {"tlsexempt", "shadowsocks", "openvpn", "fullyencrypted"}} {
+		if err := (Config{Detectors: names}).Validate(); err != nil {
+			t.Errorf("Detectors %q rejected: %v", names, err)
 		}
 	}
-	for _, cfg := range []Config{
-		{BlockTTLHours: -1},
-		{BlockTTLHours: math.NaN()},
-		{BlockTTLHours: math.Inf(1)},
-		{BlockTTLHours: 3e6},
-		{BlockTTLHours: 2_562_048, BlockTTLJitterHours: -1},
-		{BlockTTLHours: 2_561_880},
-		{BlockTTLHours: 2_562_000, BlockTTLJitterHours: 48},
-		{BlockTTLJitterHours: 2_561_880},
-		{BlockTTLJitterHours: math.NaN()},
-		{BlockTTLJitterHours: math.Inf(1)},
-	} {
-		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "BlockTTL") {
-			t.Errorf("config %+v: error %v, want one naming the field", cfg, err)
+	for _, names := range [][]string{{"ss"}, {"tls"}, {"shadowsocks", "tls"}, {"shadowsock"}} {
+		err := (Config{Detectors: names}).Validate()
+		if err == nil || !strings.Contains(err.Error(), "Detectors") ||
+			!strings.Contains(err.Error(), "fullyencrypted, openvpn, shadowsocks, tlsexempt") {
+			t.Errorf("Detectors %q: error %v, want one naming the field and listing the four stages", names, err)
 		}
 	}
-	// Negative jitter is a pre-defaults sentinel for "no jitter": it
-	// normalizes to 0 and validates.
-	cfg := Config{BlockTTLJitterHours: -1}.withDefaults()
-	if cfg.BlockTTLJitterHours != 0 {
-		t.Fatalf("negative jitter normalized to %v, want 0", cfg.BlockTTLJitterHours)
-	}
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("no-jitter sentinel rejected: %v", err)
-	}
-
-	sim := netsim.NewSim()
-	g := New(Env{Sim: sim, Net: netsim.NewNetwork(sim)},
-		WithConfig(Config{Sensitivity: 1, BlockTTLHours: 2_562_047, BlockTTLJitterHours: -1}))
-	g.maybeBlock(netsim.Endpoint{IP: "178.62.0.7", Port: 8388}, &serverState{stage: 1, dataResponses: 2, fpScore: 10})
-	if ev := g.BlockEvents; len(ev) != 1 || ev[0].Until.Sub(ev[0].Time) != 2_562_047*time.Hour {
-		t.Errorf("block events %+v, want one lasting 2,562,047 h", ev)
+	if err := (Config{Detectors: []string{"openvpn", "openvpn"}}).Validate(); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Errorf("repeated stage: error %v, want one saying it is listed twice", err)
 	}
 }
 
@@ -169,10 +135,10 @@ func TestConfigValidatePoolSize(t *testing.T) {
 }
 
 // TestNewPanicsOnInvalid: New is the construction chokepoint — an
-// out-of-domain sensitivity or block TTL must fail loudly there, not
-// silently misbehave thousands of virtual hours later.
+// out-of-domain sensitivity or an unknown detector stage must fail
+// loudly there, not silently misbehave thousands of virtual hours later.
 func TestNewPanicsOnInvalid(t *testing.T) {
-	for _, cfg := range []Config{{Sensitivity: 2}, {BlockTTLHours: math.Inf(1)}} {
+	for _, cfg := range []Config{{Sensitivity: 2}, {Detectors: []string{"ss"}}} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -185,13 +151,44 @@ func TestNewPanicsOnInvalid(t *testing.T) {
 	}
 }
 
-// TestBlockTTLKnobDefaults: the configurable TTL reproduces the
-// historical hard-coded 7-day + U[0,7) draw when left at defaults —
-// pinned here so the knob can never silently shift every golden.
+// TestConfigValidateTTL: the censor holds every block TTL a validated
+// config can set. The TTL is set only at run time (SetBlockTTL, driven
+// by a region.KindBlockTTL event), and region.Schedule.Validate bounds
+// such an event's hours plus jitter by the 2,562,047 h a time.Duration
+// holds. At that bound with no jitter a block lasts exactly 2,562,047 h,
+// and at 2,562,000 h plus 47 h of jitter every block lasts between
+// 2,562,000 and 2,562,046 h. Such a TTL once wrapped to about −292
+// years, so every block lifted the moment it was made.
+func TestConfigValidateTTL(t *testing.T) {
+	sim := netsim.NewSim()
+	g := New(Env{Sim: sim, Net: netsim.NewNetwork(sim)}, WithConfig(Config{Sensitivity: 1}))
+	block := func(i int) {
+		g.maybeBlock(netsim.Endpoint{IP: "178.62.0." + strconv.Itoa(i), Port: 8388},
+			&serverState{stage: 1, dataResponses: 2, fpScore: 10})
+	}
+	g.SetBlockTTL(2_562_047, 0)
+	block(0)
+	if ev := g.BlockEvents; len(ev) != 1 || ev[0].Until.Sub(ev[0].Time) != 2_562_047*time.Hour {
+		t.Fatalf("block events %+v, want one lasting 2,562,047 h", ev)
+	}
+	g.SetBlockTTL(2_562_000, 47)
+	for i := 1; i <= 32; i++ {
+		block(i)
+	}
+	for _, ev := range g.BlockEvents[1:] {
+		if d := ev.Until.Sub(ev.Time); d < 2_562_000*time.Hour || d > 2_562_046*time.Hour {
+			t.Errorf("block of %v lasts %v, want 2,562,000 to 2,562,046 h", ev.Server, d)
+		}
+	}
+}
+
+// TestBlockTTLKnobDefaults: a new censor's runtime TTL is the historical
+// 7-day + U[0,7) draw — pinned here so the constants can never silently
+// shift every golden.
 func TestBlockTTLKnobDefaults(t *testing.T) {
-	cfg := Config{}.withDefaults()
-	if cfg.BlockTTLHours != 168 || cfg.BlockTTLJitterHours != 168 {
-		t.Fatalf("default TTL %v h + %v h jitter, want 168 + 168",
-			cfg.BlockTTLHours, cfg.BlockTTLJitterHours)
+	sim := netsim.NewSim()
+	g := New(Env{Sim: sim, Net: netsim.NewNetwork(sim)}, WithConfig(Config{Sensitivity: 1}))
+	if g.ttlHours != 168 || g.ttlJitter != 168 {
+		t.Fatalf("initial TTL %v h + %v h jitter, want 168 + 168", g.ttlHours, g.ttlJitter)
 	}
 }

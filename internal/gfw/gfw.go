@@ -15,7 +15,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"sslab/internal/capture"
@@ -41,40 +40,26 @@ type Config struct {
 	ReplayBase float64
 	// BlockThreshold is the fingerprint-evidence score at which a server
 	// becomes a blocking candidate (default 10). Blocking additionally
-	// requires the server to have served at least MinDataResponses
+	// requires the server to have served at least minDataResponses
 	// replayed payloads — see maybeBlock.
 	BlockThreshold float64
-	// MinDataResponses is how many replay probes the server must answer
-	// with data before it can be blocked (default 2).
-	MinDataResponses int
 	// Sensitivity is the probability a blocking candidate actually gets
 	// blocked — the "human factor" of §6 (default 0: probing without
 	// blocking, as the paper observed for most servers; raise it to
 	// simulate politically sensitive periods).
 	Sensitivity float64
-	// NR1MinFlows is how many observed flows a server needs before the
-	// detector judges (once, latched) whether its traffic looks like
-	// Shadowsocks and qualifies for NR1 probing (default 300). See
-	// DESIGN.md.
-	NR1MinFlows int
 	// DisableLengthFeature / DisableEntropyFeature are ablation switches
 	// for the two detector features.
 	DisableLengthFeature  bool
 	DisableEntropyFeature bool
-	// TLSWhitelist models a censor that exempts TLS-framed flows from the
-	// detector to avoid mass-probing the web — the conjecture the FPStudy
-	// motivates and the mechanism application-fronting tools (§8) rely on.
-	// It is sugar for prepending the "tlsexempt" stage to Detectors.
-	TLSWhitelist bool
 	// Detectors names the passive-detector stage chain, in evaluation
-	// order, using internal/detector registry names or their aliases
-	// ("ss", "tls", "ovpn", "fep", ...). Empty selects the classic
-	// single-stage Shadowsocks chain, which leaves every pinned report
-	// byte-identical to the pre-chain pipeline. The winning stage's
-	// confidence is the probability the flow is recorded for active
-	// probing; validate user-supplied chains with
-	// detector.ValidateNames before construction (New panics on unknown
-	// stage names).
+	// order: each of detector.Names() ("fullyencrypted", "openvpn",
+	// "shadowsocks", "tlsexempt") at most once. Listing "tlsexempt"
+	// models a censor that exempts TLS-framed flows to avoid
+	// mass-probing the web. Empty selects the classic single-stage
+	// Shadowsocks chain, which leaves every pinned report byte-identical
+	// to the pre-chain pipeline. The winning stage's confidence is the
+	// probability the flow is recorded for active probing.
 	Detectors []string `json:"Detectors,omitempty"`
 	// NoProbeLog disables the packet-level capture log of outgoing
 	// probes. Population-scale fleet runs emit hundreds of thousands of
@@ -82,15 +67,6 @@ type Config struct {
 	// counters, BlockEvents and per-server state are unaffected. The
 	// zero value keeps the log, so existing experiments are unchanged.
 	NoProbeLog bool `json:"NoProbeLog,omitzero"`
-	// BlockTTLHours is how long a blocking rule stays installed before
-	// the scheduled unblock fires, in hours (default 168 = one week,
-	// §6's "more than a week" observation). BlockTTLJitterHours is the
-	// width of the uniform whole-hour jitter added on top (default 168,
-	// reproducing the historical now+1w+Intn(1w) rule); set it negative
-	// to select a jitter-free TTL (normalized to 0, which skips the
-	// jitter draw entirely).
-	BlockTTLHours       float64 `json:"BlockTTLHours,omitzero"`
-	BlockTTLJitterHours float64 `json:"BlockTTLJitterHours,omitzero"`
 	// VerdictCache must be zero; Validate rejects anything else. The
 	// verdict cache it sized is deleted (DESIGN.md, "One flow path");
 	// the field remains only because the benchmark module
@@ -109,22 +85,29 @@ func (c Config) withDefaults() Config {
 	if c.BlockThreshold == 0 {
 		c.BlockThreshold = 10
 	}
-	if c.NR1MinFlows == 0 {
-		c.NR1MinFlows = 300
-	}
-	if c.MinDataResponses == 0 {
-		c.MinDataResponses = 2
-	}
-	if c.BlockTTLHours == 0 {
-		c.BlockTTLHours = 168
-	}
-	if c.BlockTTLJitterHours == 0 {
-		c.BlockTTLJitterHours = 168
-	} else if c.BlockTTLJitterHours < 0 {
-		c.BlockTTLJitterHours = 0
+	if len(c.Detectors) == 0 {
+		c.Detectors = []string{detector.StageShadowsocks}
 	}
 	return c
 }
+
+// The censor's fixed policy numbers, which no configuration sets.
+const (
+	// minDataResponses is how many replay probes a server must answer
+	// with data before it can be blocked.
+	minDataResponses = 2
+	// nr1MinFlows is how many observed flows a server needs before the
+	// detector judges (once, latched) whether its traffic looks like
+	// Shadowsocks and qualifies for NR1 probing. See DESIGN.md.
+	nr1MinFlows = 300
+	// blockTTLHours is how long a blocking rule stays installed before
+	// the scheduled unblock fires (one week, §6's "more than a week"
+	// observation), and blockTTLJitterHours the width of the uniform
+	// whole-hour jitter added on top: the now+1w+Intn(1w) rule. They
+	// set the initial runtime TTL, which SetBlockTTL changes.
+	blockTTLHours       = 168
+	blockTTLJitterHours = 168
+)
 
 // Validate checks the configuration fields whose domains the model
 // depends on, as written: zero fields stand for their defaults.
@@ -133,12 +116,13 @@ func (c Config) withDefaults() Config {
 // exactly like 0 and anything above 1 exactly like 1 — so
 // misconfigurations hide instead of failing; so would a negative
 // ReplayBase (records nothing) or a NaN or +Inf one (records every
-// in-support flow), or a block TTL whose hours, jitter included, wrap
-// a time.Duration (every block lifts the moment it is made). A
-// negative PoolSize builds a pool of one address per AS or panics, and
-// one larger than the prober prefixes hold never finishes building.
-// New panics on an invalid Config; callers assembling configs from
-// user input should call Validate first and surface it.
+// in-support flow). A negative PoolSize builds a pool of one address
+// per AS or panics, and one larger than the prober prefixes hold never
+// finishes building. Detectors must name each stage of
+// detector.Names() at most once. This is the one check of the censor's
+// configuration: New panics on an invalid Config, so callers
+// assembling configs from user input call Validate first and surface
+// its error.
 func (c Config) Validate() error {
 	if limit := maxPoolSize(); c.PoolSize < 0 || c.PoolSize > limit {
 		return fmt.Errorf("gfw: PoolSize must be in [0, %d], got %d", limit, c.PoolSize)
@@ -149,12 +133,8 @@ func (c Config) Validate() error {
 	if c.ReplayBase < 0 || math.IsNaN(c.ReplayBase) || math.IsInf(c.ReplayBase, 1) {
 		return fmt.Errorf("gfw: ReplayBase must be finite and non-negative, got %v", c.ReplayBase)
 	}
-	if c.BlockTTLHours < 0 || math.IsNaN(c.BlockTTLHours) {
-		return fmt.Errorf("gfw: BlockTTLHours must be non-negative, got %v", c.BlockTTLHours)
-	}
-	d := c.withDefaults()
-	if err := netsim.CheckSpan("BlockTTLHours plus BlockTTLJitterHours", d.BlockTTLHours+d.BlockTTLJitterHours, time.Hour); err != nil {
-		return fmt.Errorf("gfw: %w", err)
+	if err := detector.ValidateNames(c.Detectors); err != nil {
+		return fmt.Errorf("gfw: Detectors: %w", err)
 	}
 	if c.VerdictCache != 0 {
 		return fmt.Errorf("gfw: VerdictCache must be 0 (the verdict cache was removed), got %d", c.VerdictCache)
@@ -184,10 +164,11 @@ type GFW struct {
 	// also the probe.RNG probe.Build draws from.
 	rng seedfork.Source
 
-	// Runtime policy knobs, initialized from Config and adjustable
-	// mid-run by the spatiotemporal schedule layer (SetSensitivity,
-	// SetBlockTTL, SetProbingPaused). They never feed back into cfg, so
-	// a Config round-trip reports what the censor was built with.
+	// Runtime policy knobs, initialized from Config and the block-TTL
+	// constants and adjustable mid-run by the spatiotemporal schedule
+	// layer (SetSensitivity, SetBlockTTL, SetProbingPaused). They never
+	// feed back into cfg, so a Config round-trip reports what the
+	// censor was built with.
 	sens      float64
 	ttlHours  float64
 	ttlJitter float64
@@ -266,7 +247,7 @@ const ssLikeFrac = 0.63
 // payload-bearing flow. Only flows that carried a first payload count:
 // empty first flights (dropped or impaired connections) say nothing
 // about the server's handshake lengths and must not dilute the
-// denominator — with the judgment latched at NR1MinFlows, dilution
+// denominator — with the judgment latched at nr1MinFlows, dilution
 // could permanently misclassify a genuine Shadowsocks server.
 type lenProfile struct {
 	total   int32 // payload-bearing flows observed
@@ -277,15 +258,15 @@ type lenProfile struct {
 // ssLike reports whether the server's traffic looks like Shadowsocks:
 // first-packet lengths concentrated where real Shadowsocks handshakes
 // land (at least ssLikeFrac = 63% in 160–700 bytes). The judgment is
-// made once, after minFlows observations, and latched. This is the
+// made once, after nr1MinFlows observations, and latched. This is the
 // discriminator that explains why NR1 probes appeared in the
 // Shadowsocks experiments but never in the uniform-random-length
 // experiments of §4 (see DESIGN.md).
-func (p *lenProfile) ssLike(minFlows int) bool {
+func (p *lenProfile) ssLike() bool {
 	if p.latch != 0 {
 		return p.latch > 0
 	}
-	if int(p.total) < minFlows {
+	if p.total < nr1MinFlows {
 		return false
 	}
 	if float64(p.inRange) >= ssLikeFrac*float64(p.total) {
@@ -315,34 +296,10 @@ func WithConfig(cfg Config) Option {
 	return func(c *Config) { *c = cfg }
 }
 
-// WithDetectors sets the passive detector chain (see Config.Detectors).
-// New panics on unknown or duplicate names; validate user input with
-// detector.ValidateNames first.
-func WithDetectors(names []string) Option {
-	return func(c *Config) { c.Detectors = names }
-}
-
-// chainNames resolves the configured detector list to the canonical
-// stage chain: aliases resolved, the Shadowsocks default applied, and
-// TLSWhitelist mapped to a leading tlsexempt stage.
-func (c Config) chainNames() []string {
-	names := make([]string, 0, len(c.Detectors)+1)
-	for _, n := range c.Detectors {
-		names = append(names, detector.Canonical(n))
-	}
-	if len(names) == 0 {
-		names = append(names, detector.StageShadowsocks)
-	}
-	if c.TLSWhitelist && !slices.Contains(names, detector.StageTLSExempt) {
-		names = append([]string{detector.StageTLSExempt}, names...)
-	}
-	return names
-}
-
 // New creates a GFW on env, configured by options over the zero Config
 // (zero values select paper-calibrated defaults). The caller must also
-// register it: env.Net.AddMiddlebox(g). New panics on unknown detector
-// stage names; validate user input with detector.ValidateNames first.
+// register it: env.Net.AddMiddlebox(g). New panics on a Config that
+// Validate rejects; validate user input first.
 func New(env Env, opts ...Option) *GFW {
 	var cfg Config
 	for _, o := range opts {
@@ -355,19 +312,22 @@ func New(env Env, opts ...Option) *GFW {
 	sim, net := env.Sim, env.Net
 	//sslab:allow-seedfork historical +1 offset is baked into the zero-impairment goldens and EXPERIMENTS.md; changing the pool stream would invalidate every pinned report
 	poolRng := seedfork.NewSource(cfg.Seed + 1)
-	chain := detector.MustChain(cfg.chainNames(), detector.Params{
+	chain, err := detector.NewChain(cfg.Detectors, detector.Params{
 		Base:           cfg.ReplayBase,
 		DisableLength:  cfg.DisableLengthFeature,
 		DisableEntropy: cfg.DisableEntropyFeature,
 	})
+	if err != nil {
+		panic(err)
+	}
 	g := &GFW{
 		cfg:            cfg,
 		sim:            sim,
 		net:            net,
 		rng:            seedfork.NewSource(cfg.Seed),
 		sens:           cfg.Sensitivity,
-		ttlHours:       cfg.BlockTTLHours,
-		ttlJitter:      cfg.BlockTTLJitterHours,
+		ttlHours:       blockTTLHours,
+		ttlJitter:      blockTTLJitterHours,
 		chain:          chain,
 		stageRecs:      make([]int, chain.Len()),
 		mStageRec:      make([]*metrics.Counter, chain.Len()),
@@ -430,13 +390,12 @@ func (g *GFW) Stage(server netsim.Endpoint) int {
 	return 0
 }
 
-// DetectorNames returns the canonical detector chain, in evaluation
-// order.
+// DetectorNames returns the detector chain, in evaluation order.
 func (g *GFW) DetectorNames() []string { return g.chain.Names() }
 
 // StageCount is one detector stage's share of the recordings.
 type StageCount struct {
-	// Name is the stage's canonical registry name.
+	// Name is the stage's name (one of detector.Names()).
 	Name string
 	// Recorded counts recordings this stage's confidence won.
 	Recorded int
@@ -654,7 +613,7 @@ func (g *GFW) sendProbe(server netsim.Endpoint, rec []byte, recAt time.Time) {
 		return // scheduled before a probing pause took effect
 	}
 	s := g.state(server)
-	typ := g.chooseType(s.stage, g.profile(server).ssLike(g.cfg.NR1MinFlows))
+	typ := g.chooseType(s.stage, g.profile(server).ssLike())
 	var replayOf time.Time
 	payload := probe.Build(typ, rec, &g.rng)
 	if typ.Replay() {
@@ -775,7 +734,7 @@ func (g *GFW) emit(server netsim.Endpoint, s *serverState, typ probe.Type, paylo
 // immediate-close fingerprints), while the replay-defended libev and the
 // timeout-consistent OutlineVPN v1.0.7 survived months of probing.
 func (g *GFW) maybeBlock(server netsim.Endpoint, s *serverState) {
-	if s.blocked || s.dataResponses < g.cfg.MinDataResponses || s.fpScore < g.cfg.BlockThreshold {
+	if s.blocked || s.dataResponses < minDataResponses || s.fpScore < g.cfg.BlockThreshold {
 		return
 	}
 	if g.rng.Float64() >= g.sens {
@@ -793,12 +752,12 @@ func (g *GFW) maybeBlock(server netsim.Endpoint, s *serverState) {
 	}
 	// Unblocking happens without recheck probes, a week or more later
 	// (§6: one server became unblocked more than a week after blocking,
-	// with no probes observed in between; the default TTL knobs encode
-	// exactly that rule). The unblock is guarded twice: the network rule
-	// is cleared only if it is still the one this block installed
-	// (another server sharing the IP, or a later re-block, may have
-	// re-armed it), and the per-server blocked flag is cleared only for
-	// this block's own generation.
+	// with no probes observed in between; blockTTLHours and
+	// blockTTLJitterHours encode exactly that rule). The unblock is
+	// guarded twice: the network rule is cleared only if it is still the
+	// one this block installed (another server sharing the IP, or a
+	// later re-block, may have re-armed it), and the per-server blocked
+	// flag is cleared only for this block's own generation.
 	ttl := time.Duration(g.ttlHours * float64(time.Hour))
 	if j := int(g.ttlJitter); j > 0 {
 		ttl += time.Duration(g.rng.Intn(j)) * time.Hour

@@ -102,7 +102,7 @@ func TestGoldenRecordingDecisions(t *testing.T) {
 		want string
 	}{
 		{"default", Config{}, "d920173043a0bdb231b6fdf839fa6cf5836e7e57391df87615fc89d0b2f78751"},
-		{"four stages", Config{Detectors: []string{"tls", "ss", "ovpn", "fep"}}, "7c2d251758e94bc3158a7ff47f01465acfd6d2dd192d2f6d77f9a1442f496312"},
+		{"four stages", Config{Detectors: []string{"tlsexempt", "shadowsocks", "openvpn", "fullyencrypted"}}, "7c2d251758e94bc3158a7ff47f01465acfd6d2dd192d2f6d77f9a1442f496312"},
 		{"entropy feature off", Config{DisableEntropyFeature: true}, "2d67a3d971c5954ceb9febe5235bb25184abf81d8da564eab668f8ae1a71345a"},
 		{"length feature off", Config{DisableLengthFeature: true}, "840d479d8815c9eb9d57b4377f6f268b6e2a78010f3b1fd114a247e436929b9f"},
 		{"base 1", Config{ReplayBase: 1}, "a3ea2f29d0bf6fcfcfb1d456112f37be8b544b9d4f2bbbc7a83f8223edea53cf"},

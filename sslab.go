@@ -240,25 +240,19 @@ func WithImpairment(profile LinkProfile) NetworkOption { return netsim.WithDefau
 // options still apply on top.
 func WithCensorConfig(cfg GFWConfig) CensorOption { return gfw.WithConfig(cfg) }
 
-// WithDetectors selects the censor's detector chain by stage name.
-// Aliases are accepted ("ss" for shadowsocks, "tls" for tlsexempt,
-// "ovpn"/"vpn" for openvpn, "fep"/"obfs" for fullyencrypted); chain
-// order does not affect verdicts. It panics on an unknown or duplicate
-// stage — chains are static configuration, and a typo should fail the
-// run, not quietly weaken the censor. Use DetectorNames for the valid
-// set.
+// WithDetectors selects the censor's detector chain by stage name, each
+// of DetectorNames at most once; chain order does not affect verdicts.
 func WithDetectors(names ...string) CensorOption {
-	if err := detector.ValidateNames(names); err != nil {
-		panic(err)
-	}
-	return gfw.WithDetectors(names)
+	return func(c *GFWConfig) { c.Detectors = names }
 }
 
-// DetectorNames returns the registered detector stage names, sorted.
+// DetectorNames returns the four detector stage names, sorted.
 func DetectorNames() []string { return detector.Names() }
 
 // NewCensor attaches a censor model to a simulated environment and
-// registers it on the network.
+// registers it on the network. It panics on a configuration that
+// GFWConfig.Validate refuses, such as an unknown or repeated detector
+// stage: a typo should fail the run, not quietly weaken the censor.
 func NewCensor(env CensorEnv, opts ...CensorOption) *GFW {
 	g := gfw.New(env, opts...)
 	env.Net.AddMiddlebox(g)
