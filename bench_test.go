@@ -285,8 +285,8 @@ func BenchmarkBlockingModule(b *testing.B) {
 	var blocked, survived float64
 	for i := 0; i < b.N; i++ {
 		r, err := sslab.RunBlockingExperiment(sslab.BlockingConfig{
-			Seed: int64(i + 1), Days: 15, Sensitivity: 0.8,
-			GFW: gfw.Config{PoolSize: 3000},
+			Seed: int64(i + 1), Days: 15,
+			GFW: gfw.Config{PoolSize: 3000, Sensitivity: 0.8},
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -20,7 +20,6 @@ import (
 	"strings"
 	"time"
 
-	"sslab/internal/netsim"
 	"sslab/internal/reaction"
 	"sslab/internal/sscrypto"
 	"sslab/internal/ssserver"
@@ -62,7 +61,7 @@ func main() {
 
 	cfg := ssserver.Config{
 		Method: *method, Password: *password, Profile: p,
-		Timeouts: netsim.Timeouts{Handshake: *timeout},
+		HandshakeTimeout: *timeout,
 	}
 	if *verbose {
 		cfg.Logf = log.Printf
@@ -86,8 +85,8 @@ func main() {
 	signal.Notify(sig, os.Interrupt)
 	<-sig
 	log.Printf("shutting down: accepted=%d proxied=%d auth-errors=%d replays-blocked=%d",
-		srv.Stats.Accepted.Load(), srv.Stats.Proxied.Load(),
-		srv.Stats.AuthErrors.Load(), srv.Stats.ReplaysBlocked.Load())
+		srv.Stats.Accepted.Value(), srv.Stats.Proxied.Value(),
+		srv.Stats.AuthErrors.Value(), srv.Stats.ReplaysBlocked.Value())
 	srv.Close()
 }
 

@@ -64,5 +64,5 @@ func main() {
 	}
 	fmt.Printf("through the tunnel: %s\n", strings.TrimSpace(status))
 	fmt.Printf("server stats: accepted=%d proxied=%d\n",
-		srv.Stats.Accepted.Load(), srv.Stats.Proxied.Load())
+		srv.Stats.Accepted.Value(), srv.Stats.Proxied.Value())
 }

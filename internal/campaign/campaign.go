@@ -43,7 +43,7 @@ import (
 
 // Param is one configuration override, applied to the experiment
 // config through its JSON form. Key is a dotted path of exported field
-// names ("Sensitivity", "GFW.PoolSize"); Value is parsed as JSON when
+// names ("GFW.Sensitivity", "GFW.PoolSize"); Value is parsed as JSON when
 // possible (numbers, booleans, arrays) and as a plain string otherwise.
 type Param struct {
 	Key   string `json:"key"`

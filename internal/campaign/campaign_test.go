@@ -261,11 +261,11 @@ func TestRegistryShard(t *testing.T) {
 func TestApplyParams(t *testing.T) {
 	r, _ := experiment.Lookup("blocking")
 	cfg := r.Config(1, false).(*experiment.BlockingConfig)
-	if err := ApplyParams(cfg, []Param{{Key: "Sensitivity", Value: "0.9"}, {Key: "GFW.PoolSize", Value: "4000"}}); err != nil {
+	if err := ApplyParams(cfg, []Param{{Key: "GFW.Sensitivity", Value: "0.9"}, {Key: "GFW.PoolSize", Value: "4000"}}); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Sensitivity != 0.9 || cfg.GFW.PoolSize != 4000 {
-		t.Errorf("overrides not applied: Sensitivity=%v PoolSize=%d", cfg.Sensitivity, cfg.GFW.PoolSize)
+	if cfg.GFW.Sensitivity != 0.9 || cfg.GFW.PoolSize != 4000 {
+		t.Errorf("overrides not applied: Sensitivity=%v PoolSize=%d", cfg.GFW.Sensitivity, cfg.GFW.PoolSize)
 	}
 
 	err := ApplyParams(cfg, []Param{{Key: "NoSuchField", Value: "1"}})
@@ -301,7 +301,7 @@ func TestApplyParams(t *testing.T) {
 	// With several overrides, the error names the one that failed.
 	cfg2 := r.Config(1, false).(*experiment.BlockingConfig)
 	err = ApplyParams(cfg2, []Param{
-		{Key: "Sensitivity", Value: "0.5"},
+		{Key: "GFW.Sensitivity", Value: "0.5"},
 		{Key: "GFW.NoSuchKnob", Value: "7"},
 		{Key: "Days", Value: "3"},
 	})

@@ -40,7 +40,8 @@ type ArmsRaceConfig struct {
 	Chains [][]string `json:",omitempty"`
 	// Mix is the server implementation mix (default ArmsRaceMix).
 	Mix []fleet.ImplShare `json:",omitempty"`
-	// GFW configures the censor; each chain run overrides Detectors.
+	// GFW configures the censor. Its Detectors must be empty: Chains
+	// names the chains to race.
 	GFW gfw.Config
 	// Impair optionally applies a link impairment profile.
 	Impair *netsim.LinkProfile `json:",omitempty"`
@@ -112,10 +113,11 @@ type ArmsRaceReport struct {
 // fleet execution options (worker pools, metrics sinks) applied to
 // every chain's run; they never change report bytes.
 func ArmsRace(cfg ArmsRaceConfig, opts ...fleet.Option) (*ArmsRaceReport, error) {
-	// Each chain replaces GFW.Detectors, but the censor as configured
-	// must still be valid.
 	if err := cfg.GFW.Validate(); err != nil {
 		return nil, fmt.Errorf("armsrace: %w", err)
+	}
+	if len(cfg.GFW.Detectors) > 0 {
+		return nil, fmt.Errorf("armsrace: GFW.Detectors must be empty; set Chains to choose the chains to race, got %v", cfg.GFW.Detectors)
 	}
 	chains := cfg.Chains
 	if len(chains) == 0 {

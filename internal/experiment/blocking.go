@@ -18,11 +18,10 @@ type BlockingConfig struct {
 	Seed int64
 	// Days of virtual time (default 30).
 	Days int
-	// Sensitivity is the censor's human-factor gate; the default 0.5
-	// emulates a politically sensitive period (§6 reports blocking spikes
-	// during congresses and anniversaries).
-	Sensitivity float64
-	GFW         gfw.Config
+	// GFW configures the censor. Its Sensitivity, the human-factor gate,
+	// defaults to 0.5 here, emulating a politically sensitive period (§6
+	// reports blocking spikes during congresses and anniversaries).
+	GFW gfw.Config
 	// Impair, when set, applies a link-impairment profile to every
 	// simulated link; nil keeps the idealized lossless network.
 	Impair *netsim.LinkProfile `json:"Impair,omitempty"`
@@ -32,8 +31,8 @@ func (c BlockingConfig) withDefaults() BlockingConfig {
 	if c.Days == 0 {
 		c.Days = 30
 	}
-	if c.Sensitivity == 0 {
-		c.Sensitivity = 0.5
+	if c.GFW.Sensitivity == 0 {
+		c.GFW.Sensitivity = 0.5
 	}
 	return c
 }
@@ -68,14 +67,7 @@ type BlockingReport struct {
 // survive the same probing.
 func BlockingExperiment(cfg BlockingConfig) (*BlockingReport, error) {
 	cfg = cfg.withDefaults()
-	// Sensitivity replaces GFW.Sensitivity, but the censor as configured
-	// must still be valid.
-	if err := cfg.GFW.Validate(); err != nil {
-		return nil, err
-	}
-	gcfg := cfg.GFW
-	gcfg.Sensitivity = cfg.Sensitivity
-	b, err := newTestbed(cfg.Seed, cfg.Impair, gcfg, "blocking.gfw")
+	b, err := newTestbed(cfg.Seed, cfg.Impair, cfg.GFW, "blocking.gfw")
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +139,7 @@ func BlockingExperiment(cfg BlockingConfig) (*BlockingReport, error) {
 func (r *BlockingReport) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Blocking module (§6): %d days at sensitivity %.2f\n",
-		r.Config.Days, r.Config.Sensitivity)
+		r.Config.Days, r.Config.GFW.Sensitivity)
 	fmt.Fprintf(&b, "  %-14s %-22s %-8s %-8s %-10s %s\n",
 		"server", "implementation", "probes", "blocked", "mechanism", "client outage (conns)")
 	for _, s := range r.Servers {

@@ -210,8 +210,8 @@ func TestBrdgrdExperiment(t *testing.T) {
 
 func TestBlockingExperiment(t *testing.T) {
 	r, err := BlockingExperiment(BlockingConfig{
-		Seed: 51, Days: 25, Sensitivity: 0.8,
-		GFW: gfw.Config{PoolSize: 3000},
+		Seed: 51, Days: 25,
+		GFW: gfw.Config{PoolSize: 3000, Sensitivity: 0.8},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -405,6 +405,37 @@ func TestExperimentsRefuseInvalidCensor(t *testing.T) {
 	}
 	if checked < 10 {
 		t.Fatalf("only %d experiments carry a GFW config; the reflection lookup is broken", checked)
+	}
+}
+
+// TestExperimentsKeepCensorValues: a censor value the caller sets is the
+// one the experiment runs, or an error — never silently replaced by an
+// experiment field of its own.
+func TestExperimentsKeepCensorValues(t *testing.T) {
+	br, err := BlockingExperiment(BlockingConfig{
+		Seed: 1, Days: 1, GFW: gfw.Config{PoolSize: 500, Sensitivity: 0.9},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := br.Render(); !strings.Contains(out, "sensitivity 0.90") {
+		t.Errorf("blocking with GFW.Sensitivity 0.9 rendered %q", strings.SplitN(out, "\n", 2)[0])
+	}
+
+	sr, err := Spatiotemporal(SpatioConfig{
+		Seed: 1, Users: 40, UsersPerServer: 20, Hours: 1, Regions: 2, Shapes: []string{"steady"},
+		GFW: gfw.Config{PoolSize: 500, Sensitivity: 0.2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sr.RegionNames[0]; got != "r0-s0.20" {
+		t.Errorf("spatiotemporal with GFW.Sensitivity 0.2: first region %q, want r0-s0.20", got)
+	}
+
+	_, err = ArmsRace(ArmsRaceConfig{Seed: 1, Users: 40, Hours: 1, GFW: gfw.Config{Detectors: []string{"openvpn"}}})
+	if err == nil || !strings.Contains(err.Error(), "Chains") {
+		t.Errorf("armsrace with GFW.Detectors [openvpn]: error = %v, want one naming Chains", err)
 	}
 }
 

@@ -37,11 +37,10 @@ type SpatioConfig struct {
 	Shards int `json:",omitempty"`
 	// Regions sizes the sensitivity gradient (default 4).
 	Regions int
-	// BaseSensitivity is region 0's censor sensitivity (default 0.05)
-	// and SensitivityStep the per-region increment (default 0.3);
-	// region r runs at min(1, base + r·step), so the default gradient
-	// is 0.05, 0.35, 0.65, 0.95.
-	BaseSensitivity float64
+	// SensitivityStep is the per-region sensitivity increment (default
+	// 0.3): region r runs at min(1, base + r·step), where base is
+	// GFW.Sensitivity (0 means 0.05), so the default gradient is 0.05,
+	// 0.35, 0.65, 0.95.
 	SensitivityStep float64
 	// Shapes are the schedule shapes to sweep (default ScheduleShapes).
 	Shapes []string `json:",omitempty"`
@@ -49,8 +48,8 @@ type SpatioConfig struct {
 	// Shadowsocks, 30% web — undefended enough that regional contrast
 	// is visible, with a false-positive yardstick).
 	Mix []fleet.ImplShare `json:",omitempty"`
-	// GFW is the censor configuration shared by every region; the
-	// gradient overrides Sensitivity per region.
+	// GFW is the censor configuration shared by every region; its
+	// Sensitivity is region 0's, and the gradient sets the others'.
 	GFW gfw.Config
 }
 
@@ -144,7 +143,7 @@ func Spatiotemporal(cfg SpatioConfig, opts ...fleet.Option) (*SpatioReport, erro
 	if nRegions == 0 {
 		nRegions = 4
 	}
-	base := cfg.BaseSensitivity
+	base := cfg.GFW.Sensitivity
 	if base == 0 {
 		base = 0.05
 	}

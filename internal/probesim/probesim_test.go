@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"sslab/internal/netsim"
 	"sslab/internal/reaction"
 	"sslab/internal/socks"
 	"sslab/internal/sscrypto"
@@ -149,7 +148,7 @@ func TestTCPProberAgainstLiveServer(t *testing.T) {
 		}
 		srv, err := ssserver.Listen("127.0.0.1:0", ssserver.Config{
 			Method: tc.method, Password: "pw", Profile: tc.profile, Dial: refuse,
-			Timeouts: netsim.Timeouts{Handshake: 10 * time.Second},
+			HandshakeTimeout: 10 * time.Second,
 		})
 		if err != nil {
 			t.Fatal(err)

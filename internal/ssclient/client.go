@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"sslab/internal/metrics"
-	"sslab/internal/netsim"
 	"sslab/internal/socks"
 	"sslab/internal/sscrypto"
 	"sslab/internal/ssproto"
@@ -24,12 +23,8 @@ type Config struct {
 	// Method and Password must match the server's configuration.
 	Method   string
 	Password string
-	// Timeouts bounds the connection stages: Connect for the TCP connect
-	// to the server (default 10 s) and Idle for the SOCKS relay loops
-	// (zero keeps the historical wait-forever relay). Handshake is
-	// unused on the client side.
-	Timeouts netsim.Timeouts
-	// Dial overrides the transport dialer (tests).
+	// Dial overrides the transport dialer (tests); the default is
+	// net.Dial bounded by dialTimeout.
 	Dial func(network, address string) (net.Conn, error)
 	// Shaper, if set, wraps the transport connection before the protocol
 	// runs — the hook the brdgrd defense uses to clamp segment sizes.
@@ -38,6 +33,9 @@ type Config struct {
 	// valid and makes every instrument a no-op.
 	Metrics *metrics.Registry
 }
+
+// dialTimeout bounds the TCP connect to the server.
+const dialTimeout = 10 * time.Second
 
 // Client dials targets through a Shadowsocks server.
 type Client struct {
@@ -58,10 +56,9 @@ func New(cfg Config) (*Client, error) {
 	if cfg.Server == "" {
 		return nil, fmt.Errorf("ssclient: server address required")
 	}
-	cfg.Timeouts = cfg.Timeouts.WithDefaults()
 	if cfg.Dial == nil {
 		cfg.Dial = func(network, address string) (net.Conn, error) {
-			return net.DialTimeout(network, address, cfg.Timeouts.Connect)
+			return net.DialTimeout(network, address, dialTimeout)
 		}
 	}
 	return &Client{
@@ -172,11 +169,6 @@ func (c *Client) handleSOCKS(conn net.Conn) {
 		defer func() { done <- struct{}{} }()
 		buf := make([]byte, 16*1024)
 		for {
-			// Idle timeout per pending read; zero keeps the historical
-			// wait-forever relay.
-			if d := c.cfg.Timeouts.Idle; d > 0 {
-				src.SetReadDeadline(time.Now().Add(d))
-			}
 			n, err := src.Read(buf)
 			if n > 0 {
 				if _, werr := dst.Write(buf[:n]); werr != nil {

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"sslab/internal/metrics"
-	"sslab/internal/netsim"
 	"sslab/internal/reaction"
 	"sslab/internal/replay"
 	"sslab/internal/socks"
@@ -36,30 +35,33 @@ type Config struct {
 	// Profile selects the implementation behaviour to emulate. The zero
 	// value defaults to the hardened reference profile.
 	Profile reaction.Profile
-	// Timeouts bounds the connection stages: Connect for outbound dials
-	// (was a hard-coded 10 s), Handshake for the first protocol data
+	// HandshakeTimeout bounds how long the server waits for a
+	// connection's first protocol data, and how long a profile that
+	// reads until timeout goes on reading after a protocol error
 	// (default 60 s, the common implementation default the paper
-	// contrasts with the GFW's sub-10 s prober patience), and Idle for
-	// the relay loops (zero keeps the historical wait-forever relay).
-	Timeouts netsim.Timeouts
+	// contrasts with the GFW's sub-10 s prober patience).
+	HandshakeTimeout time.Duration
 	// Dial is the outbound dialer; defaults to net.Dial bounded by
-	// Timeouts.Connect. Tests substitute it to avoid real network
-	// traffic.
+	// dialTimeout. Tests substitute it to avoid real network traffic.
 	Dial func(network, address string) (net.Conn, error)
 	// Logf, when set, receives debug logs.
 	Logf func(format string, args ...any)
-	// Metrics, when set, receives ssserver.* counters mirroring Stats.
-	// A nil registry is valid and makes every instrument a no-op.
+	// Metrics receives the ssserver.* counters that Stats holds. When
+	// nil the server counts into a registry of its own.
 	Metrics *metrics.Registry
 }
 
-// Stats counts server activity; all fields are updated atomically.
+// dialTimeout bounds the TCP connect to a proxied target.
+const dialTimeout = 10 * time.Second
+
+// Stats holds the server's counters, one per event, each the registry
+// counter named beside it.
 type Stats struct {
-	Accepted       atomic.Int64 // connections accepted
-	Proxied        atomic.Int64 // connections that reached the relay stage
-	AuthErrors     atomic.Int64 // authentication / parse failures
-	ReplaysBlocked atomic.Int64 // connections rejected by the replay filter
-	RelayErrors    atomic.Int64 // failed writes on the relay path
+	Accepted       *metrics.Counter // ssserver.accepted: connections accepted
+	Proxied        *metrics.Counter // ssserver.proxied: connections that reached the relay stage
+	AuthErrors     *metrics.Counter // ssserver.auth_errors: authentication / parse failures, TCP and UDP
+	ReplaysBlocked *metrics.Counter // ssserver.replays_blocked: connections rejected by the replay filter
+	RelayErrors    *metrics.Counter // ssserver.relay_errors: failed writes on the UDP relay path
 }
 
 // Server is a running Shadowsocks server.
@@ -68,6 +70,9 @@ type Server struct {
 	spec   sscrypto.Spec
 	key    []byte
 	filter replay.Filter
+	// udpIdle is how long a UDP association waits for a reply
+	// (udpSessionTimeout; tests shorten it).
+	udpIdle time.Duration
 
 	ln     net.Listener
 	wg     sync.WaitGroup
@@ -75,12 +80,6 @@ type Server struct {
 
 	// Stats is exported for tests and monitoring.
 	Stats Stats
-
-	// Pre-resolved instruments (nil-safe when no registry is configured).
-	mAccepted   *metrics.Counter
-	mProxied    *metrics.Counter
-	mAuthErrors *metrics.Counter
-	mReplays    *metrics.Counter
 }
 
 // New creates a Server from cfg without binding a socket; use Serve with
@@ -97,27 +96,34 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("ssserver: %s %s supports AEAD methods only",
 			cfg.Profile.Name, cfg.Profile.Versions)
 	}
-	cfg.Timeouts = cfg.Timeouts.WithDefaults()
+	if cfg.HandshakeTimeout <= 0 {
+		cfg.HandshakeTimeout = 60 * time.Second
+	}
 	if cfg.Dial == nil {
-		connect := cfg.Timeouts.Connect
 		cfg.Dial = func(network, address string) (net.Conn, error) {
-			return net.DialTimeout(network, address, connect)
+			return net.DialTimeout(network, address, dialTimeout)
 		}
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	s := &Server{
-		cfg:         cfg,
-		spec:        spec,
-		key:         spec.Key(cfg.Password),
-		mAccepted:   cfg.Metrics.Counter("ssserver.accepted"),
-		mProxied:    cfg.Metrics.Counter("ssserver.proxied"),
-		mAuthErrors: cfg.Metrics.Counter("ssserver.auth_errors"),
-		mReplays:    cfg.Metrics.Counter("ssserver.replays_blocked"),
-		filter:      reaction.NewFilter(cfg.Profile),
+	if cfg.Metrics == nil {
+		cfg.Metrics = metrics.New()
 	}
-	return s, nil
+	return &Server{
+		cfg:     cfg,
+		spec:    spec,
+		key:     spec.Key(cfg.Password),
+		filter:  reaction.NewFilter(cfg.Profile),
+		udpIdle: udpSessionTimeout,
+		Stats: Stats{
+			Accepted:       cfg.Metrics.Counter("ssserver.accepted"),
+			Proxied:        cfg.Metrics.Counter("ssserver.proxied"),
+			AuthErrors:     cfg.Metrics.Counter("ssserver.auth_errors"),
+			ReplaysBlocked: cfg.Metrics.Counter("ssserver.replays_blocked"),
+			RelayErrors:    cfg.Metrics.Counter("ssserver.relay_errors"),
+		},
+	}, nil
 }
 
 // Listen binds addr and starts serving in a background goroutine.
@@ -154,8 +160,7 @@ func (s *Server) Serve(l net.Listener) {
 		if err != nil {
 			return
 		}
-		s.Stats.Accepted.Add(1)
-		s.mAccepted.Inc()
+		s.Stats.Accepted.Inc()
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
@@ -189,20 +194,10 @@ const libevWait = 2 + 16 + 16 + 1
 // relayBufSize is the read buffer of each relay direction.
 const relayBufSize = 8 << 10
 
-// armIdle bounds one relay-stage read by Timeouts.Idle. A zero Idle is
-// a no-op: proxy clears the handshake deadline once, so the historical
-// wait-forever behaviour (and its syscall count) is unchanged. Called
-// before every relay read, so the window is per-read.
-func (s *Server) armIdle(c net.Conn) {
-	if d := s.cfg.Timeouts.Idle; d > 0 {
-		c.SetReadDeadline(time.Now().Add(d))
-	}
-}
-
 // handle serves one client connection.
 func (s *Server) handle(c net.Conn) {
 	defer c.Close()
-	deadline := time.Now().Add(s.cfg.Timeouts.Handshake)
+	deadline := time.Now().Add(s.cfg.HandshakeTimeout)
 	c.SetReadDeadline(deadline)
 	if errors.Is(s.serve(c), errProtocol) {
 		s.onProtocolError(c, deadline)
@@ -226,8 +221,7 @@ func (s *Server) onProtocolError(c net.Conn, deadline time.Time) {
 
 // authError counts an authentication or target-parse failure.
 func (s *Server) authError() error {
-	s.Stats.AuthErrors.Add(1)
-	s.mAuthErrors.Inc()
+	s.Stats.AuthErrors.Inc()
 	return errProtocol
 }
 
@@ -244,8 +238,7 @@ func (s *Server) serve(c net.Conn) error {
 		return nil // connection died or timed out while waiting
 	}
 	if now := time.Now(); s.filter.Replay(head, now, now) {
-		s.Stats.ReplaysBlocked.Add(1)
-		s.mReplays.Inc()
+		s.Stats.ReplaysBlocked.Inc()
 		return errProtocol
 	}
 	if s.spec.Kind == sscrypto.AEAD && s.cfg.Profile.WaitPayloadTag {
@@ -269,8 +262,7 @@ func (s *Server) serve(c net.Conn) error {
 		target, consumed, derr := socks.Decode(buf[:n], mask)
 		switch {
 		case derr == nil:
-			s.Stats.Proxied.Add(1)
-			s.mProxied.Inc()
+			s.Stats.Proxied.Inc()
 			s.proxy(ssc, target, buf, buf[consumed:n])
 			return nil
 		case errors.Is(derr, socks.ErrIncomplete) && s.spec.Kind == sscrypto.Stream && !s.cfg.Profile.RSTOnError:
@@ -332,12 +324,11 @@ func (s *Server) proxy(ssc net.Conn, target socks.Addr, buf, initial []byte) {
 	<-done
 }
 
-// pump copies src to dst through buf until either side fails, bounding
-// each read by the idle timeout. A client stream that fails
-// authentication mid-connection counts as an auth error.
+// pump copies src to dst through buf until either side fails. A client
+// stream that fails authentication mid-connection counts as an auth
+// error.
 func (s *Server) pump(dst, src net.Conn, buf []byte) {
 	for {
-		s.armIdle(src)
 		n, err := src.Read(buf)
 		if n > 0 {
 			if _, werr := dst.Write(buf[:n]); werr != nil {

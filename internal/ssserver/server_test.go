@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"sslab/internal/netsim"
+	"sslab/internal/metrics"
 	"sslab/internal/reaction"
 	"sslab/internal/ssclient"
 )
@@ -48,10 +48,10 @@ func startEcho(t *testing.T) net.Listener {
 func startServer(t *testing.T, method string, profile reaction.Profile, timeout time.Duration) *Server {
 	t.Helper()
 	s, err := Listen("127.0.0.1:0", Config{
-		Method:   method,
-		Password: "integration-pw",
-		Profile:  profile,
-		Timeouts: netsim.Timeouts{Handshake: timeout},
+		Method:           method,
+		Password:         "integration-pw",
+		Profile:          profile,
+		HandshakeTimeout: timeout,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestEndToEndProxy(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Errorf("echoed %q, want %q", got, want)
 			}
-			if srv.Stats.Proxied.Load() == 0 {
+			if srv.Stats.Proxied.Value() == 0 {
 				t.Error("Proxied stat not incremented")
 			}
 		})
@@ -196,8 +196,8 @@ func TestLiveOutline106Bands(t *testing.T) {
 	if !probeOutcome(t, addr, rnd[:221], 2*time.Second) {
 		t.Error("221-byte probe: server waiting; want immediate close")
 	}
-	if srv.Stats.AuthErrors.Load() < 2 {
-		t.Errorf("AuthErrors = %d, want >= 2", srv.Stats.AuthErrors.Load())
+	if srv.Stats.AuthErrors.Value() < 2 {
+		t.Errorf("AuthErrors = %d, want >= 2", srv.Stats.AuthErrors.Value())
 	}
 }
 
@@ -267,12 +267,12 @@ func TestLiveReplayBlocked(t *testing.T) {
 	if probeOutcome(t, srv.Addr().String(), wire, 300*time.Millisecond) {
 		t.Error("LibevNew closed a replay immediately; want timeout behaviour")
 	}
-	waitFor(t, 2*time.Second, func() bool { return srv.Stats.ReplaysBlocked.Load() >= 1 })
+	waitFor(t, 2*time.Second, func() bool { return srv.Stats.ReplaysBlocked.Value() >= 1 })
 
 	undefended := startServer(t, "aes-256-gcm", reaction.Outline107, 1*time.Second)
 	wire2 := record(undefended.Addr().String(), "aes-256-gcm")
 	// Replaying to the undefended server reaches the proxy stage again.
-	before := undefended.Stats.Proxied.Load()
+	before := undefended.Stats.Proxied.Value()
 	c, err := net.Dial("tcp", undefended.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +284,7 @@ func TestLiveReplayBlocked(t *testing.T) {
 		t.Errorf("undefended server did not serve the replay: %v", err)
 	}
 	c.Close()
-	if undefended.Stats.Proxied.Load() != before+1 {
+	if undefended.Stats.Proxied.Value() != before+1 {
 		t.Error("replay did not reach the proxy stage on the undefended server")
 	}
 }
@@ -420,7 +420,7 @@ func TestLiveHardenedRejectsReplayQuietly(t *testing.T) {
 	} else if ne, ok := err.(net.Error); !ok || !ne.Timeout() {
 		t.Errorf("hardened server closed early on replay: %v", err)
 	}
-	waitFor(t, 2*time.Second, func() bool { return srv.Stats.ReplaysBlocked.Load() >= 1 })
+	waitFor(t, 2*time.Second, func() bool { return srv.Stats.ReplaysBlocked.Value() >= 1 })
 }
 
 // splitConn sends its first write in two segments, cut after the first
@@ -478,7 +478,85 @@ func TestLiveStreamSpecAcrossSegments(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("echoed %q, want %q", got, want)
 	}
-	if n := srv.Stats.Proxied.Load(); n != 1 {
+	if n := srv.Stats.Proxied.Value(); n != 1 {
 		t.Errorf("Proxied = %d, want 1", n)
+	}
+}
+
+// TestStatsAreRegistryCounters: each event is counted once, in the
+// registry the caller supplied, and Stats reads the same counters — the
+// UDP relay's auth failures included.
+func TestStatsAreRegistryCounters(t *testing.T) {
+	echo := startEcho(t)
+	reg := metrics.New()
+	srv, err := Listen("127.0.0.1:0", Config{
+		Method: "chacha20-ietf-poly1305", Password: "integration-pw",
+		Profile: reaction.Hardened, HandshakeTimeout: time.Second, Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	// One proxied fetch, recording its first flight.
+	var wire []byte
+	client, err := ssclient.New(ssclient.Config{
+		Server: srv.Addr().String(), Method: "chacha20-ietf-poly1305", Password: "integration-pw",
+		Shaper: func(c net.Conn) net.Conn { return &tapConn{Conn: c, tap: &wire} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := client.Dial(echo.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.Write([]byte("counted"))
+	buf := make([]byte, 10)
+	conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+	if _, err := io.ReadFull(conn, buf); err != nil {
+		t.Fatalf("fetch: %v", err)
+	}
+	conn.Close()
+
+	// One replayed salt.
+	c, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Write(wire)
+
+	// One undecryptable UDP datagram.
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	go srv.ServeUDP(pc)
+	raw, err := net.Dial("udp", pc.LocalAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	raw.Write(bytes.Repeat([]byte{0xAB}, 120))
+
+	waitFor(t, 2*time.Second, func() bool {
+		return srv.Stats.ReplaysBlocked.Value() == 1 && srv.Stats.AuthErrors.Value() == 1
+	})
+	for _, tc := range []struct {
+		name  string
+		stat  *metrics.Counter
+		count int64
+	}{
+		{"ssserver.accepted", srv.Stats.Accepted, 2},
+		{"ssserver.proxied", srv.Stats.Proxied, 1},
+		{"ssserver.auth_errors", srv.Stats.AuthErrors, 1},
+		{"ssserver.replays_blocked", srv.Stats.ReplaysBlocked, 1},
+		{"ssserver.relay_errors", srv.Stats.RelayErrors, 0},
+	} {
+		if got := reg.Counter(tc.name).Value(); got != tc.count || tc.stat.Value() != got {
+			t.Errorf("%s: registry %d, Stats %d, want %d in both", tc.name, got, tc.stat.Value(), tc.count)
+		}
 	}
 }

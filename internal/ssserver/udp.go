@@ -9,18 +9,15 @@ import (
 	"sslab/internal/ssproto"
 )
 
-// udpSessionTimeout evicts idle NAT entries.
+// udpSessionTimeout is how long a UDP association waits for a reply
+// before its NAT entry goes; the next datagram from the client opens a
+// new one.
 const udpSessionTimeout = 60 * time.Second
 
 // udpNAT maps a client address to its outbound socket.
 type udpNAT struct {
 	mu       sync.Mutex
-	sessions map[string]*udpSession
-}
-
-type udpSession struct {
-	remote   net.PacketConn
-	lastSeen time.Time
+	sessions map[string]net.PacketConn
 }
 
 // ServeUDP relays Shadowsocks UDP datagrams on pc until it is closed:
@@ -28,7 +25,7 @@ type udpSession struct {
 // replies are encrypted back to the client with the reply's source as the
 // embedded address, per the specification.
 func (s *Server) ServeUDP(pc net.PacketConn) error {
-	nat := &udpNAT{sessions: map[string]*udpSession{}}
+	nat := &udpNAT{sessions: map[string]net.PacketConn{}}
 	defer nat.closeAll()
 	buf := make([]byte, 64*1024)
 	for {
@@ -38,64 +35,74 @@ func (s *Server) ServeUDP(pc net.PacketConn) error {
 		}
 		target, payload, err := ssproto.UnpackUDP(s.spec, s.key, buf[:n])
 		if err != nil {
-			s.Stats.AuthErrors.Add(1)
+			s.Stats.AuthErrors.Inc()
 			continue // UDP has no connection to reset; drop silently
 		}
-		sess, fresh, err := nat.session(clientAddr.String())
+		client := clientAddr.String()
+		remote, fresh, err := nat.session(client)
 		if err != nil {
 			continue
 		}
 		if fresh {
 			s.wg.Add(1)
-			go func(sess *udpSession, clientAddr net.Addr) {
+			go func() {
 				defer s.wg.Done()
-				s.udpReturnPath(pc, sess, clientAddr)
-			}(sess, clientAddr)
+				defer nat.drop(client, remote)
+				s.udpReturnPath(pc, remote, clientAddr)
+			}()
 		}
 		raddr, err := net.ResolveUDPAddr("udp", target.String())
 		if err != nil {
 			continue
 		}
-		if _, err := sess.remote.WriteTo(payload, raddr); err != nil {
-			s.Stats.RelayErrors.Add(1)
+		if _, err := remote.WriteTo(payload, raddr); err != nil {
+			s.Stats.RelayErrors.Inc()
 		}
 	}
 }
 
 // session finds or creates the NAT entry for a client.
-func (n *udpNAT) session(client string) (*udpSession, bool, error) {
+func (n *udpNAT) session(client string) (net.PacketConn, bool, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if sess, ok := n.sessions[client]; ok {
-		sess.lastSeen = time.Now()
-		return sess, false, nil
+	if remote, ok := n.sessions[client]; ok {
+		return remote, false, nil
 	}
 	remote, err := net.ListenPacket("udp", ":0")
 	if err != nil {
 		return nil, false, err
 	}
-	sess := &udpSession{remote: remote, lastSeen: time.Now()}
-	n.sessions[client] = sess
-	return sess, true, nil
+	n.sessions[client] = remote
+	return remote, true, nil
+}
+
+// drop removes the client's NAT entry if it still maps to remote, then
+// closes remote.
+func (n *udpNAT) drop(client string, remote net.PacketConn) {
+	n.mu.Lock()
+	if n.sessions[client] == remote {
+		delete(n.sessions, client)
+	}
+	n.mu.Unlock()
+	remote.Close()
 }
 
 func (n *udpNAT) closeAll() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for _, s := range n.sessions {
-		s.remote.Close()
+	for _, remote := range n.sessions {
+		remote.Close()
 	}
 }
 
 // udpReturnPath pumps replies from the session's outbound socket back to
 // the client, encrypted, until the session idles out.
-func (s *Server) udpReturnPath(pc net.PacketConn, sess *udpSession, clientAddr net.Addr) {
+func (s *Server) udpReturnPath(pc, remote net.PacketConn, clientAddr net.Addr) {
 	buf := make([]byte, 64*1024)
 	for {
-		sess.remote.SetReadDeadline(time.Now().Add(udpSessionTimeout))
-		n, from, err := sess.remote.ReadFrom(buf)
+		remote.SetReadDeadline(time.Now().Add(s.udpIdle))
+		n, from, err := remote.ReadFrom(buf)
 		if err != nil {
-			sess.remote.Close()
 			return
 		}
 		src, err := socks.ParseAddr(from.String())
@@ -107,7 +114,7 @@ func (s *Server) udpReturnPath(pc net.PacketConn, sess *udpSession, clientAddr n
 			continue
 		}
 		if _, err := pc.WriteTo(pkt, clientAddr); err != nil {
-			s.Stats.RelayErrors.Add(1)
+			s.Stats.RelayErrors.Inc()
 		}
 	}
 }

@@ -111,10 +111,63 @@ func TestUDPRelayDropsGarbage(t *testing.T) {
 
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if srv.Stats.AuthErrors.Load() >= 1 {
+		if srv.Stats.AuthErrors.Value() >= 1 {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Error("garbage datagram not counted as auth error")
+}
+
+// TestUDPAssociationOutlivesIdleTimeout: once a session's return path
+// idles out, the next datagram from the same client opens a new session
+// instead of going to the closed socket.
+func TestUDPAssociationOutlivesIdleTimeout(t *testing.T) {
+	echo := startUDPEcho(t)
+	srv, err := New(Config{
+		Method: "chacha20-ietf-poly1305", Password: "udp-pw", Profile: reaction.Hardened,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.udpIdle = 200 * time.Millisecond
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	go srv.ServeUDP(pc)
+
+	client, err := ssclient.New(ssclient.Config{
+		Server: pc.LocalAddr().String(), Method: "chacha20-ietf-poly1305", Password: "udp-pw",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := client.DialUDP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Close()
+
+	// ping sends msg until a reply arrives, as a UDP client retries.
+	ping := func(msg string) {
+		t.Helper()
+		for try := 0; try < 3; try++ {
+			if err := u.Send(echo.LocalAddr().String(), []byte(msg)); err != nil {
+				t.Fatal(err)
+			}
+			_, payload, err := u.Recv(time.Now().Add(time.Second))
+			if err == nil && string(payload) == "ok:"+msg {
+				return
+			}
+		}
+		t.Fatalf("%s: no reply in 3 tries", msg)
+	}
+	ping("before")
+	time.Sleep(4 * srv.udpIdle)
+	ping("after")
+	if n := srv.Stats.RelayErrors.Value(); n != 0 {
+		t.Errorf("RelayErrors = %d, want 0", n)
+	}
 }

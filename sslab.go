@@ -48,7 +48,9 @@ const Version = "1.0.0"
 
 // Server-side API.
 type (
-	// ServerConfig configures a runnable Shadowsocks server.
+	// ServerConfig configures a runnable Shadowsocks server. Its one
+	// timeout, HandshakeTimeout (default 60 s), bounds the wait for a
+	// connection's first protocol data.
 	ServerConfig = ssserver.Config
 	// Server is a running Shadowsocks proxy server with a behaviour profile.
 	Server = ssserver.Server
@@ -91,9 +93,6 @@ type (
 	LinkProfile = netsim.LinkProfile
 	// RetryPolicy bounds transport-level retransmission on a link.
 	RetryPolicy = netsim.RetryPolicy
-	// Timeouts bundles connect/handshake/idle deadlines; the zero value
-	// means "use defaults" everywhere it is accepted.
-	Timeouts = netsim.Timeouts
 	// SimOption configures NewSim.
 	SimOption = netsim.Option
 	// NetworkOption configures NewNetwork.

@@ -16,10 +16,10 @@ import (
 // way the GFW would.
 func TestPublicAPIProxyAndProbe(t *testing.T) {
 	srv, err := sslab.ListenServer("127.0.0.1:0", sslab.ServerConfig{
-		Method:   "chacha20-ietf-poly1305",
-		Password: "facade-pw",
-		Profile:  sslab.Outline106,
-		Timeouts: sslab.Timeouts{Handshake: 5 * time.Second},
+		Method:           "chacha20-ietf-poly1305",
+		Password:         "facade-pw",
+		Profile:          sslab.Outline106,
+		HandshakeTimeout: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
