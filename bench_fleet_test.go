@@ -233,8 +233,9 @@ func benchTimerScheduleSparse(b *testing.B) {
 // is deterministic: construction (user/server slices, censor state) and
 // the reaction model's per-probe work, and nothing per wake-up or per
 // flow — the Flow lives in the network's arena, first packets are
-// built into one reused buffer, and replay-filter inserts allocate
-// nothing.
+// built into one reused buffer, and a replay-filter insert allocates
+// only when it is a generation's first (its position table) or moves
+// the generation to the dense array: at most twice per generation.
 func benchFleetRun2k(b *testing.B) {
 	cfg := fleet.Config{
 		Seed:           1,

@@ -122,6 +122,52 @@ func refIndexes(f *Filter, data []byte) []uint64 {
 	return idx
 }
 
+// refSet sets the bits refIndexes names for data in w, a plain bit
+// array sized like f.
+func refSet(f *Filter, w []uint64, data []byte) {
+	for _, j := range refIndexes(f, data) {
+		w[j/64] |= 1 << (j % 64)
+	}
+}
+
+// refHas is the lookup on the plain bit array w.
+func refHas(f *Filter, w []uint64, data []byte) bool {
+	for _, j := range refIndexes(f, data) {
+		if w[j/64]&(1<<(j%64)) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// nonzero lists w's nonzero words, as State writes them.
+func nonzero(w []uint64) []WordState {
+	var out []WordState
+	for i, x := range w {
+		if x != 0 {
+			out = append(out, WordState{Index: uint32(i), Word: x})
+		}
+	}
+	return out
+}
+
+// sameState reports whether two captured states are equal.
+func sameState(a, b FilterState) bool {
+	return a.NBits == b.NBits && a.K == b.K && a.Entries == b.Entries && a.Cap == b.Cap &&
+		slices.Equal(a.Words, b.Words)
+}
+
+// form names the store that holds f's bits.
+func form(f *Filter) string {
+	switch {
+	case f.bits != nil:
+		return "dense"
+	case f.pos != nil:
+		return "table"
+	}
+	return "empty"
+}
+
 // TestBitsMatchReference: the inline hashing sets exactly the bits the
 // hash/fnv derivation names, at k = 10 and k = 20, so filters in
 // snapshots and every report that depends on them stay unchanged.
@@ -135,40 +181,139 @@ func TestBitsMatchReference(t *testing.T) {
 		if f.k != c.k {
 			t.Fatalf("fp %g: k = %d, want %d", c.fp, f.k, c.k)
 		}
-		want := make([]uint64, len(f.bits))
+		want := make([]uint64, (f.nbits+63)/64)
 		for i := 0; i < 2000; i++ {
 			data := make([]byte, rng.Intn(64))
 			rng.Read(data)
 			f.Add(data)
-			for _, j := range refIndexes(f, data) {
-				want[j/64] |= 1 << (j % 64)
-			}
+			refSet(f, want, data)
 		}
-		if !slices.Equal(f.bits, want) {
+		if !slices.Equal(f.State().Words, nonzero(want)) {
 			t.Errorf("k = %d: bits differ from the hash/fnv derivation", c.k)
 		}
 	}
 }
 
+// TestStorageFormsMatchReference adds keys one at a time, through the
+// position table and past the switch to the dense array. After every add
+// each answer, for the keys added and for keys never added, equals the
+// plain bit array's; State writes the array's nonzero words; and a
+// restore of that state has the same form, state and answers. A second
+// filter, restored after the first add, takes the same keys: its table
+// starts sized from one key's bits and must double its way to the switch.
+func TestStorageFormsMatchReference(t *testing.T) {
+	for _, fp := range []float64{1e-3, 1e-6} {
+		f := New(3000, fp)
+		if form(f) != "empty" || has(f, key(0)) {
+			t.Fatalf("fp %g: a new filter is %s", fp, form(f))
+		}
+		ref := make([]uint64, (f.nbits+63)/64)
+		var g *Filter
+		forms := map[string]int{}
+		absent := 1 << 20
+		for i := 0; i < 80; i++ {
+			f.Add(key(i))
+			refSet(f, ref, key(i))
+			if g == nil {
+				var err error
+				if g, err = RestoreFilter(f.State()); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				g.Add(key(i))
+			}
+			st := f.State()
+			if !slices.Equal(st.Words, nonzero(ref)) || st.Entries != i+1 {
+				t.Fatalf("fp %g, %d keys (%s): state differs from the bit array", fp, i+1, form(f))
+			}
+			r, err := RestoreFilter(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if form(r) != form(f) || !sameState(r.State(), st) || !sameState(g.State(), st) {
+				t.Fatalf("fp %g, %d keys: restored %s/%s, filter %s, or states differ", fp, i+1, form(r), form(g), form(f))
+			}
+			for q := 0; q < i+1+200; q++ {
+				data := key(q)
+				if q > i {
+					data = key(absent + q)
+				}
+				want := refHas(f, ref, data)
+				if has(f, data) != want || has(r, data) != want || has(g, data) != want {
+					t.Fatalf("fp %g, %d keys (%s): key %d answers differ from the bit array", fp, i+1, form(f), q)
+				}
+			}
+			forms[form(f)]++
+		}
+		if forms["table"] == 0 || forms["dense"] == 0 || form(g) != "dense" {
+			t.Errorf("fp %g: forms seen %v, second filter ends %s; want table then dense", fp, forms, form(g))
+		}
+	}
+}
+
+// TestResetDropsStorage: a rotation resets the stale generation to no
+// storage before its first add, so the new current generation holds one
+// entry in a fresh table; PingPong.Reset leaves both generations empty
+// at their own sizing.
+func TestResetDropsStorage(t *testing.T) {
+	p := NewPingPong(1000, 1e-3)
+	for i := 0; i < 1000; i++ {
+		p.add(hashes(key(i)))
+	}
+	if p.current != 0 || form(p.gen[0]) != "dense" || form(p.gen[1]) != "empty" {
+		t.Fatalf("after 1000 adds: current %d, generations %s/%s", p.current, form(p.gen[0]), form(p.gen[1]))
+	}
+	for i := 1000; i < 2001; i++ {
+		p.add(hashes(key(i)))
+	}
+	// The 2001st key rotated back to generation 0, resetting it first.
+	ref := make([]uint64, (p.gen[0].nbits+63)/64)
+	refSet(p.gen[0], ref, key(2000))
+	g := p.gen[0]
+	if p.current != 0 || g.Len() != 1 || form(g) != "table" || len(g.pos) != tableSlots(g.nbits) ||
+		!slices.Equal(g.State().Words, nonzero(ref)) {
+		t.Errorf("rotated generation: current %d, %d entries, %s of %d slots", p.current, g.Len(), form(g), len(g.pos))
+	}
+	p.Reset()
+	for i, g := range p.gen {
+		if form(g) != "empty" || g.Len() != 0 || g.Cap() != 1000 {
+			t.Errorf("after Reset generation %d is %s with %d of %d entries", i, form(g), g.Len(), g.Cap())
+		}
+	}
+	if p.current != 0 || p.TestAndAdd(key(2000)) {
+		t.Error("after Reset the pair still remembers a key")
+	}
+}
+
 // TestNoAllocs: at k = 20, the replay filter's setting, Add and
-// TestAndAdd allocate nothing.
+// TestAndAdd allocate nothing once a generation holds an entry, in the
+// position table and in the dense array alike: only a generation's first
+// add (its table, here in AllocsPerRun's warm-up call) and its switch to
+// the dense array allocate.
 func TestNoAllocs(t *testing.T) {
-	f := New(1000, 1e-6)
-	p := NewPingPong(1000, 1e-6)
-	if f.k != 20 {
-		t.Fatalf("k = %d, want 20", f.k)
+	table, dense := New(1<<16, 1e-6), New(1000, 1e-6)
+	p := NewPingPong(1<<16, 1e-6)
+	if table.k != 20 || dense.k != 20 {
+		t.Fatalf("k = %d and %d, want 20", table.k, dense.k)
+	}
+	for i := 0; i < 100; i++ {
+		dense.Add(key(i))
 	}
 	data := make([]byte, 32)
 	for _, c := range []struct {
 		name string
 		fn   func()
 	}{
-		{"Filter.Add", func() { f.Add(data) }},
+		{"Filter.Add (table)", func() { table.Add(data) }},
+		{"Filter.Add (dense)", func() { dense.Add(data) }},
 		{"PingPong.TestAndAdd", func() { p.TestAndAdd(data) }},
 	} {
 		if a := testing.AllocsPerRun(100, func() { data[0]++; c.fn() }); a != 0 {
 			t.Errorf("%s: %v allocs per call", c.name, a)
 		}
+	}
+	if form(table) != "table" || form(dense) != "dense" || form(p.gen[0]) != "table" {
+		t.Errorf("forms %s, %s, %s; want table, dense, table", form(table), form(dense), form(p.gen[0]))
 	}
 }
 

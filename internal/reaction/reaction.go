@@ -14,6 +14,7 @@
 package reaction
 
 import (
+	"fmt"
 	"hash/fnv"
 	"time"
 
@@ -236,8 +237,28 @@ func (s *Server) FilterState() (replay.State, error) {
 }
 
 // RestoreFilterState replaces the server's replay filter with the one
-// a FilterState captured.
+// a FilterState captured. It refuses a state the server's profile does
+// not build: another kind of filter, or Bloom generations whose size,
+// hash count or capacity differ from the profile's. A restore thus
+// allocates at most what the profile's own filter holds, whatever the
+// state claims.
 func (s *Server) RestoreFilterState(st replay.State) error {
+	want, err := replay.CaptureState(NewFilter(s.Profile))
+	if err != nil {
+		return err
+	}
+	if st.Kind != want.Kind {
+		return fmt.Errorf("reaction: %s replay filter state for a %s server, which runs a %s filter", st.Kind, s.Profile.Name, want.Kind)
+	}
+	if st.PingPong != nil && want.PingPong != nil {
+		for i, g := range st.PingPong.Gen {
+			w := want.PingPong.Gen[i]
+			if g.NBits != w.NBits || g.K != w.K || g.Cap != w.Cap {
+				return fmt.Errorf("reaction: replay filter generation %d has %d bits, k = %d, capacity %d; %s builds %d, %d, %d",
+					i, g.NBits, g.K, g.Cap, s.Profile.Name, w.NBits, w.K, w.Cap)
+			}
+		}
+	}
 	f, err := replay.RestoreState(st)
 	if err != nil {
 		return err

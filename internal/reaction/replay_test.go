@@ -3,10 +3,13 @@ package reaction
 import (
 	"math/rand"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
+	"sslab/internal/bloom"
 	"sslab/internal/probe"
+	"sslab/internal/replay"
 	"sslab/internal/socks"
 	"sslab/internal/sscrypto"
 	"sslab/internal/ssproto"
@@ -218,6 +221,82 @@ func TestHardenedAgainstDelayedReplayAcrossRestart(t *testing.T) {
 	r := h.ReactAt(append([]byte(nil), recH...), t0, t0.Add(570*time.Hour))
 	if r.Reaction != Timeout {
 		t.Errorf("hardened delayed replay got %v, want TIMEOUT", r.Reaction)
+	}
+}
+
+// TestRestoreFilterStateRefusesBadState feeds replay-filter states that
+// no libev server writes through replay.RestoreState and a libev
+// server's RestoreFilterState. Each returns an error, none panics, and a
+// refused restore leaves the server's filter as it was. The first group
+// is malformed Bloom state; the second is well formed but sized unlike
+// the profile's filter, which only RestoreFilterState refuses.
+func TestRestoreFilterStateRefusesBadState(t *testing.T) {
+	srv := mustServer(t, LibevNew, "aes-256-gcm")
+	for i := 0; i < 50; i++ {
+		salt := make([]byte, 33)
+		salt[0], salt[1] = byte(i), 1
+		srv.RegisterNonce(salt, t0)
+	}
+	good, err := srv.FilterState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(good.PingPong.Gen[0].Words) < 2 {
+		t.Fatalf("the filter holds %d words", len(good.PingPong.Gen[0].Words))
+	}
+	nwords := uint32((good.PingPong.Gen[0].NBits + 63) / 64)
+	cases := []struct {
+		name      string
+		malformed bool
+		edit      func(p *bloom.PingPongState)
+	}{
+		{"2^62 bits", true, func(p *bloom.PingPongState) { p.Gen[0].NBits = 1 << 62 }},
+		{"2^32 bits", true, func(p *bloom.PingPongState) { p.Gen[1].NBits = 1 << 32 }},
+		{"0 bits", true, func(p *bloom.PingPongState) { p.Gen[1].NBits = 0 }},
+		{"k 0", true, func(p *bloom.PingPongState) { p.Gen[0].K = 0 }},
+		{"capacity 0", true, func(p *bloom.PingPongState) { p.Gen[1].Cap = 0 }},
+		{"negative entries", true, func(p *bloom.PingPongState) { p.Gen[0].Entries = -1 }},
+		{"entries over capacity", true, func(p *bloom.PingPongState) { p.Gen[1].Entries = p.Gen[1].Cap + 1 }},
+		{"word index out of range", true, func(p *bloom.PingPongState) {
+			p.Gen[0].Words = append(p.Gen[0].Words, bloom.WordState{Index: nwords, Word: 1})
+		}},
+		{"bit past the filter's bits", true, func(p *bloom.PingPongState) {
+			p.Gen[0].Words = append(p.Gen[0].Words, bloom.WordState{Index: nwords - 1, Word: 1 << 63})
+		}},
+		{"descending words", true, func(p *bloom.PingPongState) {
+			w := p.Gen[0].Words
+			w[0], w[1] = w[1], w[0]
+		}},
+		{"repeated word", true, func(p *bloom.PingPongState) { p.Gen[0].Words[1].Index = p.Gen[0].Words[0].Index }},
+		{"zero word", true, func(p *bloom.PingPongState) { p.Gen[0].Words[0].Word = 0 }},
+		{"current 2", true, func(p *bloom.PingPongState) { p.Current = 2 }},
+		{"current -1", true, func(p *bloom.PingPongState) { p.Current = -1 }},
+		{"other size", false, func(p *bloom.PingPongState) { p.Gen[0].NBits += 64 }},
+		{"other k", false, func(p *bloom.PingPongState) { p.Gen[1].K-- }},
+		{"other capacity", false, func(p *bloom.PingPongState) { p.Gen[1].Cap = 1 << 10 }},
+	}
+	for _, c := range cases {
+		pp := *good.PingPong
+		for i := range pp.Gen {
+			pp.Gen[i].Words = slices.Clone(pp.Gen[i].Words)
+		}
+		c.edit(&pp)
+		st := replay.State{Kind: "nonce", PingPong: &pp}
+		if _, err := replay.RestoreState(st); (err != nil) != c.malformed {
+			t.Errorf("%s: replay.RestoreState returned %v", c.name, err)
+		}
+		if err := srv.RestoreFilterState(st); err == nil {
+			t.Errorf("%s: RestoreFilterState accepted it", c.name)
+		}
+	}
+	if err := srv.RestoreFilterState(replay.State{Kind: "timed", Window: time.Minute}); err == nil {
+		t.Error("a libev server accepted a timed filter's state")
+	}
+	if got, _ := srv.FilterState(); !slices.Equal(got.PingPong.Gen[0].Words, good.PingPong.Gen[0].Words) {
+		t.Error("a refused restore changed the server's filter")
+	}
+	if err := srv.RestoreFilterState(good); err != nil {
+		t.Errorf("the server's own state: %v", err)
 	}
 }
 

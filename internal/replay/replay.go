@@ -58,13 +58,14 @@ func (f *NonceFilter) Replay(nonce []byte, _, _ time.Time) bool {
 	return f.pp.TestAndAdd(nonce)
 }
 
-// Forget simulates a server restart: all remembered nonces are lost. The
-// paper points out a purely nonce-based filter is ineffective against
-// replays that span a restart.
+// Forget simulates a server restart: all remembered nonces are lost, and
+// the filter starts again at its own capacity, as libev re-initializes
+// ppbloom with the same constant. The paper points out a purely
+// nonce-based filter is ineffective against replays that span a restart.
 func (f *NonceFilter) Forget() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.pp = bloom.NewPingPong(f.pp.Len()+1024, 1e-6)
+	f.pp.Reset()
 }
 
 // TimedFilter accepts a connection only if its embedded timestamp is within

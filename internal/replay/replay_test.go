@@ -36,6 +36,38 @@ func TestNonceFilterForgetsAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestNonceFilterRestartKeepsCapacity: a restart empties both
+// generations and keeps their capacity, as libev re-initializes ppbloom
+// with the same constant, and allocates nothing. So a nonce seen just
+// after restarting a 65,536-nonce filter that held 10 survives 2,100
+// more connections; a pair rebuilt for its live count plus 1,024 nonces
+// would have rotated it out.
+func TestNonceFilterRestartKeepsCapacity(t *testing.T) {
+	f := NewNonceFilter(1 << 16)
+	for i := 0; i < 10; i++ {
+		f.Replay([]byte(fmt.Sprintf("before-%d", i)), t0, t0)
+	}
+	if a := testing.AllocsPerRun(10, f.Forget); a != 0 {
+		t.Errorf("Forget: %v allocs per call", a)
+	}
+	st, err := CaptureState(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, g := range st.PingPong.Gen {
+		if g.Cap != 1<<16 || g.Entries != 0 || len(g.Words) != 0 {
+			t.Errorf("generation %d after restart: capacity %d, %d entries, %d words", i, g.Cap, g.Entries, len(g.Words))
+		}
+	}
+	f.Replay([]byte("after-restart"), t0, t0)
+	for i := 0; i < 2100; i++ {
+		f.Replay([]byte(fmt.Sprintf("later-%d", i)), t0, t0)
+	}
+	if !f.Replay([]byte("after-restart"), t0, t0) {
+		t.Error("a nonce seen after the restart was forgotten 2,100 connections later")
+	}
+}
+
 func TestTimedFilterRejectsReplayWithinWindow(t *testing.T) {
 	f := NewTimedFilter(2 * time.Minute)
 	if f.Replay([]byte("n1"), t0, t0) {

@@ -60,7 +60,8 @@ func CaptureState(f Filter) (State, error) {
 	}
 }
 
-// RestoreState reconstructs the concrete Filter a State captured.
+// RestoreState reconstructs the concrete Filter a State captured. A
+// nonce filter's Bloom pair must pass bloom.RestorePingPong's checks.
 func RestoreState(st State) (Filter, error) {
 	switch st.Kind {
 	case "none":
@@ -69,7 +70,11 @@ func RestoreState(st State) (Filter, error) {
 		if st.PingPong == nil {
 			return nil, fmt.Errorf("replay: nonce filter state without Bloom pair")
 		}
-		return &NonceFilter{pp: bloom.RestorePingPong(*st.PingPong)}, nil
+		pp, err := bloom.RestorePingPong(*st.PingPong)
+		if err != nil {
+			return nil, fmt.Errorf("replay: nonce filter: %w", err)
+		}
+		return &NonceFilter{pp: pp}, nil
 	case "timed":
 		f := &TimedFilter{Window: st.Window, seen: make(map[string]time.Time, len(st.Seen)), lastGC: st.LastGC}
 		for _, s := range st.Seen {
