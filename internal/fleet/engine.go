@@ -36,7 +36,9 @@ func NewEngine(cfg Config, opts ...Option) (*Engine, error) {
 }
 
 // newEngine is the shared construction path: snap == nil builds a
-// fresh engine; otherwise each unit is built structurally and then
+// fresh engine; otherwise the snapshot's counts are checked against
+// the config before planning and against each unit's plan before
+// building it, and each unit is built structurally and then
 // overwritten with its snapshot state.
 func newEngine(cfg Config, snap *engineSnap, opts []Option) (*Engine, error) {
 	var o runOptions
@@ -49,6 +51,11 @@ func newEngine(cfg Config, snap *engineSnap, opts []Option) (*Engine, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
+	if snap != nil {
+		if err := snap.checkTotals(cfg); err != nil {
+			return nil, err
+		}
+	}
 	plan, err := planRun(cfg)
 	if err != nil {
 		return nil, err
@@ -65,6 +72,11 @@ func newEngine(cfg Config, snap *engineSnap, opts []Option) (*Engine, error) {
 		return nil, fmt.Errorf("fleet: snapshot has %d units, config plans %d", len(snap.Units), len(plan.units))
 	}
 	err = e.each(func(i int) error {
+		if snap != nil {
+			if err := snap.Units[i].checkCounts(cfg, plan.units[i]); err != nil {
+				return err
+			}
+		}
 		e.units[i] = buildUnit(cfg, plan, plan.units[i], snap != nil)
 		if snap != nil {
 			if err := e.units[i].restore(&snap.Units[i], snap.Now); err != nil {

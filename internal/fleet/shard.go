@@ -78,7 +78,7 @@ func resolveTopology(cfg Config) *region.Topology {
 // reproduced byte-for-byte; a multi-region plan gives each region an
 // independent ("region", r) fork and derives shard seeds under it.
 func planRun(cfg Config) (runPlan, error) {
-	nServers := (cfg.Users + cfg.UsersPerServer - 1) / cfg.UsersPerServer
+	nServers := serverCount(cfg)
 	var totalW float64
 	for _, s := range cfg.Mix {
 		totalW += s.Weight
@@ -149,6 +149,18 @@ func planRun(cfg Config) (runPlan, error) {
 	return p, nil
 }
 
+// serverCount is how many servers cfg's users fill, UsersPerServer at
+// a time.
+func serverCount(cfg Config) int {
+	return (cfg.Users + cfg.UsersPerServer - 1) / cfg.UsersPerServer
+}
+
+// users returns the global range [lo, hi) of the users on u's servers.
+func (u unitSpec) users(cfg Config) (lo, hi int) {
+	// The last server may be partially subscribed.
+	return u.lo * cfg.UsersPerServer, min(u.hi*cfg.UsersPerServer, cfg.Users)
+}
+
 // buildUnit constructs one unit's sub-simulation: its own simulator,
 // network, censor and RNG streams. When restoring, the unit is built
 // structurally identical but schedules no initial events — the
@@ -169,11 +181,7 @@ func buildUnit(cfg Config, plan runPlan, u unitSpec, restoring bool) *Fleet {
 	g := gfw.New(gfw.Env{Sim: sim, Net: net}, gfw.WithConfig(gcfg))
 	net.AddMiddlebox(g)
 
-	userLo := u.lo * cfg.UsersPerServer
-	userHi := u.hi * cfg.UsersPerServer
-	if userHi > cfg.Users {
-		userHi = cfg.Users // the last server may be partially subscribed
-	}
+	userLo, userHi := u.users(cfg)
 	f := &Fleet{
 		cfg:          cfg,
 		sim:          sim,

@@ -174,7 +174,74 @@ func Restore(data []byte, opts ...Option) (*Engine, error) {
 	if err := gob.NewDecoder(bytes.NewReader(data[len(snapMagic)+4:])).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("fleet: decoding snapshot: %w", err)
 	}
+	if ver >= 2 {
+		for i := range snap.Units {
+			if err := snap.Units[i].checkRegisters(); err != nil {
+				return nil, fmt.Errorf("fleet: unit %d: %w", i, err)
+			}
+		}
+	}
 	return newEngine(snap.Config, &snap, opts)
+}
+
+// checkTotals compares the users and servers a snapshot holds with
+// what cfg, its decoded Config, plans, before planning allocates for
+// them: a Config edited to more users would otherwise have every unit
+// built before the mismatch showed.
+func (s *engineSnap) checkTotals(cfg Config) error {
+	var users, servers int
+	for i := range s.Units {
+		users += len(s.Units[i].URng)
+		servers += len(s.Units[i].Servers)
+	}
+	if users != cfg.Users || servers != serverCount(cfg) {
+		return fmt.Errorf("fleet: snapshot holds %d users on %d servers, config plans %d on %d",
+			users, servers, cfg.Users, serverCount(cfg))
+	}
+	return nil
+}
+
+// checkCounts compares one unit's per-user, per-server and per-mix-row
+// state with what the plan builds for u, before buildUnit allocates it.
+func (s *unitSnap) checkCounts(cfg Config, u unitSpec) error {
+	lo, hi := u.users(cfg)
+	for _, c := range []struct {
+		what      string
+		got, want int
+	}{
+		{"users", len(s.URng), hi - lo},
+		{"blocked flags", len(s.UBlocked), hi - lo},
+		{"ever-blocked flags", len(s.UEverBlocked), hi - lo},
+		{"servers", len(s.Servers), u.hi - u.lo},
+		{"mix rows", len(s.ImplEver), len(cfg.Mix)},
+	} {
+		if c.got != c.want {
+			return fmt.Errorf("snapshot has %d %s, plan builds %d", c.got, c.what, c.want)
+		}
+	}
+	return nil
+}
+
+// checkRegisters refuses a stream state of a version-2 snapshot that is
+// past seedfork's lazy phase yet carries no register. A version-2
+// writer saves every built register, and restoring a stream without
+// one replays it from its seed, draw by draw, for as many draws as the
+// input claims.
+func (s *unitSnap) checkRegisters() error {
+	for _, st := range []struct {
+		name     string
+		draws    uint64
+		register []int64
+	}{
+		{"trafficgen", s.TG.Draws, s.TG.Register},
+		{"censor", s.GFW.RNGDraws, s.GFW.RNGRegister},
+		{"prober pool", s.GFW.PoolDraws, s.GFW.PoolRegister},
+	} {
+		if st.register == nil && st.draws > seedfork.LazyDraws {
+			return fmt.Errorf("%s stream at draw %d has no register", st.name, st.draws)
+		}
+	}
+	return nil
 }
 
 // capture serializes one unit. The unit must be quiescent (its
@@ -257,23 +324,14 @@ func (f *Fleet) capture() (unitSnap, error) {
 }
 
 // restore overwrites a freshly built (restoring=true) unit with its
-// snapshot state and re-arms its pending events. The sequence matters:
+// snapshot state, whose counts checkCounts has matched to the unit,
+// and re-arms its pending events. The sequence matters:
 // the simulator's clock is advanced to the snapshot time first (so
 // nothing is clamped into the past), state is overwritten second, and
 // events are re-armed last — heap events in original sequence order,
 // which reproduces the captured run's dispatch order exactly, then any
 // wheel entries of an older snapshot in their original order.
 func (f *Fleet) restore(s *unitSnap, now time.Time) error {
-	if len(s.URng) != len(f.users) {
-		return fmt.Errorf("snapshot has %d users, plan builds %d", len(s.URng), len(f.users))
-	}
-	if len(s.Servers) != len(f.servers) {
-		return fmt.Errorf("snapshot has %d servers, plan builds %d", len(s.Servers), len(f.servers))
-	}
-	if len(s.ImplEver) != len(f.implEver) {
-		return fmt.Errorf("snapshot has %d mix rows, plan builds %d", len(s.ImplEver), len(f.implEver))
-	}
-
 	// 1. Advance the empty simulator to the snapshot time.
 	f.sim.RunUntil(now)
 

@@ -9,6 +9,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -325,22 +326,93 @@ func TestSnapshotRefusals(t *testing.T) {
 		{"carry", func(tg *seedfork.State) { tg.ReadPos = -1 }},
 		{"606-word register", func(tg *seedfork.State) { tg.Register = tg.Register[:606] }},
 	} {
-		var snap engineSnap
-		if err := gob.NewDecoder(bytes.NewReader(good[len(snapMagic)+4:])).Decode(&snap); err != nil {
-			t.Fatal(err)
-		}
+		snap := decodeSnap(t, good)
 		if snap.Units[0].TG.Register == nil {
 			t.Fatal("the trafficgen stream built no register in the first hour")
 		}
 		c.edit(&snap.Units[0].TG)
-		var buf bytes.Buffer
-		buf.Write(good[:len(snapMagic)+4])
-		if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Restore(buf.Bytes()); err == nil || !strings.Contains(err.Error(), "unit 0") {
+		if _, err := Restore(encodeSnap(t, snapVersion, snap)); err == nil || !strings.Contains(err.Error(), "unit 0") {
 			t.Fatalf("Restore of an unreachable trafficgen %s: err = %v, want a unit 0 error", c.name, err)
 		}
+	}
+}
+
+// decodeSnap decodes the engine state of snapshot bytes.
+func decodeSnap(t *testing.T, data []byte) engineSnap {
+	t.Helper()
+	var snap engineSnap
+	if err := gob.NewDecoder(bytes.NewReader(data[len(snapMagic)+4:])).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// encodeSnap writes snap as snapshot bytes of the given version.
+func encodeSnap(t *testing.T, ver uint32, snap engineSnap) []byte {
+	t.Helper()
+	buf := bytes.NewBuffer(binary.BigEndian.AppendUint32([]byte(snapMagic), ver))
+	if err := gob.NewEncoder(buf).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSnapshotRefusesStreamWithoutRegister: a version-2 snapshot whose
+// trafficgen, censor or prober-pool stream is past draw 273 yet
+// carries no register is refused, naming the stream. Restore used to
+// replay such a stream from its seed for as many draws as the input
+// claimed: about a second for the 2³⁰ draws here, hours for 2⁴⁰.
+func TestSnapshotRefusesStreamWithoutRegister(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "resume-v2.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		stream string
+		edit   func(u *unitSnap)
+	}{
+		{"trafficgen", func(u *unitSnap) { u.TG.Draws, u.TG.Register = 1<<30, nil }},
+		{"censor", func(u *unitSnap) { u.GFW.RNGDraws, u.GFW.RNGRegister = 1<<30, nil }},
+		{"prober pool", func(u *unitSnap) { u.GFW.PoolDraws, u.GFW.PoolRegister = 1<<30, nil }},
+	} {
+		snap := decodeSnap(t, data)
+		c.edit(&snap.Units[0])
+		if _, err := Restore(encodeSnap(t, 2, snap)); err == nil || !strings.Contains(err.Error(), c.stream+" stream") {
+			t.Errorf("Restore of a %s stream at draw 2³⁰ without its register: err = %v, want an error naming the stream", c.stream, err)
+		}
+	}
+}
+
+// TestSnapshotRestoreChecksCountsFirst: a snapshot whose Config plans
+// more users than the snapshot holds is refused before any unit is
+// planned or built, so the refusal allocates about what decoding does
+// (2,000,000 users used to allocate 230 MB before the error; at 2⁴⁰
+// planning alone would ask for 88 GB), and a unit whose per-user
+// arrays disagree is refused with the count that differs.
+func TestSnapshotRestoreChecksCountsFirst(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "resume-v2.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, users := range []int{2_000_000, 1 << 40} {
+		snap := decodeSnap(t, data)
+		snap.Config.Users = users
+		bad := encodeSnap(t, 2, snap)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Restore(bad)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("Restore with Config.Users %d accepted a snapshot of %d users", users, fixtureCfg().Users)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+			t.Errorf("Restore with Config.Users %d allocated %.1f MB before refusing: %v", users, float64(grew)/(1<<20), err)
+		}
+	}
+	snap := decodeSnap(t, data)
+	snap.Units[1].UBlocked = snap.Units[1].UBlocked[1:]
+	if _, err := Restore(encodeSnap(t, 2, snap)); err == nil || !strings.Contains(err.Error(), "unit 1") || !strings.Contains(err.Error(), "blocked flags") {
+		t.Errorf("Restore of a unit missing a user's blocked flag: err = %v, want a unit 1 error naming the blocked flags", err)
 	}
 }
 

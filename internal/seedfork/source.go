@@ -14,6 +14,11 @@ const (
 	int32max = 1<<31 - 1
 )
 
+// LazyDraws is how many values a Source draws before it builds its
+// register: a State carries a Register exactly when its Draws exceed
+// it.
+const LazyDraws = rngTap
+
 // pow48271[s] is 48271^s mod (2³¹−1). math/rand seeds its register by
 // stepping x ← 48271·x mod (2³¹−1) from the seed, so step s is
 // seed·pow48271[s], and register word k uses steps 21+3k to 23+3k.
@@ -113,15 +118,21 @@ func (r *register) next() uint64 {
 	return uint64(x)
 }
 
-// advance makes up to want (at least 1) steps of next as one run and
-// returns the run's words, the last drawn first: draw k of the run is
-// run[len(run)-1-k]. A run stops before tap or feed would wrap and is
-// at most rngTap draws long. Feed is always 334 words past tap, mod
-// 607, so a run of k ≤ 273 draws reads words [tap−k, tap) and writes
-// words [feed−k, feed): whether feed sits 334 above tap or 273 below
-// it, the two ranges are disjoint, no word the run writes is one it
-// reads, and the sums may be taken in any order.
-func (r *register) advance(want int) []int64 {
+// step moves tap and feed by up to want (at least 1) draws as one run
+// and returns the run's words and the words they add, so that each
+// caller sums a run in the loop that consumes it: draw k of the run is
+// run[i] + src[i] with i = len(run)-1-k, which the caller writes back
+// to run[i]. The two slices are equally long; a caller reslices src to
+// len(run) so the compiler drops src[i]'s bounds check. A run stops
+// before tap or feed would wrap and is at most rngTap draws long. Feed
+// is always 334 words past tap, mod 607, so a run of k ≤ 273 draws
+// reads words [tap−k, tap) and writes words [feed−k, feed): whether
+// feed sits 334 above tap or 273 below it, the two ranges are
+// disjoint, no word the run writes is one it reads, and the sums may
+// be taken in any order.
+//
+//sslab:hotpath
+func (r *register) step(want int) (run, src []int64) {
 	tap, feed := r.tap, r.feed
 	if tap == 0 {
 		tap = rngLen
@@ -131,18 +142,18 @@ func (r *register) advance(want int) []int64 {
 	}
 	k := min(want, tap, feed, rngTap)
 	r.tap, r.feed = tap-k, feed-k
-	run, src := r.vec[feed-k:feed], r.vec[tap-k:tap]
-	src = src[:len(run)] // equal lengths drop src[i]'s bounds check
-	for i := range run {
-		run[i] += src[i]
-	}
-	return run
+	return r.vec[feed-k : feed], r.vec[tap-k : tap]
 }
 
 // skip makes n steps of next, a run at a time.
 func (r *register) skip(n uint64) {
 	for n > 0 {
-		n -= uint64(len(r.advance(int(min(n, rngTap)))))
+		run, src := r.step(int(min(n, rngTap)))
+		src = src[:len(run)]
+		for i := range run {
+			run[i] += src[i]
+		}
+		n -= uint64(len(run))
 	}
 }
 
@@ -224,10 +235,13 @@ func (s *Source) SkipIntn(n, count int) {
 		}
 	}
 	for count > 0 {
-		run := s.reg.advance(count)
+		run, src := s.reg.step(count)
+		src = src[:len(run)]
 		s.n += uint64(len(run))
 		count -= len(run)
-		for _, x := range run {
+		for i := range run {
+			x := run[i] + src[i]
+			run[i] = x
 			if uint64(x)<<1>>33 > bound {
 				count++
 			}
@@ -259,10 +273,13 @@ func (s *Source) Pick(dst, from []byte) {
 	bound := uint64(1<<31 - 1 - (1<<31)%uint32(n))
 	m := ^uint64(0)/uint64(n) + 1
 	for i < len(dst) {
-		run := s.reg.advance(len(dst) - i)
+		run, src := s.reg.step(len(dst) - i)
+		src = src[:len(run)]
 		s.n += uint64(len(run))
 		for k := len(run) - 1; k >= 0; k-- {
-			if v := uint64(run[k]) << 1 >> 33; v <= bound {
+			x := run[k] + src[k]
+			run[k] = x
+			if v := uint64(x) << 1 >> 33; v <= bound {
 				j, _ := bits.Mul64(m*v, uint64(n))
 				dst[i] = from[j]
 				i++
@@ -295,11 +312,14 @@ func (s *Source) Read(p []byte) (int, error) {
 		i += 7
 	}
 	for w > 0 {
-		run := s.reg.advance(w)
+		run, src := s.reg.step(w)
+		src = src[:len(run)]
 		s.n += uint64(len(run))
 		w -= len(run)
 		for k := len(run) - 1; k >= 0; k-- {
-			binary.LittleEndian.PutUint64(p[i:], uint64(run[k]))
+			x := run[k] + src[k]
+			run[k] = x
+			binary.LittleEndian.PutUint64(p[i:], uint64(x))
 			i += 7
 		}
 	}
@@ -313,6 +333,30 @@ func (s *Source) Read(p []byte) (int, error) {
 	}
 	s.readPos, s.readVal = pos, val
 	return len(p), nil
+}
+
+// Discard advances s exactly as a Read of n bytes would, carry
+// included, without writing the bytes: the bytes still due in the
+// carry first, then whole draws by Skip, then the draw whose unused
+// rest the carry keeps. It panics if n is negative.
+//
+//sslab:hotpath
+func (s *Source) Discard(n int) {
+	if n < 0 {
+		panic("invalid argument to Discard")
+	}
+	if n <= int(s.readPos) {
+		s.readVal >>= 8 * uint(n)
+		s.readPos -= int8(n)
+		return
+	}
+	// The other n−readPos bytes come from w whole draws and a tail draw
+	// of which t = 1 to 7 bytes are used and the rest is carried.
+	n -= int(s.readPos)
+	w := (n - 1) / 7
+	s.Skip(uint64(w))
+	t := n - 7*w
+	s.readVal, s.readPos = s.Uint64()>>(8*uint(t)), int8(7-t)
 }
 
 // State is a Source's serializable stream state.

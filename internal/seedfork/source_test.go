@@ -40,19 +40,21 @@ var pickFrom = func() []byte {
 }()
 
 // callKinds is the number of kinds of call drawBoth makes.
-const callKinds = 12
+const callKinds = 13
 
 // drawBoth makes one call, of the given kind and with arguments taken
 // from a and b, on a Source and on the math/rand reference, and fails
 // on any difference. The kinds cover Intn at powers of two, at odd n
 // and above 2³¹−1, Int63n likewise, Read calls of uneven length, from
-// a few bytes to about 2,000, so the carry crosses calls, SkipIntn
+// a few bytes to about 2,000, so the carry crosses calls, Discard of
+// as many bytes against a Read whose bytes are thrown away, followed
+// by the next draw and a 7-byte Read that spans the carry, SkipIntn
 // against as many Intn calls and Pick against one Intn per byte, each
 // for up to 1,023 calls and, for both, at n where many draws are
 // rejected, and a State/Restore round trip into a fresh Source, with
-// and without the register. For a bulk call (Read, SkipIntn, Pick) it
-// returns the method's name and whether the call drew again for a
-// rejected value.
+// and without the register. For a bulk call (Read, Discard, SkipIntn,
+// Pick) it returns the method's name and whether the call drew again
+// for a rejected value.
 func drawBoth(t *testing.T, seed int64, step, kind int, a, b uint64, s *Source, ref *rand.Rand) (bulk string, rejected bool) {
 	t.Helper()
 	var got, want any
@@ -79,10 +81,7 @@ func drawBoth(t *testing.T, seed int64, step, kind int, a, b uint64, s *Source, 
 		}
 		got, want = s.Int63n(n), ref.Int63n(n)
 	case 7:
-		n := int(b % 40)
-		if b%4 == 0 {
-			n = int(a % 2048)
-		}
+		n := readLen(a, b)
 		p, q := make([]byte, n), make([]byte, n)
 		s.Read(p)
 		ref.Read(q)
@@ -119,11 +118,31 @@ func drawBoth(t *testing.T, seed int64, step, kind int, a, b uint64, s *Source, 
 			t.Fatalf("seed %d, step %d: restoring %d draws: %v", seed, step, st.Draws, err)
 		}
 		got, want = s.Uint64(), ref.Uint64()
+	case 12:
+		n := readLen(a, b)
+		s.Discard(n)
+		ref.Read(make([]byte, n))
+		// The next draw checks the position, and a 7-byte Read the carry.
+		p, q := make([]byte, 8+7), make([]byte, 8+7)
+		binary.LittleEndian.PutUint64(p, s.Uint64())
+		binary.LittleEndian.PutUint64(q, ref.Uint64())
+		s.Read(p[8:])
+		ref.Read(q[8:])
+		got, want, bulk = hex.EncodeToString(p), hex.EncodeToString(q), "Discard"
 	}
 	if got != want {
 		t.Fatalf("seed %d, step %d, call kind %d (%d, %d): Source drew %v, math/rand %v", seed, step, kind, a, b, got, want)
 	}
 	return bulk, rejected
+}
+
+// readLen is how many bytes a Read or Discard in drawBoth takes:
+// mostly fewer than 40, one time in four up to 2,047.
+func readLen(a, b uint64) int {
+	if b%4 == 0 {
+		return int(a % 2048)
+	}
+	return int(b % 40)
 }
 
 // bulkCount is how many calls a SkipIntn or Pick in drawBoth stands
@@ -159,11 +178,11 @@ func TestSourceMatchesMathRand(t *testing.T) {
 			}
 		}
 	}
-	for _, bulk := range []string{"Read", "SkipIntn", "Pick"} {
+	for _, bulk := range []string{"Read", "Discard", "SkipIntn", "Pick"} {
 		if crossed[bulk] == 0 {
 			t.Errorf("no %s call began in the lazy phase and ended past draw %d", bulk, rngTap+1)
 		}
-		if bulk != "Read" && rejected[bulk] == 0 {
+		if (bulk == "SkipIntn" || bulk == "Pick") && rejected[bulk] == 0 {
 			t.Errorf("no %s call drew again for a rejected value", bulk)
 		}
 	}
@@ -203,22 +222,28 @@ func readBytewise(s *Source, p []byte) {
 	}
 }
 
-// TestSourceReadState runs two sources of one seed in lockstep, one
-// through Read's whole-draw stores, the other through a bytewise Read,
-// across draws 273, 274 and 607, and requires equal bytes and equal
-// State — the carry that math/rand keeps private — after every call.
+// TestSourceReadState runs three sources of one seed in lockstep, one
+// through Read's whole-draw stores, one through Discard and one
+// through a bytewise Read, across draws 273, 274 and 607, and requires
+// equal bytes from the two Reads and equal State — the carry that
+// math/rand keeps private — from all three after every call.
 func TestSourceReadState(t *testing.T) {
 	op := rand.New(rand.NewSource(2))
 	for _, seed := range identitySeeds()[:40] {
-		fast, ref := NewSource(seed), NewSource(seed)
+		fast, discard, ref := NewSource(seed), NewSource(seed), NewSource(seed)
 		for step := 0; ref.n < 1500; step++ {
 			n := op.Intn(60)
 			a, b := make([]byte, n), make([]byte, n)
 			fast.Read(a)
+			discard.Discard(n)
 			readBytewise(&ref, b)
 			if !bytes.Equal(a, b) || !reflect.DeepEqual(fast.State(), ref.State()) {
 				t.Fatalf("seed %d, step %d: Read wrote %x, state %+v; bytewise %x, %+v",
 					seed, step, a, fast.State(), b, ref.State())
+			}
+			if !reflect.DeepEqual(discard.State(), ref.State()) {
+				t.Fatalf("seed %d, step %d: Discard(%d) left state %+v; bytewise Read %+v",
+					seed, step, n, discard.State(), ref.State())
 			}
 		}
 	}

@@ -76,9 +76,6 @@ type Generator struct {
 	// rng's stream state — draw count, Read's leftover and register —
 	// serializes for engine snapshots (CaptureRNG, RestoreRNG).
 	rng seedfork.Source
-	// scratch receives the random ClientHello bytes whose draws
-	// plaintextLen makes but whose values it discards.
-	scratch [helloMaxBody / 3]byte
 }
 
 // New returns a Generator.
@@ -141,7 +138,7 @@ func (g *Generator) plaintextLen(w Workload) int {
 	}
 	body := helloMinBody + g.rng.Intn(helloMaxBody-helloMinBody+1)
 	nRand := body / 3
-	g.rng.Read(g.scratch[:nRand])
+	g.rng.Discard(nRand)
 	g.rng.SkipIntn(len(helloStructural), body-nRand)
 	return n + 5 + body
 }
