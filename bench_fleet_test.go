@@ -10,6 +10,8 @@ package sslab_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"math"
 	"os"
@@ -22,10 +24,18 @@ import (
 	"sslab/internal/netsim"
 )
 
-// TestFleetAcceptance is the ISSUE's population-scale acceptance run —
-// 100k users for 24 virtual hours at the defaults — gated behind
+// acceptanceReportSHA is the SHA-256 of TestFleetAcceptance's report
+// JSON, taken before the diurnal curve's thinning moved from a wake-up's
+// firing to its scheduling. With 100,000 users in one heap it is the
+// largest pinned run, and the one most likely to hold two wake-up
+// candidates on the same nanosecond.
+const acceptanceReportSHA = "64f439393008c451cb717fb685c74744b863980ff321ddbc9eab47d95f31e397"
+
+// TestFleetAcceptance is the population-scale acceptance run — 100k
+// users for 24 virtual hours at the defaults — gated behind
 // FLEET_ACCEPTANCE=1 because it takes tens of seconds. Targets: under
-// 60 s wall and under 2 GB memory on one core.
+// 60 s wall and under 2 GB memory on one core, and the report bytes of
+// acceptanceReportSHA.
 func TestFleetAcceptance(t *testing.T) {
 	if os.Getenv("FLEET_ACCEPTANCE") == "" {
 		t.Skip("set FLEET_ACCEPTANCE=1 to run the 100k-user acceptance measurement")
@@ -46,6 +56,13 @@ func TestFleetAcceptance(t *testing.T) {
 	}
 	if m.Sys > 2e9 {
 		t.Errorf("acceptance run used %.1f GB, target < 2 GB", float64(m.Sys)/1e9)
+	}
+	b, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(b); hex.EncodeToString(sum[:]) != acceptanceReportSHA {
+		t.Errorf("acceptance report SHA-256 %x, want %s", sum, acceptanceReportSHA)
 	}
 }
 

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -17,23 +18,43 @@ import (
 // TestGoldenCrossCheck pins the fleet engine against a hand-rolled
 // single-client reference: the naive loop the existing `shadowsocks`
 // experiment runs — one client, allocating trafficgen forms (no append
-// API), a plain closure per event (no trampolines). A 1-user fleet must
-// reproduce the reference's censor statistics *exactly*: same triggers,
-// same recorded payloads, same probes, same flow count. Any divergence
-// means the scheduler delivered an event at the wrong virtual time, the
-// append-form trafficgen drew different random bytes, or the engine
-// consumed PRNG draws in a different order than documented.
+// API), a plain closure per event (no trampolines), and every wake-up
+// candidate an event that the diurnal formula thins when it fires. A
+// 1-user fleet must reproduce the reference's censor statistics
+// *exactly*: same triggers, same recorded payloads, same probes, same
+// flow and wake-up counts. Any divergence means the scheduler delivered
+// an event at the wrong virtual time, the append-form trafficgen drew
+// different random bytes, or the engine consumed PRNG draws in a
+// different order than documented. The first case keeps every
+// candidate; the second thins about two in five, so a thinned
+// candidate's draws must be consumed exactly as a kept one's.
 func TestGoldenCrossCheck(t *testing.T) {
-	cfg := Config{
-		Seed:             42,
-		Users:            1,
-		UsersPerServer:   1,
-		Hours:            24,
-		PeakFlowsPerHour: 40, // dense enough that the 4% passive detector records and probes
-		ActivityFloor:    1,  // constant activity: the accept draw is still consumed
-		Mix:              []ImplShare{{Impl: "sspython", Weight: 1}},
-		GFW:              gfw.Config{Sensitivity: -1}, // probe forever, never block
+	for _, tc := range []struct {
+		floor float64
+		rate  float64
+	}{
+		// Constant activity: the accept draw is still consumed. Dense
+		// enough that the 4% passive detector records and probes.
+		{floor: 1, rate: 40},
+		{floor: 0.15, rate: 74},
+	} {
+		crossCheck(t, Config{
+			Seed:             42,
+			Users:            1,
+			UsersPerServer:   1,
+			Hours:            24,
+			PeakFlowsPerHour: tc.rate,
+			ActivityFloor:    tc.floor,
+			Mix:              []ImplShare{{Impl: "sspython", Weight: 1}},
+			GFW:              gfw.Config{Sensitivity: -1}, // probe forever, never block
+		})
 	}
+}
+
+// crossCheck runs the one-user cfg through the engine and through the
+// reference loop, and compares their counts.
+func crossCheck(t *testing.T, cfg Config) {
+	t.Helper()
 	rep, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("fleet Run: %v", err)
@@ -70,23 +91,32 @@ func TestGoldenCrossCheck(t *testing.T) {
 	// phase, workload, first-wake stagger; then per wake-up: gap, accept.
 	rng := uint64(seedfork.Fork(c.Seed, "fleet.user", 0))
 	f64 := func() float64 { return float64(splitmix(&rng)>>11) / (1 << 53) }
-	_ = splitmix(&rng) // diurnal phase (unused at ActivityFloor 1)
+	phase := int64(splitmix(&rng)%181) - 90
 	wl := trafficgen.CurlLoop
 	if f64() < c.BrowseShare {
 		wl = trafficgen.BrowseAlexa
 	}
+	// The diurnal curve: a cosine peaking at 21:00 plus the phase,
+	// floored at ActivityFloor.
+	activity := func(now time.Time) float64 {
+		m := (int64(now.Sub(netsim.Epoch)/time.Minute) + phase) % (24 * 60)
+		h := float64(m) / 60
+		shape := 0.5 * (1 + math.Cos(2*math.Pi*(h-21)/24))
+		return c.ActivityFloor + (1-c.ActivityFloor)*shape
+	}
 
 	meanGap := time.Duration(float64(time.Hour) / c.PeakFlowsPerHour)
 	end := netsim.Epoch.Add(time.Duration(c.Hours) * time.Hour)
-	var flows int64
+	var wakeups, flows int64
 	var wake func(any)
 	wake = func(any) {
 		now := sim.Now()
+		wakeups++
 		gap := time.Duration(-math.Log1p(-f64()) * float64(meanGap))
 		if next := now.Add(gap); next.Before(end) {
 			sim.AtCall(next, wake, nil)
 		}
-		if f64() >= 1 { // activity is constant 1 under ActivityFloor 1
+		if f64() >= activity(now) {
 			return
 		}
 		pkt := tg.WireFirstPacket(spec, tg.PlaintextFirstFlight(wl))
@@ -96,22 +126,30 @@ func TestGoldenCrossCheck(t *testing.T) {
 	sim.AtCall(netsim.Epoch.Add(time.Duration(f64()*float64(meanGap))), wake, nil)
 	sim.RunUntil(end)
 
+	where := fmt.Sprintf("ActivityFloor %v, %v flows per peak hour", c.ActivityFloor, c.PeakFlowsPerHour)
+	if rep.Wakeups != wakeups {
+		t.Errorf("%s: wake-ups: fleet %d, reference %d", where, rep.Wakeups, wakeups)
+	}
 	if rep.Flows != flows {
-		t.Errorf("flows: fleet %d, reference %d", rep.Flows, flows)
+		t.Errorf("%s: flows: fleet %d, reference %d", where, rep.Flows, flows)
 	}
 	if rep.Triggers != g.Triggers {
-		t.Errorf("triggers: fleet %d, reference %d", rep.Triggers, g.Triggers)
+		t.Errorf("%s: triggers: fleet %d, reference %d", where, rep.Triggers, g.Triggers)
 	}
 	if rep.PayloadsRecorded != g.PayloadsRecorded {
-		t.Errorf("payloads recorded: fleet %d, reference %d", rep.PayloadsRecorded, g.PayloadsRecorded)
+		t.Errorf("%s: payloads recorded: fleet %d, reference %d", where, rep.PayloadsRecorded, g.PayloadsRecorded)
 	}
 	if rep.ProbesSent != g.ProbesSent {
-		t.Errorf("probes sent: fleet %d, reference %d", rep.ProbesSent, g.ProbesSent)
+		t.Errorf("%s: probes sent: fleet %d, reference %d", where, rep.ProbesSent, g.ProbesSent)
 	}
 	if rep.Blocks != len(g.BlockEvents) {
-		t.Errorf("blocks: fleet %d, reference %d", rep.Blocks, len(g.BlockEvents))
+		t.Errorf("%s: blocks: fleet %d, reference %d", where, rep.Blocks, len(g.BlockEvents))
 	}
 	if rep.ProbesSent == 0 {
-		t.Error("reference run produced no probes; cross-check is vacuous")
+		t.Errorf("%s: reference run produced no probes; cross-check is vacuous", where)
 	}
+	if c.ActivityFloor < 1 && flows == wakeups {
+		t.Errorf("%s: the reference thinned no wake-up; the thinning case is vacuous", where)
+	}
+	t.Logf("%s: %d wake-ups, %d flows, %d probes", where, wakeups, flows, g.ProbesSent)
 }

@@ -8,10 +8,11 @@
 // The engine scales by keeping per-user cost at O(bytes of state), not
 // O(goroutine): a user is ~24 bytes (an inline SplitMix64 PRNG state, a
 // server index, a diurnal phase and two flags) in one flat slice, every
-// wake-up is one closure-free event on its unit's netsim heap, first
-// packets are synthesized into one reused buffer, and every output is a
-// streaming sketch or bucketed counter (internal/stats) — no per-flow
-// record is ever materialized.
+// wake-up the diurnal curve keeps is one closure-free event on its
+// unit's netsim heap (the candidates it thins are drawn and counted
+// without becoming events), first packets are synthesized into one
+// reused buffer, and every output is a streaming sketch or bucketed
+// counter (internal/stats) — no per-flow record is ever materialized.
 //
 // Parallelism: the population is partitioned into Config.Shards
 // space-sharded sub-simulations — users pinned to disjoint server +
@@ -332,6 +333,12 @@ type Fleet struct {
 	tg      *trafficgen.Generator
 	scratch []byte
 	end     time.Time
+	// span is end − Epoch: the wake path keeps its candidate times as
+	// offsets from Epoch and compares them with span.
+	span time.Duration
+	// curve is the engine's diurnal activity table, shared read-only by
+	// its units.
+	curve *activityTable
 
 	meanGap      time.Duration
 	replaceAfter time.Duration
@@ -373,16 +380,35 @@ func (f *Fleet) bindMetrics() {
 	f.mReplacements = f.sim.Metrics.Counter("fleet.replacements")
 }
 
-// activity is the diurnal curve: a smooth cosine peaking at 21:00
-// virtual time (plus the user's personal phase jitter), floored at
-// ActivityFloor. The cosine is periodic in the day, so a negative
-// remainder from the modulo is harmless.
-func (f *Fleet) activity(now time.Time, phaseMin int16) float64 {
-	m := (int64(now.Sub(netsim.Epoch)/time.Minute) + int64(phaseMin)) % (24 * 60)
+// activityAt is the diurnal curve: a smooth cosine peaking at 21:00,
+// floored at floor, at minute-of-day m. The cosine is periodic in the
+// day, so a negative m (a phase jitter reaching before midnight) is
+// harmless.
+func activityAt(m int64, floor float64) float64 {
 	h := float64(m) / 60
 	shape := 0.5 * (1 + math.Cos(2*math.Pi*(h-21)/24))
-	floor := f.cfg.ActivityFloor
 	return floor + (1-floor)*shape
+}
+
+// activityTable holds activityAt for every minute-of-day the wake path
+// asks for: m = (minutes since Epoch + phase) % 1440, with the phase in
+// [−90, 90], lies in [−90, 1439], and entry m+90 holds it.
+type activityTable [24*60 + 90]float64
+
+// newActivityTable fills the table from activityAt, so a lookup returns
+// the formula's value bit for bit.
+func newActivityTable(floor float64) *activityTable {
+	var t activityTable
+	for i := range t {
+		t[i] = activityAt(int64(i)-90, floor)
+	}
+	return &t
+}
+
+// activity is the diurnal curve at offset c from Epoch for a user with
+// personal phase jitter phaseMin.
+func (f *Fleet) activity(c time.Duration, phaseMin int16) float64 {
+	return f.curve[(int64(c/time.Minute)+int64(phaseMin))%(24*60)+90]
 }
 
 // expGap draws the user's next wake-up gap: exponential with mean
@@ -397,22 +423,25 @@ func runUserWake(x any) {
 	a.f.wake(a)
 }
 
-// wake is the per-user hot path: chain the next wake-up, thin by the
-// diurnal curve, then (if active) emit one flow and account its
-// outcome. Steady state allocates nothing: the payload is built in
+// wake is the per-user hot path: draw this candidate's gap and accept
+// values, arm the user's next kept wake-up, then (if the diurnal curve
+// keeps this one) emit one flow and account its outcome. Arming first
+// keeps the next wake-up ahead, in schedule order, of anything the flow
+// schedules. Steady state allocates nothing: the payload is built in
 // f.scratch and the flow lives in the network's arena.
 //
 //sslab:hotpath
 func (f *Fleet) wake(a *userArg) {
 	u := &f.users[a.idx]
 	now := f.sim.Now()
+	c := now.Sub(netsim.Epoch)
 	f.wakeups++
 	f.mWakeups.Inc()
 
-	if t := now.Add(f.expGap(u)); t.Before(f.end) {
-		f.sim.AtCall(t, runUserWake, a)
-	}
-	if u.f64() >= f.activity(now, u.phaseMin) {
+	gap := f.expGap(u)
+	kept := u.f64() < f.activity(c, u.phaseMin)
+	f.armNext(a, u, c, gap)
+	if !kept {
 		return
 	}
 
@@ -421,7 +450,7 @@ func (f *Fleet) wake(a *userArg) {
 	out := f.net.Connect(f.clients[a.idx], srv.ep, f.scratch, false, time.Time{})
 	f.flows++
 	f.mFlows.Inc()
-	f.flowsTS.Add(now.Sub(netsim.Epoch), 1)
+	f.flowsTS.Add(c, 1)
 
 	if out.Blocked {
 		f.onBlockedFlow(u, srv, now)
@@ -429,6 +458,36 @@ func (f *Fleet) wake(a *userArg) {
 		u.blocked = false
 		f.blockedNow--
 		f.mBlockedUsers.Set(f.blockedNow)
+	}
+}
+
+// armNext schedules the user's first candidate after the one at offset
+// c, which drew gap, that the diurnal curve keeps. Each candidate draws
+// its gap and accept values from a copy of the user's state: a kept
+// candidate is scheduled with the state left before its draws, which
+// its wake-up takes again; a thinned one commits its draws and is
+// counted as a wake-up on the spot, without becoming an event. A
+// negative gap (expGap's conversion of a product past the int64 range)
+// makes the next candidate the current one, as the heap's clamp to now
+// did for an event scheduled in the past, and the search stops at the
+// first candidate at or after End, compared as gap ≥ span − c so that
+// no sum can overflow.
+//
+//sslab:hotpath
+func (f *Fleet) armNext(a *userArg, u *user, c, gap time.Duration) {
+	for gap < f.span-c {
+		if gap > 0 {
+			c += gap
+		}
+		cp := *u
+		gap = f.expGap(&cp)
+		if cp.f64() < f.activity(c, u.phaseMin) {
+			f.sim.AtCall(netsim.Epoch.Add(c), runUserWake, a)
+			return
+		}
+		u.rng = cp.rng
+		f.wakeups++
+		f.mWakeups.Inc()
 	}
 }
 
@@ -724,12 +783,14 @@ func (f *Fleet) build(plan runPlan) {
 			Port: 40000,
 		}
 		// Stagger first wake-ups uniformly over one mean gap, so the
-		// population is in Poisson steady state from the start. A
+		// population is in Poisson steady state from the start. The first
+		// candidate is scheduled unthinned, and only before End, as
+		// armNext schedules every later one; its wake-up thins it. A
 		// restored unit draws the stagger anyway (keeping this loop
 		// identical) but re-arms its real pending wake-ups from the
 		// snapshot instead.
 		first := netsim.Epoch.Add(time.Duration(u.f64() * float64(f.meanGap)))
-		if !f.restoring {
+		if !f.restoring && first.Before(f.end) {
 			f.sim.AtCall(first, runUserWake, &f.uargs[i])
 		}
 	}

@@ -28,16 +28,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/impaired-
 func TestGoldenImpairedFleet(t *testing.T) {
 	cfg := Config{
 		Seed: 7, Users: 400, UsersPerServer: 5, Hours: 6,
-		// experiment.ArmsRaceMix, inlined: experiment imports fleet.
-		Mix: []ImplShare{
-			{Impl: "libev-new", Weight: 0.20},
-			{Impl: "sspython", Weight: 0.10},
-			{Impl: "openvpn", Weight: 0.10},
-			{Impl: "openvpn-auth", Weight: 0.10},
-			{Impl: "obfs2", Weight: 0.10},
-			{Impl: "obfs4", Weight: 0.10},
-			{Impl: "web", Weight: 0.30},
-		},
+		Mix: armsRaceMix,
 		GFW: gfw.Config{Detectors: []string{"shadowsocks", "openvpn", "fullyencrypted"}},
 		Impair: &netsim.LinkProfile{
 			LatencyBase: 80 * time.Millisecond,

@@ -27,9 +27,16 @@ type Report struct {
 	Users   int
 	Servers int
 
-	// Engine totals.
+	// Wakeups counts the users' wake-up candidates: the Poisson arrivals
+	// at the peak rate before End, those the diurnal curve thinned as
+	// well as those it kept, each of which sent one flow. A thinned
+	// candidate is counted when the user's previous kept wake-up runs,
+	// so a Report taken before End also counts the thinned candidates up
+	// to each user's next kept wake-up; at End every candidate has been
+	// counted.
 	Wakeups int64
-	Flows   int64
+	// Flows counts the genuine client flows the kept wake-ups sent.
+	Flows int64
 
 	// Censor totals.
 	Triggers         int

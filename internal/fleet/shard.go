@@ -25,6 +25,9 @@ type runPlan struct {
 	impl     []int32 // implementation index per global server
 	regions  []regionPlan
 	units    []unitSpec
+	// curve is the diurnal activity table at the engine-wide
+	// ActivityFloor, shared read-only by every unit.
+	curve *activityTable
 }
 
 // regionPlan is one region's slice of the plan: its contiguous global
@@ -99,7 +102,7 @@ func planRun(cfg Config) (runPlan, error) {
 	}
 
 	topo := resolveTopology(cfg)
-	p := runPlan{nServers: nServers, impl: impl}
+	p := runPlan{nServers: nServers, impl: impl, curve: newActivityTable(cfg.ActivityFloor)}
 	weightSum := topo.TotalWeight()
 	single := len(topo.Regions) == 1
 	var cum float64
@@ -182,6 +185,7 @@ func buildUnit(cfg Config, plan runPlan, u unitSpec, restoring bool) *Fleet {
 	net.AddMiddlebox(g)
 
 	userLo, userHi := u.users(cfg)
+	span := time.Duration(cfg.Hours) * time.Hour
 	f := &Fleet{
 		cfg:          cfg,
 		sim:          sim,
@@ -198,7 +202,9 @@ func buildUnit(cfg Config, plan runPlan, u unitSpec, restoring bool) *Fleet {
 		restoring:    restoring,
 		nextServerIP: u.lo, // initial endpoints keep their global addresses
 		tg:           trafficgen.New(seedfork.Fork(u.seed, "fleet.trafficgen")),
-		end:          netsim.Epoch.Add(time.Duration(cfg.Hours) * time.Hour),
+		end:          netsim.Epoch.Add(span),
+		span:         span,
+		curve:        plan.curve,
 		meanGap:      time.Duration(float64(time.Hour) / cfg.PeakFlowsPerHour),
 		replaceAfter: time.Duration(cfg.ReplaceAfterMin) * time.Minute,
 		bucket:       time.Duration(cfg.BucketMin) * time.Minute,

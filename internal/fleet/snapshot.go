@@ -389,25 +389,45 @@ func (f *Fleet) restore(s *unitSnap, now time.Time) error {
 	f.mBlockedUsers.Set(f.blockedNow)
 
 	// 3. Re-arm pending events onto the heap, each list in its original
-	// sequence order.
+	// sequence order, counting each user's wake-ups over both lists.
+	wakes := make([]int32, len(f.users))
 	for _, evs := range [][]eventSnap{s.HeapEvents, s.WheelEvents} {
 		for _, ev := range evs {
-			if err := f.rearm(ev); err != nil {
+			if err := f.rearm(ev, now, wakes); err != nil {
 				return err
 			}
+		}
+	}
+	// A user's state sits just before the draws of its one pending
+	// wake-up: a second one would draw the same values again.
+	for i, n := range wakes {
+		if n > 1 {
+			return fmt.Errorf("user %d has %d pending wake-ups", f.userLo+i, n)
 		}
 	}
 	return nil
 }
 
-// rearm schedules one captured pending event on the unit's simulator.
-func (f *Fleet) rearm(ev eventSnap) error {
+// rearm schedules one captured pending event, restored at virtual time
+// now, on the unit's simulator, counting a wake-up in wakes.
+func (f *Fleet) rearm(ev eventSnap, now time.Time, wakes []int32) error {
 	switch ev.Kind {
 	case "wake":
 		if ev.Idx < 0 || int(ev.Idx) >= len(f.uargs) {
 			return fmt.Errorf("pending wake references user %d of %d", ev.Idx, len(f.uargs))
 		}
-		f.sim.AtCall(ev.At, runUserWake, &f.uargs[ev.Idx])
+		// RunTo leaves every pending event after its target; the heap
+		// would clamp an earlier wake-up to now.
+		if !ev.At.After(now) {
+			return fmt.Errorf("pending wake-up of user %d at %v is not after the snapshot time %v",
+				f.userLo+int(ev.Idx), ev.At, now)
+		}
+		wakes[ev.Idx]++
+		// No wake-up is scheduled at or after End (see build and
+		// armNext); an older build's first wake-up could be.
+		if ev.At.Before(f.end) {
+			f.sim.AtCall(ev.At, runUserWake, &f.uargs[ev.Idx])
+		}
 	case "replace":
 		if ev.Idx < 0 || int(ev.Idx) >= len(f.sargs) {
 			return fmt.Errorf("pending replace references server %d of %d", ev.Idx, len(f.sargs))

@@ -7,9 +7,11 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -430,5 +432,58 @@ func TestMergeUnmergeableTyped(t *testing.T) {
 	}
 	if err := rep.Merge(&restored); !errors.Is(err, ErrUnmergeableReport) {
 		t.Fatalf("live.Merge(restored) = %v, want ErrUnmergeableReport", err)
+	}
+}
+
+// TestSnapshotRefusesImpossibleWakeups: a user's state sits just before
+// the draws of its one pending wake-up, which lies after the snapshot
+// time, so restore refuses a second wake-up for a user (over the heap
+// and a version-1 snapshot's wheel list together) and a wake-up at or
+// before the snapshot time, naming the user by its global index. Both
+// used to restore: the first drew the user's stream twice, the second
+// was clamped to the snapshot time.
+func TestSnapshotRefusesImpossibleWakeups(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "resume-v2.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The edits target unit 1's first pending wake-up: unit 1's users do
+	// not start at 0, so its local and global indices differ.
+	snap := decodeSnap(t, data)
+	wake := slices.IndexFunc(snap.Units[1].HeapEvents, func(ev eventSnap) bool { return ev.Kind == "wake" })
+	if wake < 0 {
+		t.Fatal("unit 1 of the fixture has no pending wake-up")
+	}
+	cfg := snap.Config.withDefaults()
+	plan, err := planRun(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, _ := plan.units[1].users(cfg)
+	user := lo + int(snap.Units[1].HeapEvents[wake].Idx)
+	for _, c := range []struct {
+		name string
+		edit func(u *unitSnap, i int, now time.Time)
+		want string
+	}{
+		{"twice on the heap", func(u *unitSnap, i int, _ time.Time) {
+			u.HeapEvents = append(u.HeapEvents, u.HeapEvents[i])
+		}, "user %d has 2 pending wake-ups"},
+		{"on the heap and in the wheel", func(u *unitSnap, i int, _ time.Time) {
+			u.WheelEvents = append(u.WheelEvents, u.HeapEvents[i])
+		}, "user %d has 2 pending wake-ups"},
+		{"at the snapshot time", func(u *unitSnap, i int, now time.Time) {
+			u.HeapEvents[i].At = now
+		}, "pending wake-up of user %d at"},
+		{"before the snapshot time", func(u *unitSnap, i int, now time.Time) {
+			u.HeapEvents[i].At = now.Add(-time.Hour)
+		}, "pending wake-up of user %d at"},
+	} {
+		snap := decodeSnap(t, data)
+		c.edit(&snap.Units[1], wake, snap.Now)
+		want := fmt.Sprintf(c.want, user)
+		if _, err := Restore(encodeSnap(t, 2, snap)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Restore of a wake-up %s: err = %v, want one containing %q", c.name, err, want)
+		}
 	}
 }
